@@ -49,6 +49,10 @@ def _load_psi_arg(args):
         with open(args.psi) as fh:
             doc = json.load(fh)
         psi = gie.load_psi(doc)
+        if (args.n, args.m) != (psi.n, psi.m):
+            raise InputError(
+                f"--n {args.n} --m {args.m} disagree with the {psi.n} x {psi.m} "
+                f"psi in {args.psi}")
         psi, _ = gie.normalize_psi(psi)
         return psi, {"psi_file": args.psi}
     if args.random_psi is not None:
@@ -80,10 +84,10 @@ def _lemma_results(psi, kappa):
 def cmd_verify_lemma(args, started):
     psi, echo = _load_psi_arg(args)
     inputs = {"n": args.n, "m": args.m, "kappa": args.kappa, **echo}
-    if args.kappa < (args.n - 1) * (args.m - 1):
+    if args.kappa < (psi.n - 1) * (psi.m - 1):
         raise InputError(
             f"kappa = {args.kappa} below the minimum (n-1)(m-1) = "
-            f"{(args.n - 1) * (args.m - 1)}")
+            f"{(psi.n - 1) * (psi.m - 1)}")
     results, ok = _lemma_results(psi, args.kappa)
     verdict = "pass" if ok else "violation"
     return _report("verify-lemma", inputs, results, verdict, started)

@@ -343,6 +343,12 @@ class EquivalenceReport:
     target_dimension: int
     exact: bool                      # residuals are exact rationals
 
+    def __post_init__(self):
+        # numpy comparisons give numpy bools, which the JSON report would
+        # otherwise write as the strings "True"/"False"
+        self.identity_holds = bool(self.identity_holds)
+        self.conserved = bool(self.conserved)
+
     def as_dict(self):
         return {
             "backend": self.backend,
@@ -464,6 +470,6 @@ def load_chart(doc):
              for i in range(m)]
         box = doc.get("box")
         margin = float(doc.get("margin", DEFAULT_MARGIN))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise InputError(f"malformed chart input: {exc}") from exc
     return MetricChart(m, g, box=box, margin=margin), EnergyMomentum(m, T)

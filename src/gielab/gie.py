@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
@@ -165,7 +166,6 @@ def normalize_psi(psi: PsiData):
         if i0 != 0:
             q[0][0] = q[i0][i0] = Fraction(0)
             q[0][i0] = Fraction(1)
-            q[i0][0] = Fraction(-1) if n % 2 == 0 else Fraction(1)
             # determinant sign is irrelevant for orthogonality; keep +1 rows
             q[i0][0] = Fraction(1)
         r = u[i0]
@@ -222,7 +222,7 @@ def load_psi(doc) -> PsiData:
     try:
         n, m = int(doc["n"]), int(doc["m"])
         values = [[Fraction(str(v)) for v in row] for row in doc["psi"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed psi input: {exc}") from exc
     return PsiData(n, m, values)
 
@@ -259,9 +259,24 @@ class SecondFundamental:
         """H_{i lam} as a vector of W (length kappa)."""
         return [self.entries[a][i - 1][lam - 1] for a in range(self.kappa)]
 
-    def dot(self, i, lam, j, mu):
-        return sum((x * y for x, y in zip(self.vector(i, lam), self.vector(j, mu))),
-                   Fraction(0))
+    def integer_columns(self):
+        """(D, columns): D is the lcm of the denominators of H, and
+        columns[(i, lam)] = {a: D * H^a_{i lam}} holds the non-zero entries
+        of the column H_{i lam} as ints.
+
+        The Gauss map is homogeneous quadratic and ranks are unchanged by
+        scaling, so the exact kernels run on these columns and divide by D
+        only where a rational value is reported."""
+        D = lcm(*(v.denominator for block in self.entries for row in block
+                  for v in row))
+        columns = {(i, lam): {} for i in range(1, self.n + 1)
+                   for lam in range(1, self.m + 1)}
+        for a, block in enumerate(self.entries, 1):
+            for i, row in enumerate(block, 1):
+                for lam, v in enumerate(row, 1):
+                    if v:
+                        columns[i, lam][a] = v.numerator * (D // v.denominator)
+        return D, columns
 
     def scaled(self, rho):
         rho = Fraction(rho)
@@ -316,16 +331,6 @@ class CurvatureElement:
                 and self.m == other.m and self.values == other.values)
 
 
-def load_curvature(n, m, items) -> CurvatureElement:
-    """Curvature from JSON entries [{"i","j","lambda","mu","value"}]."""
-    values = {}
-    for item in items:
-        key = (int(item["i"]), int(item["j"]),
-               int(item["lambda"]), int(item["mu"]))
-        values[key] = values.get(key, Fraction(0)) + Fraction(str(item["value"]))
-    return CurvatureElement(n, m, values)
-
-
 # ---------------------------------------------------------------------------
 # core maps
 
@@ -335,27 +340,33 @@ def cartan_identity_residual(H: SecondFundamental, psi: PsiData):
     for each normal direction a; zero iff the identities hold."""
     if (H.n, H.m) != (psi.n, psi.m):
         raise InputError("H and psi shapes disagree")
-    out = []
-    for a in range(1, H.kappa + 1):
-        total = Fraction(0)
-        for i in range(1, H.n + 1):
-            for lam in range(1, H.m + 1):
-                term = H[a, i, lam] * psi[i, lam]
-                total += term if lam % 2 else -term
-        out.append(total)
-    return out
+    terms = [(i - 1, lam - 1, psi[i, lam] if lam % 2 else -psi[i, lam])
+             for i in range(1, H.n + 1) for lam in range(1, H.m + 1)
+             if psi[i, lam]]
+    return [sum((c * block[i][lam] for i, lam, c in terms if block[i][lam]),
+                Fraction(0))
+            for block in H.entries]
 
 
 def gauss_map(H: SecondFundamental) -> CurvatureElement:
     """(G(H))^i_{j; lam mu} = H_{i lam}.H_{j mu} - H_{i mu}.H_{j lam}."""
+    D, cols = H.integer_columns()
+    scale = D * D
+
+    def dot(u, v):
+        if len(u) > len(v):
+            u, v = v, u
+        return sum(x * v[a] for a, x in u.items() if a in v)
+
     values = {}
     for i in range(1, H.n + 1):
         for j in range(i + 1, H.n + 1):
             for lam in range(1, H.m + 1):
                 for mu in range(lam + 1, H.m + 1):
-                    v = H.dot(i, lam, j, mu) - H.dot(i, mu, j, lam)
+                    v = (dot(cols[i, lam], cols[j, mu])
+                         - dot(cols[i, mu], cols[j, lam]))
                     if v:
-                        values[(i, j, lam, mu)] = v
+                        values[(i, j, lam, mu)] = Fraction(v, scale)
     return CurvatureElement(H.n, H.m, values)
 
 
@@ -467,35 +478,43 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
     full rank; the pivot columns of the blocks are the witness.  On a
     singular block, the first failing level is reported and the true
     rank is computed by sparse elimination.
+
+    Everything runs on the integer columns D*H, which have the same ranks
+    and pivots as H.  The block of level (k, nu) is the block of level
+    (k-1, nu) plus the rows H_{k-1, lam}, lam < nu, so one incremental
+    echelon per nu decides every level: a level fails when one of its
+    new rows is dependent, and otherwise its witness is the echelon's
+    pivot set, the column rank profile of the block.
     """
     n, m, kappa = H.n, H.m, H.kappa
     expected = n * (n - 1) * m * (m - 1) // 4
     levels = _flag_levels(n, m)
+    _, cols = H.integer_columns()
     failed = None
     witness = []
+    echelons = {}
     for (k, nu) in levels:
-        block = [[H[a, i, lam] for a in range(1, kappa + 1)]
-                 for i in range(1, k) for lam in range(1, nu)]
-        _, pivots = linalg.bareiss_echelon(block)
-        if len(pivots) < (k - 1) * (nu - 1):
+        ech = echelons.setdefault(nu, linalg.SparseEchelon())
+        if not all(ech.insert(cols[k - 1, lam]) for lam in range(1, nu)):
             failed = (k, nu)
             break
-        witness.extend((a + 1, k, nu) for a in pivots)
+        witness.extend((a, k, nu) for a in sorted(ech.pivots))
     if failed is None:
         return RankCertificate(rank=expected, expected=expected,
                                witness_columns=witness)
-    # honest fallback: exact rank of the whole restricted matrix
-    diff = GaussDifferential(H)
-    cols = [(a, k, nu) for (k, nu) in levels for a in range(1, kappa + 1)]
-    col_index = {c: idx for idx, c in enumerate(cols)}
+    # honest fallback: exact rank of the whole restricted matrix, whose
+    # row (i,j;lam,mu) is dG's four column terms read off D*H
+    offset = {level: idx * kappa - 1 for idx, level in enumerate(levels)}
     ech = linalg.SparseEchelon()
-    for row in diff.rows:
-        sparse = {}
-        for c in cols:
-            v = diff.entry(row, c)
-            if v:
-                sparse[col_index[c]] = v
-        ech.insert(sparse)
+    for (i, j, lam, mu) in curvature_rows(n, m):
+        row = {}
+        for level, col, sign in (((i, lam), (j, mu), 1), ((j, mu), (i, lam), 1),
+                                 ((i, mu), (j, lam), -1), ((j, lam), (i, mu), -1)):
+            if level in offset:
+                base = offset[level]
+                for a, v in cols[col].items():
+                    row[base + a] = sign * v
+        ech.insert(row)
     return RankCertificate(rank=ech.rank, expected=expected,
                            witness_columns=[], failed_level=failed)
 

@@ -62,6 +62,29 @@ def test_verify_lemma_psi_file(tmp_path, capsys):
     assert report["results"]["jacobian_rank"] == 3
 
 
+def _three_sheet_psi_file(tmp_path, first="1/2"):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(
+        {"n": 3, "m": 2, "psi": [[first, "1"], ["2", "0"], ["-1/3", "0"]]}))
+    return str(path)
+
+
+def test_verify_lemma_zero_denominator_is_invalid(tmp_path, capsys):
+    code, report = run(["verify-lemma", "--n", "3", "--m", "2", "--kappa", "2",
+                        "--psi", _three_sheet_psi_file(tmp_path, "1/0")], capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command,kappa", [("verify-lemma", "16"), ("flag", "2")])
+def test_psi_shape_mismatch_is_invalid(tmp_path, capsys, command, kappa):
+    code, report = run([command, "--n", "5", "--m", "5", "--kappa", kappa,
+                        "--psi", _three_sheet_psi_file(tmp_path)], capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+    assert "3 x 2" in report["results"]["error"]
+
+
 def test_verify_lemma_requires_psi_source(capsys):
     code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1"],
                        capsys)
@@ -83,6 +106,18 @@ def test_sweep_small_grid(capsys):
     assert code == EXIT_PASS
     assert report["results"]["total"] == 12
     assert report["results"]["violations"] == 0
+
+
+def test_sweep_frontier_8_to_12(capsys):
+    code, report = run(["sweep", "--n-range", "8..12", "--m-range", "8..12",
+                        "--seeds", "1"], capsys)
+    assert code == EXIT_PASS
+    cells = report["results"]["cells"]
+    assert len(cells) == 25
+    for cell in cells:
+        n, m = cell["n"], cell["m"]
+        assert cell["pass"] is True
+        assert cell["rank"] == n * (n - 1) * m * (m - 1) // 4
 
 
 def test_sweep_corrupt_injection(capsys):
@@ -133,6 +168,26 @@ def test_emt_audit_numeric(tmp_path, capsys):
     assert report["results"]["max_identity_residual"] < 1e-6
 
 
+def test_emt_audit_numeric_report_holds_json_booleans(tmp_path):
+    # curved det-1 metric g = [[1, y], [y, 1 + y^2]]: the numeric backend
+    # compares numpy floats, and the report must still hold real booleans
+    def term(c, e):
+        return {"exponents": e, "coefficient": c}
+    one, y = term("1", [0, 0]), term("1", [0, 1])
+    doc = _flat_chart_doc()
+    doc["g"] = [[[one], [y]], [[y], [one, term("1", [0, 2])]]]
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["--output", str(out), "emt-audit", "--input", str(chart),
+                 "--backend", "numeric"])
+    assert code == EXIT_PASS
+    with open(out) as fh:
+        results = json.load(fh)["results"]
+    assert results["identity_holds"] is True
+    assert results["conserved"] is False
+
+
 def test_emt_audit_singular_metric(tmp_path, capsys):
     doc = _flat_chart_doc()
     doc["g"][1][1] = []  # second diagonal entry identically zero
@@ -140,6 +195,16 @@ def test_emt_audit_singular_metric(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, report = run(["emt-audit", "--input", str(path)], capsys)
     assert code == EXIT_INVALID
+
+
+def test_emt_audit_zero_denominator_is_invalid(tmp_path, capsys):
+    doc = _flat_chart_doc()
+    doc["T"][0][0] = [{"exponents": [0, 0], "coefficient": "1/0"}]
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path)], capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
 
 
 def test_emt_audit_missing_file(capsys):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from gielab import InputError, VerificationError, linalg
 from gielab.eds import IntegralElement, cartan_characters_by_expansion, polar_space
 from gielab.gie import (CurvatureElement, PsiData, SecondFundamental,
-                        SigmaIndexMap, build_integral_flag,
+                        SigmaIndexMap, _flag_levels, build_integral_flag,
                         cartan_identity_residual, closed_form_characters,
-                        construct_preimage, dependent_coefficient,
+                        construct_preimage, curvature_rows,
+                        dependent_coefficient,
                         dimension_ledger, flag_subspace_test,
                         gauss_differential, gauss_map, gie_cartan_report,
                         gie_ideal, grassmann_pullback,
@@ -88,6 +89,8 @@ def test_load_psi_roundtrip():
 def test_load_psi_malformed():
     with pytest.raises(InputError):
         load_psi({"n": 2, "m": 2})
+    with pytest.raises(InputError):
+        load_psi({"n": 2, "m": 2, "psi": [["1/0", "1"], ["3", "0"]]})
 
 
 # -- Cartan identities and Gauss map ------------------------------------
@@ -233,6 +236,52 @@ def test_rank_deficit_reported_at_first_bad_level():
     assert not cert.full
     assert cert.failed_level == (3, 2)
     assert cert.rank < cert.expected == 3
+
+
+@st.composite
+def sparse_rational_H(draw):
+    """Random H off the pre-image: sparse rational entries, sometimes
+    kappa below the minimum, sometimes the dependent row H_21 := c H_11."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    kappa = draw(st.integers(1, (n - 1) * (m - 1) + 1))
+    entry = st.one_of(st.just(Fraction(0)), fractions)
+    H = SecondFundamental(n, m, kappa, draw(st.lists(
+        st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n),
+        min_size=kappa, max_size=kappa)))
+    if draw(st.booleans()):
+        c = draw(fractions)
+        for a in range(1, kappa + 1):
+            H.set(a, 2, 1, c * H[a, 1, 1])
+    return H
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rational_H())
+def test_sparse_kernels_match_dense_reference(H):
+    n, m, kappa = H.n, H.m, H.kappa
+    reference = {}
+    for (i, j, lam, mu) in curvature_rows(n, m):
+        v = sum(H[a, i, lam] * H[a, j, mu] - H[a, i, mu] * H[a, j, lam]
+                for a in range(1, kappa + 1))
+        if v:
+            reference[(i, j, lam, mu)] = v
+    assert gauss_map(H).values == reference
+
+    psi = random_normalized_psi(n, m, random.Random(0))
+    cert = jacobian_rank_certificate(H, psi)
+    diff = gauss_differential(H)
+    restricted = [c for c in diff.columns if c[1] >= 2 and c[2] >= 2]
+    assert cert.rank == linalg.rank(
+        [[diff.entry(r, c) for c in restricted] for r in diff.rows])
+    first_bad = next(
+        ((k, nu) for (k, nu) in _flag_levels(n, m)
+         if linalg.rank([[H[a, i, lam] for a in range(1, kappa + 1)]
+                         for i in range(1, k) for lam in range(1, nu)])
+         < (k - 1) * (nu - 1)), None)
+    assert cert.failed_level == first_bad
+    if first_bad is None:
+        sub = [[diff.entry(r, c) for c in cert.witness_columns] for r in diff.rows]
+        assert linalg.det(sub) != 0
 
 
 def test_reduced_differential_drops_dependent_column():
