@@ -44,6 +44,23 @@ def _emit(report, output):
         print(text)
 
 
+def _echo(args):
+    """The inputs every report of this run echoes, success or failure,
+    read from the parsed arguments alone."""
+    if args.command == "sweep":
+        return {"n_range": args.n_range, "m_range": args.m_range,
+                "seeds": args.seeds, "inject_corrupt": args.inject_corrupt}
+    if args.command == "emt-audit":
+        return {"input": args.input, "backend": args.backend}
+    inputs = {"n": args.n, "m": args.m, "kappa": args.kappa}
+    if args.command != "ledger":
+        if args.psi:
+            inputs["psi_file"] = args.psi
+        elif args.random_psi is not None:
+            inputs["random_psi_seed"] = args.random_psi
+    return inputs
+
+
 def _load_psi_arg(args):
     if args.psi:
         with open(args.psi) as fh:
@@ -54,11 +71,10 @@ def _load_psi_arg(args):
                 f"--n {args.n} --m {args.m} disagree with the {psi.n} x {psi.m} "
                 f"psi in {args.psi}")
         psi, _ = gie.normalize_psi(psi)
-        return psi, {"psi_file": args.psi}
+        return psi
     if args.random_psi is not None:
         rng = random.Random(args.random_psi)
-        psi = gie.random_normalized_psi(args.n, args.m, rng)
-        return psi, {"random_psi_seed": args.random_psi}
+        return gie.random_normalized_psi(args.n, args.m, rng)
     raise InputError("provide either --psi FILE or --random-psi SEED")
 
 
@@ -81,9 +97,8 @@ def _lemma_results(psi, kappa):
     return results, ok
 
 
-def cmd_verify_lemma(args, started):
-    psi, echo = _load_psi_arg(args)
-    inputs = {"n": args.n, "m": args.m, "kappa": args.kappa, **echo}
+def cmd_verify_lemma(args, inputs, started):
+    psi = _load_psi_arg(args)
     if args.kappa < (psi.n - 1) * (psi.m - 1):
         raise InputError(
             f"kappa = {args.kappa} below the minimum (n-1)(m-1) = "
@@ -93,8 +108,7 @@ def cmd_verify_lemma(args, started):
     return _report("verify-lemma", inputs, results, verdict, started)
 
 
-def cmd_ledger(args, started):
-    inputs = {"n": args.n, "m": args.m, "kappa": args.kappa}
+def cmd_ledger(args, inputs, started):
     ledger = gie.dimension_ledger(args.n, args.m, args.kappa)
     results = {
         "dim_sigma": ledger.dim_sigma,
@@ -111,9 +125,8 @@ def cmd_ledger(args, started):
     return _report("ledger", inputs, results, verdict, started)
 
 
-def cmd_flag(args, started):
-    psi, echo = _load_psi_arg(args)
-    inputs = {"n": args.n, "m": args.m, "kappa": args.kappa, **echo}
+def cmd_flag(args, inputs, started):
+    psi = _load_psi_arg(args)
     H = gie.construct_preimage(psi, args.kappa)
     element = gie.build_integral_flag(psi, H)  # raises on a violated contract
     report = gie.gie_cartan_report(psi, H)
@@ -131,11 +144,11 @@ def cmd_flag(args, started):
     return _report("flag", inputs, results, verdict, started)
 
 
-def cmd_emt_audit(args, started):
+def cmd_emt_audit(args, inputs, started):
     with open(args.input) as fh:
         doc = json.load(fh)
     chart, tensor = emt.load_chart(doc)
-    inputs = {"input": args.input, "backend": args.backend, "m": chart.m}
+    inputs["m"] = chart.m  # known once the chart loads; failures after it echo m
     report = emt.verify_equivalence(tensor, chart, backend=args.backend)
     results = report.as_dict()
     verdict = "pass" if report.identity_holds else "violation"
@@ -149,11 +162,9 @@ def _parse_range(text):
     return [int(text)]
 
 
-def cmd_sweep(args, started):
+def cmd_sweep(args, inputs, started):
     n_range = _parse_range(args.n_range)
     m_range = _parse_range(args.m_range)
-    inputs = {"n_range": args.n_range, "m_range": args.m_range,
-              "seeds": args.seeds, "inject_corrupt": args.inject_corrupt}
     cells = []
     violations = 0
     for n in n_range:
@@ -237,20 +248,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    inputs = _echo(args)
     try:
-        report = args.func(args, started)
-    except InputError as exc:
-        report = _report(args.command, {}, {"error": str(exc)},
-                         "invalid-input", started)
-        _emit(report, args.output)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        report = _report(args.command, {}, {"error": str(exc)},
+        report = args.func(args, inputs, started)
+    except (OSError, ValueError) as exc:  # InputError, JSONDecodeError included
+        report = _report(args.command, inputs, {"error": str(exc)},
                          "invalid-input", started)
         _emit(report, args.output)
         return EXIT_INVALID
     except VerificationError as exc:
-        report = _report(args.command, {}, {"error": str(exc)},
+        report = _report(args.command, inputs, {"error": str(exc)},
                          "violation", started)
         _emit(report, args.output)
         return EXIT_VIOLATION

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import InputError, VerificationError
-from .exterior import ExteriorForm, evaluate
+from .exterior import evaluate, interior_product
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,29 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
     """Polar space H(E) = {v : phi(v, e_1..e_p) = 0 for phi in I_{p+1}},
     returned as a basis of the linear polar system's solution space.
 
-    For a generator g of degree d and any (d-1)-subset S of the basis,
-    v -> g(v, S) is one polar equation; these span all of I_{p+1}
-    evaluated against E.
+    For a generator g of degree d and any (d-1)-subset S = (s_1..s_r) of
+    the basis, v -> g(v, S) is one polar equation; these span all of
+    I_{p+1} evaluated against E.  Its row is read off the 1-form left by
+    contracting g with s_1, then s_2, and so on:
+    g(e_k, s_1..s_r) = (-1)^r (s_r -| ... s_1 -| g)_k.
     """
     p = element.dimension
     dim = ideal.dim
-    unit = [[Fraction(int(i == k)) for i in range(dim)] for k in range(dim)]
     rows = []
     for g in ideal.generators:
         if g.degree > p + 1:
             continue
+        sign = -1 if (g.degree - 1) % 2 else 1
         for subset in combinations(element.basis, g.degree - 1):
-            row = [evaluate(g, (unit[k],) + subset) for k in range(dim)]
-            if any(row):
-                rows.append(row)
+            form = g
+            for s in subset:
+                form = interior_product(s, form)
+            if not form:
+                continue
+            row = [Fraction(0)] * dim
+            for (k,), v in form.coefficients.items():
+                row[k - 1] = sign * v
+            rows.append(row)
     return linalg.nullspace(rows, n_cols=dim)
 
 

@@ -22,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .exterior import ExteriorForm, VectorValuedForm
+from .exterior import ExteriorForm, VectorValuedForm, _minor_det
 from .bundle import exterior_derivative, poly_form
+from .linalg import frac_sqrt
 from .poly import Polynomial, from_json_terms
 
 FD_STEP = 1e-5
@@ -157,11 +158,6 @@ def _require_exact(g: MetricChart, T: EnergyMomentum | None = None):
         raise InputError("exact backend needs polynomial tensor components")
 
 
-def _poly_det(rows):
-    from .exterior import _minor_det
-    return _minor_det(rows)
-
-
 def _exact_volume_and_inverse(g: MetricChart):
     """(sqrt(det g) as a Fraction, polynomial inverse metric).
 
@@ -169,7 +165,7 @@ def _exact_volume_and_inverse(g: MetricChart):
     otherwise the inverse and the volume coefficient leave the
     polynomial ring and the numeric backend must be used."""
     m = g.m
-    det = _poly_det(g.g)
+    det = _minor_det(g.g)
     if not (isinstance(det, Polynomial) and det.is_constant()) and not isinstance(det, Fraction):
         raise InputError(
             "exact backend requires constant metric determinant; use the "
@@ -177,13 +173,11 @@ def _exact_volume_and_inverse(g: MetricChart):
     det_val = det.constant_value() if isinstance(det, Polynomial) else det
     if det_val <= 0:
         raise InputError("metric determinant must be positive")
-    num = math.isqrt(det_val.numerator)
-    den = math.isqrt(det_val.denominator)
-    if num * num != det_val.numerator or den * den != det_val.denominator:
+    vol = frac_sqrt(det_val)
+    if vol is None:
         raise InputError(
             "exact backend requires det g to be a perfect rational square; "
             "use the numeric backend for this chart")
-    vol = Fraction(num, den)
     # adjugate / det stays polynomial because det is constant
     nv = g.g[0][0].nvars
     inv = [[None] * m for _ in range(m)]
@@ -191,7 +185,7 @@ def _exact_volume_and_inverse(g: MetricChart):
         for j in range(m):
             minor = [[g.g[r][c] for c in range(m) if c != j]
                      for r in range(m) if r != i]
-            cof = _poly_det(minor) if m > 1 else Polynomial.constant(1, nv)
+            cof = _minor_det(minor) if m > 1 else Polynomial.constant(1, nv)
             if not isinstance(cof, Polynomial):
                 cof = Polynomial.constant(cof, nv)
             sign = 1 if (i + j) % 2 == 0 else -1
@@ -296,36 +290,51 @@ def covariant_exterior_derivative(tau: VectorValuedForm, gamma, vol_coeff=None):
 # numeric backend (pointwise)
 
 
+def _fold(terms):
+    """(sum, sum of magnitudes) of the terms, added left to right."""
+    total = size = 0.0
+    for t in terms:
+        total += t
+        size += abs(t)
+    return total, size
+
+
 def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP):
-    """(lhs, rhs) coefficients of eta^Lambda at one point.
+    """(lhs, rhs, size): coefficients of eta^Lambda at one point, and for
+    each lam the magnitude of the terms summed into the two sides.
 
     lhs^lam: coefficient of the volume monomial in d_grad tau^lam,
         sum_mu d_mu(T^{lam mu} sqrt(g)) + Gamma^lam_{rho mu} T^{rho mu} sqrt(g);
     rhs^lam: (grad_mu T^{lam mu}) sqrt(g).
-    Both use only pointwise data and finite differences."""
+    Both use only pointwise data and finite differences.  The terms of a
+    conserved T nearly cancel, so |lhs| and |rhs| can be far below the
+    rounding error of their terms; `size` is what that error scales with."""
     m = g.m
     gamma = christoffel_at(g, point, h)
     sqrtg = g.volume_coefficient_at(point)
     Tval = [[float(v) for v in row] for row in T.matrix_at(point)]
-    lhs, rhs = [], []
+    lhs, rhs, size = [], [], []
     for lam in range(m):
-        a = 0.0
+        a_terms = []
         for mu in range(m):
             def flux(pt, lam=lam, mu=mu):
                 return float(_eval(T.T[lam][mu], pt)) * g.volume_coefficient_at(pt)
-            a += _fd_partial(flux, point, mu + 1, h)
+            a_terms.append(_fd_partial(flux, point, mu + 1, h))
         for rho in range(m):
             for mu in range(m):
-                a += gamma[lam][rho][mu] * Tval[rho][mu] * sqrtg
-        lhs.append(a)
-        b = 0.0
+                a_terms.append(gamma[lam][rho][mu] * Tval[rho][mu] * sqrtg)
+        b_terms = []
         for mu in range(m):
-            b += _fd_partial(T.T[lam][mu], point, mu + 1, h)
+            b_terms.append(_fd_partial(T.T[lam][mu], point, mu + 1, h))
             for nu in range(m):
-                b += Tval[lam][mu] * gamma[nu][nu][mu]
-                b += Tval[mu][nu] * gamma[lam][nu][mu]
+                b_terms.append(Tval[lam][mu] * gamma[nu][nu][mu])
+                b_terms.append(Tval[mu][nu] * gamma[lam][nu][mu])
+        a, a_size = _fold(a_terms)
+        b, b_size = _fold(b_terms)
+        lhs.append(a)
         rhs.append(b * sqrtg)
-    return lhs, rhs
+        size.append(max(a_size, b_size * sqrtg))
+    return lhs, rhs, size
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +377,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
 
     The exact backend proves the identity in the polynomial ring and
     reports exact residuals; the numeric backend checks it at `count`
-    deterministic sample points within `tolerance`, raising
-    VerificationError with the worst point when the two sides disagree.
+    deterministic sample points, raising VerificationError with the worst
+    point when a residual exceeds `tolerance` * max(1, size), where size
+    is the magnitude of the terms that make up the two sides there.
     """
     m = g.m
     tdim = target_dimension(m)
@@ -381,15 +391,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
         vol, _ = _exact_volume_and_inverse(g)
         div = covariant_divergence(T, gamma)
         vol_key = tuple(range(1, m + 1))
-        worst = Fraction(0)
         for lam in range(m):
             coeff = lhs[lam].coefficients.get(vol_key, Polynomial.constant(0, div[lam].nvars))
-            diff = coeff - div[lam] * vol
-            for point in g.sample_points(count):
-                val = abs(Fraction(diff.eval([Fraction(x).limit_denominator(10**6)
-                                              for x in point])))
-                worst = max(worst, val)
-            if diff:
+            if coeff - div[lam] * vol:
                 # a nonzero polynomial difference is an identity violation
                 raise VerificationError(
                     f"covariant derivative and divergence disagree as "
@@ -400,21 +404,27 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
             for d in div:
                 max_div = max(max_div, abs(float(d.eval(point))))
         return EquivalenceReport(backend="exact", identity_holds=True,
-                                 max_identity_residual=float(worst),
+                                 max_identity_residual=0.0,
                                  worst_point=None, max_divergence=max_div,
                                  conserved=conserved, target_dimension=tdim,
                                  exact=True)
     if backend != "numeric":
         raise InputError(f"unknown backend {backend!r}")
     worst_val, worst_point, max_div = 0.0, None, 0.0
+    worst_rel, breach = tolerance, None
     for point in g.sample_points(count):
-        lhs, rhs = _numeric_sides_at(T, g, point, h)
+        lhs, rhs, size = _numeric_sides_at(T, g, point, h)
+        sqrtg = max(g.volume_coefficient_at(point), 1e-300)
         for lam in range(m):
             res = abs(lhs[lam] - rhs[lam])
             if res > worst_val:
                 worst_val, worst_point = res, point
-            max_div = max(max_div, abs(rhs[lam]) / max(g.volume_coefficient_at(point), 1e-300))
-    holds = worst_val <= tolerance
+            # judged relative to the terms, so scaling T up cannot flip it
+            rel = res / max(1.0, size[lam])
+            if rel > worst_rel:
+                worst_rel, breach = rel, (res, point)
+            max_div = max(max_div, abs(rhs[lam]) / sqrtg)
+    holds = breach is None
     report = EquivalenceReport(backend="numeric", identity_holds=holds,
                                max_identity_residual=worst_val,
                                worst_point=worst_point,
@@ -422,9 +432,10 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                                conserved=max_div <= tolerance,
                                target_dimension=tdim, exact=False)
     if not holds:
+        res, point = breach
         raise VerificationError(
-            f"backends disagree beyond tolerance: residual {worst_val:.3e} "
-            f"at point {worst_point}")
+            f"backends disagree beyond tolerance: residual {res:.3e} "
+            f"(relative {worst_rel:.3e}) at point {point}")
     return report
 
 

@@ -12,7 +12,6 @@ All sign bookkeeping goes through :func:`sort_with_sign`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InputError
 
@@ -49,9 +48,8 @@ class ExteriorForm:
     __slots__ = ("dim", "degree", "coefficients")
 
     def __init__(self, dim, degree, coefficients=None):
-        if degree < 0 or degree > dim:
-            if degree < 0:
-                raise InputError(f"negative form degree {degree}")
+        if degree < 0:
+            raise InputError(f"negative form degree {degree}")
         self.dim = dim
         self.degree = degree
         coeffs = {}
@@ -285,8 +283,3 @@ class VectorValuedForm:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
-
-
-def basis_multi_indices(dim, degree):
-    """All strictly increasing index tuples of the given length."""
-    return list(combinations(range(1, dim + 1), degree))

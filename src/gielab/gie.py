@@ -27,23 +27,6 @@ from .errors import InputError, VerificationError
 from .exterior import ExteriorForm, evaluate, substitute
 
 
-def _frac_sqrt(x: Fraction):
-    """Exact square root of a rational, or None."""
-    if x < 0:
-        return None
-    num = ISqrt(x.numerator)
-    den = ISqrt(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def ISqrt(k: int):
-    from math import isqrt
-    r = isqrt(k)
-    return r if r * r == k else None
-
-
 # ---------------------------------------------------------------------------
 # psi-data
 
@@ -171,7 +154,7 @@ def normalize_psi(psi: PsiData):
         r = u[i0]
     else:
         norm2 = sum((c * c for c in u), Fraction(0))
-        r = _frac_sqrt(norm2)
+        r = linalg.frac_sqrt(norm2)
         if r is None:
             raise InputError(
                 "pivot column cannot be rotated to e1 exactly: |u|^2 is not a "
@@ -862,13 +845,8 @@ class GrassmannPullback:
         this is the observed codimension of the integral-element variety."""
         ech = linalg.SparseEchelon()
         for f in self.functions:
-            row = {}
-            for exps, _ in f.terms.items():
-                for v, e in enumerate(exps):
-                    if e:
-                        row.setdefault(v, None)
             grad = {}
-            for v in row:
+            for v in dict.fromkeys(v for mono in f.terms for v, _ in mono):
                 d = f.partial(v).eval(point)
                 if d:
                     grad[v] = d

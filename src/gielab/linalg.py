@@ -3,14 +3,26 @@
 Dense routines use fraction-free (Bareiss) elimination on integer
 matrices obtained by clearing denominators, so every intermediate value
 stays an exact integer.  For the large, very sparse systems that arise
-when counting Cartan characters there is an incremental sparse echelon
-structure that accepts one row at a time.
+when counting Cartan characters and solving polar systems there is an
+incremental sparse echelon structure that accepts one row at a time;
+its fully reduced form (the RREF) gives nullspace bases directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+
+
+def frac_sqrt(x: Fraction):
+    """Exact square root of a non-negative rational, or None when x is
+    negative or not a perfect rational square."""
+    if x < 0:
+        return None
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def _clear_denominators(rows):
@@ -95,25 +107,27 @@ def det(rows) -> Fraction:
 
 
 def nullspace(rows, n_cols=None):
-    """Basis of {x : A x = 0} as lists of Fractions."""
-    if not rows:
-        if n_cols is None:
-            raise ValueError("nullspace of an empty system needs n_cols")
-        return [[Fraction(int(i == j)) for j in range(n_cols)]
-                for i in range(n_cols)]
-    n_cols = len(rows[0])
-    ech, pivots = bareiss_echelon(rows)
-    free = [c for c in range(n_cols) if c not in pivots]
+    """Basis of {x : A x = 0} as lists of Fractions, one per free column
+    fc: x[fc] = 1 and x[pc] = -rref[pc][fc] at each pivot column pc.
+    The RREF is unique, so the basis does not depend on row order."""
+    if rows:
+        n_cols = len(rows[0])
+    elif n_cols is None:
+        raise ValueError("nullspace of an empty system needs n_cols")
+    ech = SparseEchelon()
+    for row in rows:
+        ech.insert({j: v for j, v in enumerate(row) if v})
+    rref = ech.reduced()
     basis = []
-    for fc in free:
+    for fc in range(n_cols):
+        if fc in rref:
+            continue
         x = [Fraction(0)] * n_cols
         x[fc] = Fraction(1)
-        # back-substitute pivot variables, bottom-up
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(ech[r][j]) * x[j] for j in range(pc + 1, n_cols)),
-                    Fraction(0))
-            x[pc] = -s / ech[r][pc]
+        for pc, prow in rref.items():
+            v = prow.get(fc)
+            if v:
+                x[pc] = -v
         basis.append(x)
     return basis
 
@@ -154,6 +168,27 @@ class SparseEchelon:
                 else:
                     work.pop(c, None)
         return False
+
+    def reduced(self):
+        """The pivot rows fully reduced, i.e. the RREF: {pivot column: row}
+        where each row is 1 at its own pivot and 0 at every other pivot
+        column.  Rows are reduced from the last pivot to the first, so
+        each one is cleared against rows that are already final."""
+        rref = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for c in [c for c in row if c != lead and c in rref]:
+                factor = row.pop(c)
+                for j, v in rref[c].items():
+                    if j == c:
+                        continue
+                    nv = row.get(j, Fraction(0)) - factor * v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        row.pop(j, None)
+            rref[lead] = row
+        return rref
 
     @property
     def rank(self) -> int:

@@ -2,7 +2,11 @@
 
 These serve as chart functions: exterior derivatives of polynomial
 coefficient functions stay in the ring, so all chart-level calculus is
-exact.  Terms are stored sparsely as {exponent tuple: Fraction}.
+exact.  Terms are stored sparsely as {monomial: Fraction}, and each
+monomial is itself sparse: the sorted tuple of (variable, exponent)
+pairs with exponent > 0, with () for the constant monomial.  A product
+of a few variables out of hundreds therefore costs a few pairs, not a
+dense exponent tuple as long as the variable count.
 """
 
 from __future__ import annotations
@@ -12,9 +16,24 @@ from fractions import Fraction
 from .errors import InputError
 
 
+def _monomial_product(ka, kb):
+    """Product of two sparse monomials."""
+    if not ka:
+        return kb
+    if not kb:
+        return ka
+    exps = dict(ka)
+    for v, e in kb:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 class Polynomial:
-    """Polynomial in `nvars` variables x1..x_nvars (exponent tuples are
-    0-based positionally: term key (2, 0, 1) means x1^2 * x3)."""
+    """Polynomial in `nvars` variables x1..x_nvars.
+
+    The constructor takes dense exponent tuples, 0-based positionally:
+    {(2, 0, 1): c} means c * x1^2 * x3.  It stores that term under the
+    sparse monomial ((0, 2), (2, 1))."""
 
     __slots__ = ("nvars", "terms")
 
@@ -28,21 +47,30 @@ class Polynomial:
                     raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
                 coeff = Fraction(coeff)
                 if coeff:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                    if not clean[exps]:
-                        del clean[exps]
+                    key = tuple((v, e) for v, e in enumerate(exps) if e)
+                    nv = clean.get(key, 0) + coeff
+                    if nv:
+                        clean[key] = nv
+                    else:
+                        del clean[key]
         self.terms = clean
 
     @classmethod
     def constant(cls, c, nvars):
         c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        out = cls(nvars)
+        if c:
+            out.terms = {(): c}
+        return out
 
     @classmethod
     def variable(cls, i, nvars):
         """x_{i+1}, i 0-based."""
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        if not 0 <= i < nvars:
+            raise InputError(f"variable index {i} outside 0..{nvars - 1}")
+        out = cls(nvars)
+        out.terms = {((i, 1),): Fraction(1)}
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -51,7 +79,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(all(e == 0 for e in k) for k in self.terms)
+        return all(not k for k in self.terms)
 
     def constant_value(self):
         if not self.terms:
@@ -108,7 +136,7 @@ class Polynomial:
         terms = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
+                k = _monomial_product(ka, kb)
                 nv = terms.get(k, Fraction(0)) + va * vb
                 if nv:
                     terms[k] = nv
@@ -122,17 +150,21 @@ class Polynomial:
 
     def partial(self, i):
         """d/dx_{i+1}, i 0-based."""
+        if not 0 <= i < self.nvars:
+            raise InputError(f"variable index {i} outside 0..{self.nvars - 1}")
         terms = {}
         for k, v in self.terms.items():
-            e = k[i]
-            if e == 0:
-                continue
-            nk = k[:i] + (e - 1,) + k[i + 1:]
-            nv = terms.get(nk, Fraction(0)) + v * e
-            if nv:
-                terms[nk] = nv
-            else:
-                terms.pop(nk, None)
+            for pos, (var, e) in enumerate(k):
+                if var != i:
+                    continue
+                rest = ((i, e - 1),) if e > 1 else ()
+                nk = k[:pos] + rest + k[pos + 1:]
+                nv = terms.get(nk, Fraction(0)) + v * e
+                if nv:
+                    terms[nk] = nv
+                else:
+                    terms.pop(nk, None)
+                break
         out = Polynomial(self.nvars)
         out.terms = terms
         return out
@@ -144,21 +176,20 @@ class Polynomial:
         total = 0
         for k, v in self.terms.items():
             term = v
-            for x, e in zip(point, k):
-                if e:
-                    term = term * x ** e
+            for var, e in k:
+                term = term * point[var] ** e
             total = total + term
         return total
 
     def degree(self):
-        return max((sum(k) for k in self.terms), default=0)
+        return max((sum(e for _, e in k) for k in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
         parts = []
         for k, v in sorted(self.terms.items()):
-            mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(k) if e)
+            mono = "*".join(f"x{i + 1}^{e}" for i, e in k)
             parts.append(f"({v}){'*' + mono if mono else ''}")
         return "Polynomial(" + " + ".join(parts) + ")"
 

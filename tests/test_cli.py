@@ -85,6 +85,35 @@ def test_psi_shape_mismatch_is_invalid(tmp_path, capsys, command, kappa):
     assert "3 x 2" in report["results"]["error"]
 
 
+def test_verify_lemma_error_report_echoes_inputs(capsys):
+    code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "0",
+                        "--random-psi", "7"], capsys)
+    assert code == EXIT_INVALID
+    assert report["inputs"] == {"n": 2, "m": 2, "kappa": 0, "random_psi_seed": 7}
+
+
+def test_flag_error_report_echoes_inputs(tmp_path, capsys):
+    path = _three_sheet_psi_file(tmp_path)
+    code, report = run(["flag", "--n", "5", "--m", "5", "--kappa", "2",
+                        "--psi", path], capsys)
+    assert code == EXIT_INVALID
+    assert report["inputs"] == {"n": 5, "m": 5, "kappa": 2, "psi_file": path}
+
+
+def test_flag_violation_report_echoes_inputs(capsys, monkeypatch):
+    from gielab import VerificationError, gie
+
+    def refuse(psi, H):
+        raise VerificationError("generator 0 evaluates to 1 on the flag")
+
+    monkeypatch.setattr(gie, "build_integral_flag", refuse)
+    code, report = run(["flag", "--n", "2", "--m", "2", "--kappa", "1",
+                        "--random-psi", "3"], capsys)
+    assert code == EXIT_VIOLATION
+    assert report["verdict"] == "violation"
+    assert report["inputs"] == {"n": 2, "m": 2, "kappa": 1, "random_psi_seed": 3}
+
+
 def test_verify_lemma_requires_psi_source(capsys):
     code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1"],
                        capsys)
@@ -210,6 +239,24 @@ def test_emt_audit_zero_denominator_is_invalid(tmp_path, capsys):
 def test_emt_audit_missing_file(capsys):
     code, report = run(["emt-audit", "--input", "/nonexistent.json"], capsys)
     assert code == EXIT_INVALID
+
+
+def test_emt_audit_error_reports_echo_inputs(tmp_path, capsys):
+    # non-constant det g: refused after the chart loads, so m is known
+    doc = _flat_chart_doc()
+    doc["g"][0][0] = [{"exponents": [0, 0], "coefficient": "1"},
+                      {"exponents": [1, 0], "coefficient": "1"}]
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", "exact"],
+                       capsys)
+    assert code == EXIT_INVALID
+    assert report["inputs"] == {"input": str(path), "backend": "exact", "m": 2}
+    # unreadable file: refused before any chart exists
+    code, report = run(["emt-audit", "--input", "/nonexistent.json",
+                        "--backend", "numeric"], capsys)
+    assert code == EXIT_INVALID
+    assert report["inputs"] == {"input": "/nonexistent.json", "backend": "numeric"}
 
 
 def test_output_file_option(tmp_path, capsys):

@@ -119,3 +119,43 @@ def test_cartan_test_verdicts():
 
 def test_character_sum():
     assert CartanReport(characters=[3, 8]).character_sum == 11
+
+
+def evaluate_polar_rows(element, ideal):
+    """Reference polar rows: g(e_k, S) by `evaluate` on unit vectors."""
+    from itertools import combinations
+    from gielab.exterior import evaluate
+    dim, p = ideal.dim, element.dimension
+    unit_vectors = [unit(dim, k) for k in range(1, dim + 1)]
+    rows = []
+    for g in ideal.generators:
+        if g.degree > p + 1:
+            continue
+        for subset in combinations(element.basis, g.degree - 1):
+            row = [evaluate(g, (e,) + subset) for e in unit_vectors]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_polar_rows_by_contraction_match_evaluate(n, m, monkeypatch):
+    import random
+    from gielab import gie
+    psi = gie.random_normalized_psi(n, m, random.Random(10 * n + m))
+    kappa = (n - 1) * (m - 1)
+    H = gie.construct_preimage(psi, kappa)
+    ideal = gie.gie_ideal(psi, gie.gauss_map(H), kappa)
+    flag = gie.build_integral_flag(psi, H)
+    seen = []
+    solve = linalg.nullspace
+
+    def spy(rows, n_cols=None):
+        seen.append(rows)
+        return solve(rows, n_cols=n_cols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    for p in range(m + 1):
+        element = IntegralElement(flag.basis[:p])
+        polar_space(element, ideal)
+        assert seen[-1] == evaluate_polar_rows(element, ideal), p

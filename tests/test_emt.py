@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gielab import InputError, VerificationError
+from gielab import InputError, VerificationError, emt
 from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
                         christoffel_at, covariant_divergence,
                         covariant_exterior_derivative, flat_chart,
@@ -207,6 +207,48 @@ def test_identity_holds_for_non_conserved_tensor():
     report = verify_equivalence(T, chart, backend="numeric")
     assert report.identity_holds
     assert not report.conserved
+
+
+def _scaled(T, factor):
+    return EnergyMomentum(T.m, [[(lambda pt, f=f: factor * f(pt)) for f in row]
+                                for row in T.T])
+
+
+def _random_tensor(seed):
+    rng = random.Random(seed)
+    coeffs = [[rng.uniform(-2, 2) for _ in range(3)] for _ in range(4)]
+
+    def entry(k):
+        return lambda pt: (coeffs[k][0] + coeffs[k][1] * pt[0]
+                           + coeffs[k][2] * math.sin(pt[1]))
+
+    return EnergyMomentum(2, [[entry(0), entry(1)], [entry(2), entry(3)]])
+
+
+@pytest.mark.parametrize("factor", [1e4, 1e6])
+def test_numeric_audit_holds_for_scaled_tensors(factor):
+    # the identity is linear in T: scaling a tensor that satisfies it must
+    # not turn rounding error into a violation, conserved or not
+    chart = sphere_chart()
+    for T in (inverse_metric_tensor(chart), _random_tensor(20)):
+        report = verify_equivalence(_scaled(T, factor), chart, backend="numeric")
+        assert report.identity_holds
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6])
+def test_numeric_audit_catches_a_perturbed_side(factor, monkeypatch):
+    chart = sphere_chart()
+    T = _scaled(_random_tensor(20), factor)
+    assert verify_equivalence(T, chart, backend="numeric").identity_holds
+    sides = emt._numeric_sides_at
+
+    def perturbed(*args):
+        lhs, rhs, size = sides(*args)
+        return lhs, [r * (1 + 1e-5) for r in rhs], size
+
+    monkeypatch.setattr(emt, "_numeric_sides_at", perturbed)
+    with pytest.raises(VerificationError, match="residual"):
+        verify_equivalence(T, chart, backend="numeric")
 
 
 def test_backends_agree_on_polynomial_input():

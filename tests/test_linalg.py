@@ -75,3 +75,58 @@ def test_independent():
                                [Fraction(1), Fraction(1)]])
     assert not linalg.independent([[Fraction(1), Fraction(2)],
                                    [Fraction(2), Fraction(4)]])
+
+
+# -- sparse RREF nullspace against Bareiss back-substitution ---------------
+
+
+def bareiss_nullspace(rows, n_cols):
+    """Reference: Bareiss echelon form, then dense back-substitution."""
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(n_cols)]
+                for i in range(n_cols)]
+    ech, pivots = linalg.bareiss_echelon(rows)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        x = [Fraction(0)] * n_cols
+        x[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = sum((Fraction(ech[r][j]) * x[j] for j in range(pc + 1, n_cols)),
+                    Fraction(0))
+            x[pc] = -s / ech[r][pc]
+        basis.append(x)
+    return basis
+
+
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions)
+
+
+@st.composite
+def sparse_systems(draw):
+    n_cols = draw(st.integers(1, 8))
+    row = st.lists(sparse_entries, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, max_size=7))
+    # append combinations of earlier rows, so dependent rows always occur
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(fractions)
+        rows.append([a + c * b for a, b in zip(rows[i], rows[j])])
+    return rows, n_cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_nullspace_equals_bareiss_back_substitution(system):
+    rows, n_cols = system
+    assert linalg.nullspace(rows, n_cols=n_cols) == bareiss_nullspace(rows, n_cols)
+
+
+def test_sparse_echelon_reduced_is_rref():
+    ech = linalg.SparseEchelon()
+    for row in ({1: Fraction(1), 2: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)},
+                {2: Fraction(1), 3: Fraction(1)}):
+        ech.insert(row)
+    # pivots 0, 1, 2; every pivot column is cleared from the other rows
+    assert ech.reduced() == {2: {2: 1, 3: 1}, 1: {1: 1, 3: -2},
+                             0: {0: 1, 3: 2}}

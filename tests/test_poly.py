@@ -72,3 +72,85 @@ def test_from_json_terms():
     p = from_json_terms([{"exponents": [1, 0], "coefficient": "2/3"},
                          {"exponents": [0, 0], "coefficient": "-1"}], 2)
     assert p == Fraction(2, 3) * Polynomial.variable(0, 2) - 1
+
+
+# -- sparse monomials against a dense-tuple reference ----------------------
+
+NVARS = 4
+dense_terms = st.dictionaries(st.tuples(*([st.integers(0, 2)] * NVARS)),
+                              fractions, max_size=5)
+
+
+def dense(p):
+    """A Polynomial's terms as {dense exponent tuple: coefficient}."""
+    out = {}
+    for mono, c in p.terms.items():
+        exps = dict(mono)
+        out[tuple(exps.get(v, 0) for v in range(p.nvars))] = c
+    return out
+
+
+def ref_clean(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, Fraction(0)) + va * vb
+    return ref_clean(out)
+
+
+def ref_partial(a, i):
+    out = {}
+    for k, v in a.items():
+        if k[i]:
+            nk = k[:i] + (k[i] - 1,) + k[i + 1:]
+            out[nk] = out.get(nk, Fraction(0)) + v * k[i]
+    return ref_clean(out)
+
+
+def ref_eval(a, point):
+    total = 0
+    for k, v in a.items():
+        term = v
+        for x, e in zip(point, k):
+            if e:
+                term = term * x ** e
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_terms, dense_terms,
+       st.lists(fractions, min_size=NVARS, max_size=NVARS),
+       st.lists(st.floats(-2, 2), min_size=NVARS, max_size=NVARS))
+def test_sparse_monomials_match_dense_reference(ta, tb, qpoint, fpoint):
+    a, b = ref_clean(ta), ref_clean(tb)
+    p, q = Polynomial(NVARS, ta), Polynomial(NVARS, tb)
+    assert dense(p) == a
+    assert dense(p + q) == ref_add(a, b)
+    assert dense(p * q) == ref_mul(a, b)
+    for i in range(NVARS):
+        assert dense(p.partial(i)) == ref_partial(a, i)
+    assert p.eval(qpoint) == ref_eval(a, qpoint)
+    assert p.eval(fpoint) == ref_eval(a, fpoint)  # same float operations
+    assert p.degree() == max((sum(k) for k in a), default=0)
+    assert p.is_constant() == all(not any(k) for k in a)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 7])
+def test_variable_index_out_of_range(i):
+    with pytest.raises(InputError):
+        Polynomial.variable(i, 2)
+    with pytest.raises(InputError):
+        Polynomial.variable(0, 2).partial(i)
