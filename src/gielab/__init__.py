@@ -17,10 +17,9 @@ from .gie import (CurvatureElement, DimensionLedger, FrameChange, PsiData,
                   RankCertificate, SecondFundamental, SigmaIndexMap,
                   build_integral_flag, cartan_identity_residual,
                   closed_form_characters, construct_preimage,
-                  dimension_ledger, flag_subspace_test, gauss_differential,
-                  gauss_map, gie_cartan_report, gie_ideal, grassmann_pullback,
-                  jacobian_rank_certificate, load_psi, normalize_psi,
-                  random_normalized_psi, reduced_gauss_differential)
+                  dimension_ledger, gauss_map, gie_cartan_report, gie_ideal,
+                  grassmann_pullback, jacobian_rank_certificate, load_psi,
+                  normalize_psi, random_normalized_psi)
 from .emt import (EnergyMomentum, EquivalenceReport, MetricChart, christoffel,
                   christoffel_at, covariant_divergence, flat_chart,
                   inverse_metric_tensor, load_chart, sphere_chart,

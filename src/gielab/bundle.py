@@ -28,11 +28,6 @@ def poly_form(dim, degree, coefficients=None):
     return ExteriorForm(dim, degree, coeffs)
 
 
-def constant_form(form: ExteriorForm) -> ExteriorForm:
-    """Promote a rational-coefficient form to polynomial coefficients."""
-    return poly_form(form.dim, form.degree, form.coefficients)
-
-
 def exterior_derivative(form: ExteriorForm) -> ExteriorForm:
     """d on forms with polynomial coefficients.  d(f eta^K) expands as
     sum_l (df/dx_l) eta^l ^ eta^K."""
@@ -129,42 +124,40 @@ def curvature_from_connection(eta: ConnectionForm) -> Curvature2Form:
     return Curvature2Form(rows)
 
 
+def _covariant_d(phi: VectorValuedForm, omega) -> VectorValuedForm:
+    """d phi^i + sum_j omega^i_j ^ phi^j for an n x n matrix `omega`
+    (lists, 0-based) of 1-forms: the one covariant exterior derivative,
+    whatever Lie algebra the connection takes values in."""
+    out = []
+    for row, form in zip(omega, phi):
+        acc = exterior_derivative(form)
+        for w, phi_j in zip(row, phi):
+            if w:
+                acc = acc + wedge(w, phi_j)
+        out.append(acc)
+    return VectorValuedForm(out)
+
+
 def generalized_torsion(phi: VectorValuedForm, eta: ConnectionForm) -> VectorValuedForm:
     """Theta^i = d phi^i + eta^i_j ^ phi^j; zero iff phi is covariantly closed."""
     if eta.n != phi.rank or eta.dim != phi.dim:
         raise InputError("connection and form shapes disagree")
-    out = []
-    for i in range(1, phi.rank + 1):
-        theta = exterior_derivative(phi[i - 1])
-        for j in range(1, phi.rank + 1):
-            theta = theta + wedge(eta[i, j], phi[j - 1])
-        out.append(theta)
-    return VectorValuedForm(out)
+    return _covariant_d(phi, eta.entries)
 
 
-def bianchi_residual(omega: Curvature2Form, phi: VectorValuedForm,
-                     convention: str = "closure"):
-    """Generalized Bianchi residuals, one (p+2)-form per component.
-
-    convention="closure" contracts the column index (Omega^i_j ^ phi^j,
-    the form arising from d_grad^2 = 0); convention="alt" contracts the
-    row index (Omega^i_j ^ phi^i).  Both are exposed because the two
-    appear interchangeably in the source identities.
-    """
+def bianchi_residual(omega: Curvature2Form, phi: VectorValuedForm):
+    """Generalized Bianchi residuals Omega^i_j ^ phi^j, one (p+2)-form per
+    component: the form d_grad^2 phi^i reduces to.  Contracting the row
+    index instead only negates them, since Omega is antisymmetric."""
     if omega.n != phi.rank or omega.dim != phi.dim:
         raise InputError("curvature and form shapes disagree")
     n = phi.rank
     out = []
-    for outer in range(1, n + 1):
+    for i in range(1, n + 1):
         # degree p+2 above the chart dimension holds no terms (forms of
         # degree > dim are structurally zero), so p = m-1 residuals vanish
         acc = ExteriorForm.zero(phi.dim, phi.degree + 2)
-        for inner in range(1, n + 1):
-            if convention == "closure":
-                acc = acc + wedge(omega[outer, inner], phi[inner - 1])
-            elif convention == "alt":
-                acc = acc + wedge(omega[inner, outer], phi[inner - 1])
-            else:
-                raise InputError(f"unknown Bianchi convention {convention!r}")
+        for j in range(1, n + 1):
+            acc = acc + wedge(omega[i, j], phi[j - 1])
         out.append(acc)
     return out

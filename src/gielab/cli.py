@@ -251,7 +251,9 @@ def main(argv=None):
     inputs = _echo(args)
     try:
         report = args.func(args, inputs, started)
-    except (OSError, ValueError) as exc:  # InputError, JSONDecodeError included
+    # InputError and JSONDecodeError are ValueErrors; OverflowError is an
+    # input value beyond the range of a float
+    except (OSError, ValueError, OverflowError) as exc:
         report = _report(args.command, inputs, {"error": str(exc)},
                          "invalid-input", started)
         _emit(report, args.output)

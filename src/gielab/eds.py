@@ -9,7 +9,7 @@ and the one-sided Cartan test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -71,10 +71,6 @@ class IntegralElement:
     @property
     def dimension(self):
         return len(self.basis)
-
-    @property
-    def ambient_dim(self):
-        return len(self.basis[0]) if self.basis else None
 
 
 def is_integral_element(element: IntegralElement, ideal: AlgebraicIdeal) -> bool:

@@ -16,17 +16,19 @@ finite differences and pointwise Cholesky factors of g.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .exterior import ExteriorForm, VectorValuedForm, _minor_det
-from .bundle import exterior_derivative, poly_form
+from .exterior import VectorValuedForm, _minor_det
+from .bundle import _covariant_d, poly_form
 from .linalg import frac_sqrt
 from .poly import Polynomial, from_json_terms
 
+EPS = sys.float_info.epsilon
 FD_STEP = 1e-5
 TOLERANCE = 1e-6
 DEFAULT_MARGIN = 0.05
@@ -72,9 +74,12 @@ class MetricChart:
         self.m = m
         self.g = [list(row) for row in g]
         self.base_point = list(base_point) if base_point is not None else None
-        self.box = [list(map(float, b)) for b in box] if box else [[0.0, 1.0]] * m
-        if len(self.box) != m or any(len(b) != 2 or b[0] >= b[1] for b in self.box):
-            raise InputError("chart box must give m ordered [lo, hi] pairs")
+        try:
+            self.box = [[float(lo), float(hi)] for lo, hi in box] if box else [[0.0, 1.0]] * m
+            if len(self.box) != m or any(not lo < hi for lo, hi in self.box):
+                raise ValueError  # NaN bounds fail `lo < hi` too
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("chart box must give m ordered [lo, hi] pairs") from None
         self.margin = float(margin)
         if self.is_polynomial():
             for lam in range(m):
@@ -121,7 +126,7 @@ class MetricChart:
             for d in range(self.m):
                 lo, hi = self.box[d]
                 lo, hi = lo + self.margin, hi - self.margin
-                if lo >= hi:
+                if not lo < hi:
                     raise InputError("margin swallows the chart box")
                 frac = (k * alphas[d]) % 1.0
                 pt.append(lo + frac * (hi - lo))
@@ -267,23 +272,14 @@ def covariant_divergence(T: EnergyMomentum, gamma):
     return out
 
 
-def covariant_exterior_derivative(tau: VectorValuedForm, gamma, vol_coeff=None):
+def covariant_exterior_derivative(tau: VectorValuedForm, gamma):
     """d_grad tau^lam = d tau^lam + omega^lam_rho ^ tau^rho with the
-    coordinate connection omega^lam_rho = Gamma^lam_{rho mu} eta^mu."""
-    from .exterior import wedge
+    gl(m)-valued coordinate connection
+    omega^lam_rho = Gamma^lam_{rho mu} eta^mu."""
     m = tau.dim
-    out = []
-    for lam in range(m):
-        acc = exterior_derivative(tau[lam])
-        for rho in range(m):
-            for mu in range(m):
-                gm = gamma[lam][rho][mu]
-                if not gm:
-                    continue
-                omega = poly_form(m, 1, {(mu + 1,): gm})
-                acc = acc + wedge(omega, tau[rho])
-        out.append(acc)
-    return VectorValuedForm(out)
+    omega = [[poly_form(m, 1, {(mu + 1,): gamma[lam][rho][mu] for mu in range(m)})
+              for rho in range(m)] for lam in range(m)]
+    return _covariant_d(tau, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +295,8 @@ def _fold(terms):
     return total, size
 
 
-def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP):
+def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP,
+                      tolerance=TOLERANCE):
     """(lhs, rhs, size): coefficients of eta^Lambda at one point, and for
     each lam the magnitude of the terms summed into the two sides.
 
@@ -308,7 +305,11 @@ def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP):
     rhs^lam: (grad_mu T^{lam mu}) sqrt(g).
     Both use only pointwise data and finite differences.  The terms of a
     conserved T nearly cancel, so |lhs| and |rhs| can be far below the
-    rounding error of their terms; `size` is what that error scales with."""
+    rounding error of their terms; `size` is what that error scales with.
+    The terms can themselves be rounding noise (on a det-1 chart
+    d_mu sqrt(g) is), so size is floored where tolerance * size reaches 64
+    times the rounding error eps/h * sqrt(g) * sum_mu |T^{lam mu}| of the
+    difference quotients; like size, the floor is linear in T."""
     m = g.m
     gamma = christoffel_at(g, point, h)
     sqrtg = g.volume_coefficient_at(point)
@@ -333,7 +334,8 @@ def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP):
         b, b_size = _fold(b_terms)
         lhs.append(a)
         rhs.append(b * sqrtg)
-        size.append(max(a_size, b_size * sqrtg))
+        rounding = EPS / h * sqrtg * sum(abs(t) for t in Tval[lam])
+        size.append(max(a_size, b_size * sqrtg, 64 * rounding / tolerance))
     return lhs, rhs, size
 
 
@@ -378,8 +380,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     The exact backend proves the identity in the polynomial ring and
     reports exact residuals; the numeric backend checks it at `count`
     deterministic sample points, raising VerificationError with the worst
-    point when a residual exceeds `tolerance` * max(1, size), where size
-    is the magnitude of the terms that make up the two sides there.
+    point when a residual exceeds `tolerance` * size, where size is the
+    magnitude of the terms that make up the two sides there, floored at
+    the rounding error of their finite differences.
     """
     m = g.m
     tdim = target_dimension(m)
@@ -413,14 +416,14 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     worst_val, worst_point, max_div = 0.0, None, 0.0
     worst_rel, breach = tolerance, None
     for point in g.sample_points(count):
-        lhs, rhs, size = _numeric_sides_at(T, g, point, h)
+        lhs, rhs, size = _numeric_sides_at(T, g, point, h, tolerance)
         sqrtg = max(g.volume_coefficient_at(point), 1e-300)
         for lam in range(m):
             res = abs(lhs[lam] - rhs[lam])
             if res > worst_val:
                 worst_val, worst_point = res, point
-            # judged relative to the terms, so scaling T up cannot flip it
-            rel = res / max(1.0, size[lam])
+            # judged relative to the terms, so rescaling T cannot flip it
+            rel = res / size[lam] if res else 0.0  # size 0: every term is 0
             if rel > worst_rel:
                 worst_rel, breach = rel, (res, point)
             max_div = max(max_div, abs(rhs[lam]) / sqrtg)
@@ -481,6 +484,6 @@ def load_chart(doc):
              for i in range(m)]
         box = doc.get("box")
         margin = float(doc.get("margin", DEFAULT_MARGIN))
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:
         raise InputError(f"malformed chart input: {exc}") from exc
     return MetricChart(m, g, box=box, margin=margin), EnergyMomentum(m, T)

@@ -15,7 +15,7 @@ coefficient of eta^{Lambda minus lam} in phi^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -31,12 +31,16 @@ from .exterior import ExteriorForm, evaluate, substitute
 # psi-data
 
 
+def _require_shape(n, m):
+    if n < 2 or m < 2:
+        raise InputError("need fiber rank n >= 2 and base dimension m >= 2")
+
+
 class PsiData:
     """Coefficients psi^i_{Lambda minus lam} of the (m-1)-form phi."""
 
     def __init__(self, n, m, values):
-        if n < 2 or m < 2:
-            raise InputError("need fiber rank n >= 2 and base dimension m >= 2")
+        _require_shape(n, m)
         values = [[Fraction(v) for v in row] for row in values]
         if len(values) != n or any(len(row) != m for row in values):
             raise InputError(f"psi values must form an {n} x {m} array")
@@ -188,6 +192,7 @@ def normalize_psi(psi: PsiData):
 def random_normalized_psi(n, m, rng, bound=10):
     """Seeded random psi already in normalized form; entries have
     numerators and denominators bounded by `bound`."""
+    _require_shape(n, m)
     while True:
         values = [[Fraction(rng.randint(-(bound - 1), bound - 1),
                             rng.randint(1, bound))
@@ -205,13 +210,17 @@ def load_psi(doc) -> PsiData:
     try:
         n, m = int(doc["n"]), int(doc["m"])
         values = [[Fraction(str(v)) for v in row] for row in doc["psi"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed psi input: {exc}") from exc
     return PsiData(n, m, values)
 
 
 # ---------------------------------------------------------------------------
 # second fundamental form, curvature elements
+
+
+def _fraction(v):
+    return v if type(v) is Fraction else Fraction(v)
 
 
 class SecondFundamental:
@@ -222,14 +231,14 @@ class SecondFundamental:
         self.n = n
         self.m = m
         self.kappa = kappa
-        # entries[a-1][i-1][lam-1]
-        self.entries = [[[Fraction(entries[a][i][lam]) for lam in range(m)]
+        # entries[a-1][i-1][lam-1]; a Fraction is immutable, so it is kept
+        # as given rather than built a second time
+        self.entries = [[[_fraction(entries[a][i][lam]) for lam in range(m)]
                          for i in range(n)] for a in range(kappa)]
 
     @classmethod
     def zero(cls, n, m, kappa):
-        z = [[[Fraction(0)] * m for _ in range(n)] for _ in range(kappa)]
-        return cls(n, m, kappa, z)
+        return cls(n, m, kappa, [[[Fraction(0)] * m] * n] * kappa)
 
     def __getitem__(self, ail):
         a, i, lam = ail
@@ -263,18 +272,16 @@ class SecondFundamental:
 
     def scaled(self, rho):
         rho = Fraction(rho)
-        out = SecondFundamental.zero(self.n, self.m, self.kappa)
-        out.entries = [[[rho * v for v in row] for row in block]
-                       for block in self.entries]
-        return out
+        return SecondFundamental(self.n, self.m, self.kappa,
+                                 [[[rho * v for v in row] for row in block]
+                                  for block in self.entries])
 
     def in_open_set(self):
-        """Nonsingular Gram matrix of {H_{i lam} : i <= n-1, lam <= m-1}."""
-        vecs = [self.vector(i, lam)
-                for i in range(1, self.n) for lam in range(1, self.m)]
-        gram = [[sum((x * y for x, y in zip(u, v)), Fraction(0)) for v in vecs]
-                for u in vecs]
-        return bool(linalg.det(gram)) if vecs else True
+        """Nonsingular Gram matrix of {H_{i lam} : i <= n-1, lam <= m-1};
+        over the rationals that holds exactly when the vectors are
+        linearly independent."""
+        return linalg.independent(self.vector(i, lam) for i in range(1, self.n)
+                                  for lam in range(1, self.m))
 
 
 class CurvatureElement:
@@ -305,9 +312,6 @@ class CurvatureElement:
 
     def is_zero(self):
         return not self.values
-
-    def component_count(self):
-        return self.n * (self.n - 1) * self.m * (self.m - 1) // 4
 
     def __eq__(self, other):
         return (isinstance(other, CurvatureElement) and self.n == other.n
@@ -358,66 +362,6 @@ def curvature_rows(n, m):
     return [(i, j, lam, mu)
             for i in range(1, n + 1) for j in range(i + 1, n + 1)
             for lam in range(1, m + 1) for mu in range(lam + 1, m + 1)]
-
-
-class GaussDifferential:
-    """The linear map dG at H: rows (i,j,lam,mu), columns (a,k,nu)."""
-
-    def __init__(self, H: SecondFundamental, drop_dependent=False):
-        self.H = H
-        self.rows = curvature_rows(H.n, H.m)
-        self.columns = [(a, k, nu)
-                        for a in range(1, H.kappa + 1)
-                        for k in range(1, H.n + 1)
-                        for nu in range(1, H.m + 1)
-                        if not (drop_dependent and (k, nu) == (1, H.m))]
-
-    def entry(self, row, col):
-        i, j, lam, mu = row
-        a, k, nu = col
-        H = self.H
-        v = Fraction(0)
-        if k == i and nu == lam:
-            v += H[a, j, mu]
-        if k == j and nu == mu:
-            v += H[a, i, lam]
-        if k == i and nu == mu:
-            v -= H[a, j, lam]
-        if k == j and nu == lam:
-            v -= H[a, i, mu]
-        return v
-
-    def dense(self):
-        return [[self.entry(r, c) for c in self.columns] for r in self.rows]
-
-    def apply(self, delta: SecondFundamental) -> CurvatureElement:
-        """dG(H)[delta], for directional-derivative checks."""
-        values = {}
-        for row in self.rows:
-            i, j, lam, mu = row
-            total = Fraction(0)
-            for a in range(1, self.H.kappa + 1):
-                total += (self.H[a, j, mu] * delta[a, i, lam]
-                          + self.H[a, i, lam] * delta[a, j, mu]
-                          - self.H[a, j, lam] * delta[a, i, mu]
-                          - self.H[a, i, mu] * delta[a, j, lam])
-            if total:
-                values[row] = total
-        return CurvatureElement(self.H.n, self.H.m, values)
-
-
-def gauss_differential(H: SecondFundamental) -> GaussDifferential:
-    return GaussDifferential(H)
-
-
-def reduced_gauss_differential(H: SecondFundamental, psi: PsiData) -> GaussDifferential:
-    """dG with the dependent coordinate H^a_{1m} eliminated: its value is
-    forced by the Cartan identity under the normalization, so the
-    corresponding differentials drop out and the remaining entries are
-    read off at the given H."""
-    if not psi.is_normalized():
-        raise InputError("identity elimination requires normalized psi")
-    return GaussDifferential(H, drop_dependent=True)
 
 
 def dependent_coefficient(H: SecondFundamental, psi: PsiData, a: int):
@@ -549,20 +493,6 @@ def construct_preimage(psi: PsiData, kappa=None) -> SecondFundamental:
     return H
 
 
-def flag_subspace_test(R: CurvatureElement, k: int, nu: int) -> bool:
-    """Membership of R in the flag subspace E^k_nu: all components with
-    i < j <= k and lam < mu <= nu vanish."""
-    if not (1 <= k <= R.n and 1 <= nu <= R.m):
-        raise InputError(f"flag level ({k}, {nu}) out of range")
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for lam in range(1, nu + 1):
-                for mu in range(lam + 1, nu + 1):
-                    if R[i, j, lam, mu]:
-                        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # sigma indexing and dimension ledger
 
@@ -629,6 +559,7 @@ def closed_form_characters(n, m, kappa):
 
 
 def dimension_ledger(n, m, kappa) -> DimensionLedger:
+    _require_shape(n, m)
     min_kappa = (n - 1) * (m - 1)
     if kappa < min_kappa:
         raise InputError(f"kappa = {kappa} below the minimum (n-1)(m-1) = {min_kappa}")

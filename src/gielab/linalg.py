@@ -73,39 +73,6 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def det(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions/ints."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            f = Fraction(x)
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        scale /= lcm
-        m.append([int(Fraction(x) * lcm) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return Fraction(sign * m[n - 1][n - 1]) * scale
-
-
 def nullspace(rows, n_cols=None):
     """Basis of {x : A x = 0} as lists of Fractions, one per free column
     fc: x[fc] = 1 and x[pc] = -rref[pc][fc] at each pivot column pc.

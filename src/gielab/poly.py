@@ -43,7 +43,8 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
+                if len(exps) != nvars or any(not isinstance(e, int) or e < 0
+                                             for e in exps):
                     raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
                 coeff = Fraction(coeff)
                 if coeff:

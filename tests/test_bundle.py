@@ -112,19 +112,9 @@ def test_second_covariant_derivative_is_curvature_action():
     omega = curvature_from_connection(eta)
     theta = generalized_torsion(phi, eta)
     second = generalized_torsion(theta, eta)  # same expansion, one degree up
-    closure = bianchi_residual(omega, phi, convention="closure")
+    closure = bianchi_residual(omega, phi)
     for i in range(3):
         assert second[i] == closure[i]
-
-
-def test_bianchi_conventions_differ_by_sign():
-    # for o(n)-valued curvature the two index contractions are negatives
-    eta, phi = _sample_setup()
-    omega = curvature_from_connection(eta)
-    closure = bianchi_residual(omega, phi, convention="closure")
-    alt = bianchi_residual(omega, phi, convention="alt")
-    for i in range(3):
-        assert alt[i] == -closure[i]
 
 
 def test_bianchi_residual_trivial_above_dimension():
@@ -136,9 +126,3 @@ def test_bianchi_residual_trivial_above_dimension():
     for residual in bianchi_residual(omega, phi):
         assert residual.is_zero()
 
-
-def test_unknown_convention_rejected():
-    eta, phi = _sample_setup()
-    omega = curvature_from_connection(eta)
-    with pytest.raises(InputError):
-        bianchi_residual(omega, phi, convention="mystery")

@@ -1,8 +1,15 @@
 """CLI reports: subcommands, schema, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gielab.cli import EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, main
 
@@ -277,3 +284,149 @@ def test_reports_are_deterministic(capsys):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert first == second
+
+
+# -- the closing property: any parseable argv ends in one report ----------
+
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(-3, 3), st.sampled_from([math.nan, math.inf]),
+                  st.lists(st.integers(-1, 2), max_size=2),
+                  st.fixed_dictionaries({"x": st.integers()}))
+# rationals as the schema wants them, zero denominators included
+_rational = st.one_of(st.integers(-3, 3).map(str),
+                      st.tuples(st.integers(-3, 3), st.integers(0, 3))
+                      .map(lambda pq: f"{pq[0]}/{pq[1]}"))
+_value = st.one_of(_rational, _rational, _junk, st.just("1e999"))
+
+
+def _grid(draw, rows, cols, cell):
+    """A rows x cols list of cells, or now and then a ragged or wrong one."""
+    if draw(st.integers(0, 4)) == 0:
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    grid = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    if grid and draw(st.integers(0, 9)) == 0:
+        grid[-1] = grid[-1][:-1]
+    return grid
+
+
+def _spoil(draw, doc):
+    """Drop a key or replace a field by junk, or leave the document whole."""
+    choice = draw(st.integers(0, 5))
+    if choice == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif choice == 1:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_junk)
+    elif choice == 2:
+        return draw(_junk)
+    return doc
+
+
+@st.composite
+def _psi_docs(draw, n, m):
+    doc = {"n": n, "m": m, "psi": _grid(draw, n, m, _value)}
+    if draw(st.booleans()):  # a normalized pivot column keeps it rational
+        for i, row in enumerate(doc["psi"]):
+            if row and len(row) == m:
+                row[-1] = "1" if i == 0 else "0"
+    return _spoil(draw, doc)
+
+
+@st.composite
+def _poly_docs(draw, m):
+    term = st.fixed_dictionaries({
+        "exponents": st.one_of(st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                               st.lists(st.one_of(st.integers(-1, 2), st.floats(0, 2)),
+                                        max_size=3)),
+        "coefficient": _value})
+    return draw(st.one_of(st.lists(term, max_size=2), _junk))
+
+
+@st.composite
+def _chart_docs(draw, m):
+    one = [{"exponents": [0] * m, "coefficient": "1"}]
+    if draw(st.booleans()):  # the flat metric, so that T gets audited
+        g = [[one if i == j else [] for j in range(m)] for i in range(m)]
+    else:
+        g = _grid(draw, m, m, _poly_docs(m))
+    doc = {"m": m, "g": g, "T": _grid(draw, m, m, _poly_docs(m)),
+           "box": draw(st.one_of(st.just([[0, 1]] * m), _junk,
+                                 st.lists(st.lists(st.floats(-2, 2), max_size=3),
+                                          max_size=3))),
+           "margin": draw(st.one_of(st.just(0.05), st.floats(-1, 2), _junk))}
+    return _spoil(draw, doc)
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, {file name: JSON document}) for one CLI call."""
+    small = st.integers(-1, 4)
+    command = draw(st.sampled_from(["verify-lemma", "flag", "ledger", "sweep",
+                                    "emt-audit"]))
+    if command == "sweep":
+        # bounded spans only: a cell of 9999 asks for an H of 10^8 entries
+        span = st.one_of(st.tuples(small, small).map(lambda t: f"{t[0]}..{t[1]}"),
+                         small.map(str),
+                         st.sampled_from(["", "x", "2..", "..3", "2..x", "2.5", "-"]))
+        return [command, f"--n-range={draw(span)}", f"--m-range={draw(span)}",
+                f"--seeds={draw(st.integers(-1, 2))}"] + draw(
+                    st.sampled_from([[], ["--inject-corrupt"]])), {}
+    if command == "emt-audit":
+        m = draw(st.integers(0, 3))
+        backend = draw(st.sampled_from(["exact", "numeric"]))
+        return [command, "--input=chart.json", f"--backend={backend}"], {
+            "chart.json": draw(_chart_docs(m))}
+    n, m = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    argv = [command, f"--n={n}", f"--m={m}", f"--kappa={draw(st.integers(-1, 5))}"]
+    if command == "ledger":
+        return argv, {}
+    source = draw(st.sampled_from(["file", "seed", "none", "missing"]))
+    if source == "seed":
+        return argv + [f"--random-psi={draw(st.integers(0, 9))}"], {}
+    if source == "file":
+        psi_n, psi_m = draw(st.sampled_from([(n, m), (3, 2), (2, 2)]))
+        return argv + ["--psi=psi.json"], {"psi.json": draw(_psi_docs(psi_n, psi_m))}
+    if source == "missing":
+        return argv + ["--psi=absent.json"], {}
+    return argv, {}
+
+
+def _chart_with(**fields):
+    return {"chart.json": dict(_flat_chart_doc(), **fields)}
+
+
+_AUDIT = ["emt-audit", "--input=chart.json", "--backend=numeric"]
+_FRACTIONAL_T = [[[{"exponents": [1.5, 0], "coefficient": "1"}], []], [[], []]]
+_HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_invocations())
+# each of these once ended in a traceback (exit 1) or, for ledger, a pass
+@example((["verify-lemma", "--n=3", "--m=0", "--kappa=0", "--random-psi=0"], {}))
+@example((["ledger", "--n=0", "--m=3", "--kappa=1"], {}))
+@example((["verify-lemma", "--n=2", "--m=2", "--kappa=1", "--psi=psi.json"],
+          {"psi.json": {"n": 2, "m": math.inf, "psi": [["0", "1"], ["1", "0"]]}}))
+@example((_AUDIT, _chart_with(box=True)))
+@example((_AUDIT, _chart_with(T=_FRACTIONAL_T, box=[[-2, -1], [0, 1]])))
+@example((_AUDIT, _chart_with(T=_HUGE_T)))
+def test_every_accepted_invocation_ends_in_one_report(invocation):
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(doc, fh)
+        argv = [a.replace("=", "=" + tmp + os.sep, 1)
+                if a.startswith(("--input=", "--psi=")) else a for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["schema"] == "1"
+    assert code in (EXIT_PASS, EXIT_VIOLATION, EXIT_INVALID)
+    assert code == {"pass": EXIT_PASS, "violation": EXIT_VIOLATION,
+                    "invalid-input": EXIT_INVALID}[report["verdict"]]
+    if report["command"] in ("verify-lemma", "ledger", "flag"):
+        # no fiber rank or base dimension below 2 is valid input
+        if min(report["inputs"]["n"], report["inputs"]["m"]) < 2:
+            assert code == EXIT_INVALID

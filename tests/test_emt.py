@@ -225,7 +225,7 @@ def _random_tensor(seed):
     return EnergyMomentum(2, [[entry(0), entry(1)], [entry(2), entry(3)]])
 
 
-@pytest.mark.parametrize("factor", [1e4, 1e6])
+@pytest.mark.parametrize("factor", [1e-6, 1e4, 1e6])
 def test_numeric_audit_holds_for_scaled_tensors(factor):
     # the identity is linear in T: scaling a tensor that satisfies it must
     # not turn rounding error into a violation, conserved or not
@@ -235,7 +235,7 @@ def test_numeric_audit_holds_for_scaled_tensors(factor):
         assert report.identity_holds
 
 
-@pytest.mark.parametrize("factor", [1.0, 1e6])
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
 def test_numeric_audit_catches_a_perturbed_side(factor, monkeypatch):
     chart = sphere_chart()
     T = _scaled(_random_tensor(20), factor)

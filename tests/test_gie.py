@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dg_reference import dg_columns, dg_matrix
 from gielab import InputError, VerificationError, linalg
 from gielab.eds import IntegralElement, cartan_characters_by_expansion, polar_space
 from gielab.gie import (CurvatureElement, PsiData, SecondFundamental,
                         SigmaIndexMap, _flag_levels, build_integral_flag,
                         cartan_identity_residual, closed_form_characters,
                         construct_preimage, curvature_rows,
-                        dependent_coefficient,
-                        dimension_ledger, flag_subspace_test,
-                        gauss_differential, gauss_map, gie_cartan_report,
-                        gie_ideal, grassmann_pullback,
+                        dependent_coefficient, dimension_ledger, gauss_map,
+                        gie_cartan_report, gie_ideal, grassmann_pullback,
                         jacobian_rank_certificate, load_psi, normalize_psi,
-                        random_normalized_psi, reduced_gauss_differential)
+                        random_normalized_psi)
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
@@ -140,16 +139,17 @@ def test_gauss_map_scaling(seed, rho):
 def test_gauss_differential_is_directional_derivative():
     # G(H + t D) - G(H) - t dG(H)[D] = t^2 G-bilinear remainder; check at t=1
     rng = random.Random(3)
-    H = random_H(2, 2, 2, rng)
-    D = random_H(2, 2, 2, rng)
-    diff = gauss_differential(H)
-    lin = diff.apply(D)
-    summed = SecondFundamental(2, 2, 2, [
-        [[H[a, i, lam] + D[a, i, lam] for lam in (1, 2)] for i in (1, 2)]
-        for a in (1, 2)])
-    key = (1, 2, 1, 2)
-    assert (gauss_map(summed)[key]
-            == gauss_map(H)[key] + lin[key] + gauss_map(D)[key])
+    n, m, kappa = 3, 3, 2
+    H = random_H(n, m, kappa, rng)
+    D = random_H(n, m, kappa, rng)
+    columns = dg_columns(n, m, kappa)
+    lin = [sum((x * D[col] for x, col in zip(row, columns)), Fraction(0))
+           for row in dg_matrix(H, columns)]
+    summed = SecondFundamental(n, m, kappa, [
+        [[H[a, i, lam] + D[a, i, lam] for lam in range(1, m + 1)]
+         for i in range(1, n + 1)] for a in range(1, kappa + 1)])
+    for key, dg in zip(curvature_rows(n, m), lin):
+        assert gauss_map(summed)[key] == gauss_map(H)[key] + dg + gauss_map(D)[key]
 
 
 # -- pre-image construction ---------------------------------------------
@@ -189,6 +189,16 @@ def test_preimage_contracts_hold_exactly():
         assert H.in_open_set()
 
 
+def test_open_set_rejects_dependent_columns():
+    # H_21 := H_11 on a pre-image makes the Gram matrix of H_11, H_21 singular
+    psi = random_normalized_psi(3, 2, random.Random(10))
+    H = construct_preimage(psi, 2)
+    assert H.in_open_set()
+    for a in (1, 2):
+        H.set(a, 2, 1, H[a, 1, 1])
+    assert not H.in_open_set()
+
+
 def test_preimage_rejects_small_kappa():
     psi = PsiData(3, 3, [[1, 1, 1], [1, 1, 0], [1, 1, 0]])
     with pytest.raises(InputError):
@@ -219,9 +229,7 @@ def test_rank_certificate_witness_is_invertible():
     psi = random_normalized_psi(3, 2, rng)
     H = construct_preimage(psi, 2)
     cert = jacobian_rank_certificate(H, psi)
-    diff = gauss_differential(H)
-    sub = [[diff.entry(row, col) for col in cert.witness_columns]
-           for row in diff.rows]
+    sub = dg_matrix(H, cert.witness_columns)
     assert linalg.rank(sub) == cert.expected == 3
 
 
@@ -269,10 +277,8 @@ def test_sparse_kernels_match_dense_reference(H):
 
     psi = random_normalized_psi(n, m, random.Random(0))
     cert = jacobian_rank_certificate(H, psi)
-    diff = gauss_differential(H)
-    restricted = [c for c in diff.columns if c[1] >= 2 and c[2] >= 2]
-    assert cert.rank == linalg.rank(
-        [[diff.entry(r, c) for c in restricted] for r in diff.rows])
+    restricted = [c for c in dg_columns(n, m, kappa) if c[1] >= 2 and c[2] >= 2]
+    assert cert.rank == linalg.rank(dg_matrix(H, restricted))
     first_bad = next(
         ((k, nu) for (k, nu) in _flag_levels(n, m)
          if linalg.rank([[H[a, i, lam] for a in range(1, kappa + 1)]
@@ -280,54 +286,11 @@ def test_sparse_kernels_match_dense_reference(H):
          < (k - 1) * (nu - 1)), None)
     assert cert.failed_level == first_bad
     if first_bad is None:
-        sub = [[diff.entry(r, c) for c in cert.witness_columns] for r in diff.rows]
-        assert linalg.det(sub) != 0
+        sub = dg_matrix(H, cert.witness_columns)
+        assert linalg.rank(sub) == len(sub)
 
 
-def test_reduced_differential_drops_dependent_column():
-    rng = random.Random(9)
-    psi = random_normalized_psi(2, 2, rng)
-    H = construct_preimage(psi, 1)
-    reduced = reduced_gauss_differential(H, psi)
-    assert (1, 1, 2) not in reduced.columns
-    assert (1, 1, 1) in reduced.columns
-
-
-def test_reduced_differential_three_sheet_pattern():
-    # n=3, m=2: the three rows against the five (k, nu) column groups are
-    #   (H_22, -psi^i_2 H_i1,        0, H_11,    0)
-    #   (H_32,              0, -psi^i_2 H_i1, 0, H_11)
-    #   (0,              H_32,     -H_22,    0, H_21)
-    # where -psi^i_2 H_i1 is the substituted value of -H_12.
-    psi = PsiData(3, 2, [[Fraction(1, 2), 1], [Fraction(2), 0],
-                         [Fraction(-1, 3), 0]])
-    H = construct_preimage(psi, 2)
-    reduced = reduced_gauss_differential(H, psi)
-    groups = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]
-    minus_h12 = [-sum(psi[i, 1] * H[a, i, 1] for i in (1, 2, 3))
-                 for a in (1, 2)]
-    zero = [Fraction(0)] * 2
-    expected = {
-        (1, 2, 1, 2): [H.vector(2, 2), minus_h12, zero, H.vector(1, 1), zero],
-        (1, 3, 1, 2): [H.vector(3, 2), zero, minus_h12, zero, H.vector(1, 1)],
-        (2, 3, 1, 2): [zero, H.vector(3, 2),
-                       [-x for x in H.vector(2, 2)], zero, H.vector(2, 1)],
-    }
-    for row, entries in expected.items():
-        for (k, nu), vector in zip(groups, entries):
-            got = [reduced.entry(row, (a, k, nu)) for a in (1, 2)]
-            assert got == list(vector), (row, (k, nu))
-
-
-# -- flag subspaces, sigma map, ledger -----------------------------------
-
-
-def test_flag_subspace_membership():
-    R = CurvatureElement(3, 3, {(1, 2, 1, 2): Fraction(1)})
-    assert flag_subspace_test(R, 1, 3)      # no pairs i<j<=1
-    assert flag_subspace_test(R, 3, 1)      # no pairs lam<mu<=1
-    assert not flag_subspace_test(R, 2, 2)
-    assert flag_subspace_test(CurvatureElement(3, 3), 3, 3)
+# -- sigma map, ledger ----------------------------------------------------
 
 
 def test_sigma_map_small_case_values():

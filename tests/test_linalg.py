@@ -26,23 +26,6 @@ def test_rank_of_dependent_rows():
     assert linalg.rank(rows) == 1
 
 
-def test_det_small_oracle():
-    # [[1,2],[3,4]] -> -2, computed by hand
-    assert linalg.det([[Fraction(1), Fraction(2)],
-                       [Fraction(3), Fraction(4)]]) == -2
-
-
-def test_det_singular():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.det(rows) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrix(3, 3))
-def test_det_vanishes_iff_rank_deficient(rows):
-    assert (linalg.det(rows) == 0) == (linalg.rank(rows) < 3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(matrix(3, 5))
 def test_nullspace_annihilates(rows):

@@ -66,6 +66,9 @@ def test_constant_value():
 def test_negative_exponent_rejected():
     with pytest.raises(InputError):
         Polynomial(2, {(-1, 0): Fraction(1)})
+    # a fractional power of a negative coordinate would evaluate to a complex
+    with pytest.raises(InputError):
+        Polynomial(2, {(1.5, 0): Fraction(1)})
 
 
 def test_from_json_terms():
