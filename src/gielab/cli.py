@@ -23,6 +23,11 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
+# Largest second fundamental form, in kappa*n*m entries, a command may ask
+# for: H and the arrays built from it are dense.  The (16, 16) frontier
+# with kappa = 225 needs 57,600.
+MAX_H_ENTRIES = 10 ** 6
+
 
 def _report(command, inputs, results, verdict, started):
     return {
@@ -59,6 +64,16 @@ def _echo(args):
         elif args.random_psi is not None:
             inputs["random_psi_seed"] = args.random_psi
     return inputs
+
+
+def _check_size(n, m, kappa):
+    """Refuse an H of kappa*n*m entries (psi alone has n*m) beyond
+    MAX_H_ENTRIES before anything of that size is allocated."""
+    size = max(kappa, 1) * n * m
+    if size > MAX_H_ENTRIES:
+        raise InputError(
+            f"size kappa*n*m = {size} (n = {n}, m = {m}, kappa = {kappa}) "
+            f"exceeds the limit {MAX_H_ENTRIES}")
 
 
 def _load_psi_arg(args):
@@ -98,6 +113,7 @@ def _lemma_results(psi, kappa):
 
 
 def cmd_verify_lemma(args, inputs, started):
+    _check_size(args.n, args.m, args.kappa)
     psi = _load_psi_arg(args)
     if args.kappa < (psi.n - 1) * (psi.m - 1):
         raise InputError(
@@ -126,6 +142,7 @@ def cmd_ledger(args, inputs, started):
 
 
 def cmd_flag(args, inputs, started):
+    _check_size(args.n, args.m, args.kappa)
     psi = _load_psi_arg(args)
     H = gie.construct_preimage(psi, args.kappa)
     element = gie.build_integral_flag(psi, H)  # raises on a violated contract
@@ -158,13 +175,18 @@ def cmd_emt_audit(args, inputs, started):
 def _parse_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return range(int(lo), int(hi) + 1)
+    return range(int(text), int(text) + 1)
 
 
 def cmd_sweep(args, inputs, started):
     n_range = _parse_range(args.n_range)
     m_range = _parse_range(args.m_range)
+    if not (n_range and m_range):
+        n_range = m_range = range(0)  # no cells
+    else:  # the last cell is the largest valid one
+        n, m = n_range[-1], m_range[-1]
+        _check_size(n, m, (n - 1) * (m - 1))
     cells = []
     violations = 0
     for n in n_range:
@@ -199,8 +221,16 @@ def cmd_sweep(args, inputs, started):
     return _report("sweep", inputs, results, verdict, started)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError where argparse would print usage and exit, so
+    that rejected argv ends in a report too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gielab",
         description="Exact verification pipelines for the isometric-embedding "
                     "conservation-law construction")
@@ -245,9 +275,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsed = argparse.Namespace()
+    try:
+        args = build_parser().parse_args(argv, parsed)
+    except InputError as exc:
+        # --output is set only if argparse reached it before failing
+        report = _report(getattr(parsed, "command", None), {"argv": argv},
+                         {"error": str(exc)}, "invalid-input", started)
+        _emit(report, getattr(parsed, "output", None))
+        return EXIT_INVALID
     inputs = _echo(args)
     try:
         report = args.func(args, inputs, started)

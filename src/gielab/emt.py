@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +44,40 @@ def _is_poly(f):
     return isinstance(f, Polynomial)
 
 
-def _eval(f, point):
-    """Evaluate a chart function (Polynomial or callable) at a point."""
-    if _is_poly(f):
-        return f.eval(point)
-    return f(point)
+def _float_function(f):
+    """f as a function of a point of floats.
+
+    A Polynomial is summed from its terms with the coefficients converted
+    to floats once, which gives Polynomial.eval's floats bit for bit:
+    Fraction * float computes float(fraction) * float, and both sums start
+    from the integer 0.  A callable is returned as it is."""
+    if not _is_poly(f):
+        return f
+    try:
+        terms = [(float(c), k) for k, c in f.terms.items()]
+    except OverflowError:
+        return f.eval  # raises the OverflowError where Polynomial.eval does
+    nvars = f.nvars
+
+    def at(point):
+        if len(point) != nvars:
+            return f.eval(point)  # raises the length error
+        total = 0
+        for c, k in terms:
+            for var, e in k:
+                c = c * point[var] ** e
+            total = total + c
+        return total
+    return at
 
 
-def _fd_partial(f, point, mu, h=FD_STEP):
-    """Central finite difference d f / d x_mu (mu 1-based)."""
-    hi = list(point)
-    lo = list(point)
-    hi[mu - 1] += h
-    lo[mu - 1] -= h
-    return (_eval(f, hi) - _eval(f, lo)) / (2 * h)
+def _functions_at(rows, float_rows, point):
+    """The chart functions of `rows` as functions of `point`: the compiled
+    `float_rows` when the point is made of floats, exact Polynomial.eval
+    otherwise."""
+    if all(isinstance(x, float) for x in point):
+        return float_rows
+    return [[f.eval if _is_poly(f) else f for f in row] for row in rows]
 
 
 class MetricChart:
@@ -73,6 +94,7 @@ class MetricChart:
             raise InputError(f"metric must be an {m} x {m} array")
         self.m = m
         self.g = [list(row) for row in g]
+        self._float_g = [[_float_function(f) for f in row] for row in self.g]
         self.base_point = list(base_point) if base_point is not None else None
         try:
             self.box = [[float(lo), float(hi)] for lo, hi in box] if box else [[0.0, 1.0]] * m
@@ -92,28 +114,29 @@ class MetricChart:
     def is_polynomial(self):
         return all(_is_poly(e) for row in self.g for e in row)
 
-    def matrix_at(self, point):
-        """Metric matrix at a point; raises InputError when it is not
-        symmetric positive definite there."""
-        mat = np.array([[float(_eval(self.g[i][j], point))
-                         for j in range(self.m)] for i in range(self.m)])
+    def _factor_at(self, point):
+        """(g, L) at a point with g = L L^T: one evaluation and one
+        factorisation.  Raises InputError when g is not symmetric positive
+        definite there."""
+        mat = np.array([[float(f(point)) for f in row]
+                        for row in _functions_at(self.g, self._float_g, point)])
         if not np.allclose(mat, mat.T, atol=1e-12):
             raise InputError(f"metric not symmetric at {point}")
         try:
-            np.linalg.cholesky(mat)
+            L = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             raise InputError(f"metric singular or indefinite at sample point {point}")
-        return mat
+        return mat, L
+
+    def matrix_at(self, point):
+        """Metric matrix at a point; raises InputError when it is not
+        symmetric positive definite there."""
+        return self._factor_at(point)[0]
 
     def cholesky_at(self, point):
         """Lower-triangular L with g = L L^T; the rows of L^T are the
         coefficients of a pointwise orthonormal coframe."""
-        return np.linalg.cholesky(self.matrix_at(point))
-
-    def volume_coefficient_at(self, point):
-        """sqrt(det g) from the Cholesky diagonal."""
-        L = self.cholesky_at(point)
-        return float(np.prod(np.diag(L)))
+        return self._factor_at(point)[1]
 
     def sample_points(self, count=100):
         """Deterministic low-discrepancy grid in the margined box
@@ -143,13 +166,10 @@ class EnergyMomentum:
             raise InputError(f"tensor must be an {m} x {m} array")
         self.m = m
         self.T = [list(row) for row in components]
+        self._float_T = [[_float_function(f) for f in row] for row in self.T]
 
     def is_polynomial(self):
         return all(_is_poly(e) for row in self.T for e in row)
-
-    def matrix_at(self, point):
-        return [[_eval(self.T[i][j], point) for j in range(self.m)]
-                for i in range(self.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +183,12 @@ def _require_exact(g: MetricChart, T: EnergyMomentum | None = None):
         raise InputError("exact backend needs polynomial tensor components")
 
 
-def _exact_volume_and_inverse(g: MetricChart):
-    """(sqrt(det g) as a Fraction, polynomial inverse metric).
+def _exact_volume(g: MetricChart):
+    """(det g, sqrt(det g)) as Fractions.
 
     Restricted to det g a nonzero constant perfect rational square;
     otherwise the inverse and the volume coefficient leave the
     polynomial ring and the numeric backend must be used."""
-    m = g.m
     det = _minor_det(g.g)
     if not (isinstance(det, Polynomial) and det.is_constant()) and not isinstance(det, Fraction):
         raise InputError(
@@ -183,6 +202,14 @@ def _exact_volume_and_inverse(g: MetricChart):
         raise InputError(
             "exact backend requires det g to be a perfect rational square; "
             "use the numeric backend for this chart")
+    return det_val, vol
+
+
+def _exact_volume_and_inverse(g: MetricChart):
+    """(sqrt(det g) as a Fraction, polynomial inverse metric), under the
+    restrictions of `_exact_volume`."""
+    m = g.m
+    det_val, vol = _exact_volume(g)
     # adjugate / det stays polynomial because det is constant
     nv = g.g[0][0].nvars
     inv = [[None] * m for _ in range(m)]
@@ -202,8 +229,13 @@ def christoffel(g: MetricChart):
     """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials (exact
     backend).  Symmetric in the lower indices by construction."""
     _require_exact(g)
-    m = g.m
     _, ginv = _exact_volume_and_inverse(g)
+    return _christoffel_from_inverse(g, ginv)
+
+
+def _christoffel_from_inverse(g: MetricChart, ginv):
+    """`christoffel` given the polynomial inverse metric."""
+    m = g.m
     half = Fraction(1, 2)
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
     for lam in range(m):
@@ -221,28 +253,20 @@ def christoffel(g: MetricChart):
 
 def christoffel_at(g: MetricChart, point, h=FD_STEP):
     """Numeric Levi-Civita symbols at a point (central differences)."""
-    m = g.m
-    ginv = np.linalg.inv(g.matrix_at(point))
-    dg = [[[_fd_partial(g.g[rho][nu], point, mu + 1, h)
-            for nu in range(m)] for rho in range(m)] for mu in range(m)]
-    gamma = np.empty((m, m, m))
-    for lam in range(m):
-        for mu in range(m):
-            for nu in range(m):
-                s = 0.0
-                for rho in range(m):
-                    s += ginv[lam][rho] * (dg[mu][rho][nu] + dg[nu][rho][mu]
-                                           - dg[rho][mu][nu])
-                gamma[lam][mu][nu] = 0.5 * s
-    return gamma
+    return np.array(_stencil_christoffel(_metric_stencil(g, point, h), h))
 
 
 def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
     """tau^lam = T^{lam mu} (xi_mu -| vol) with vol = sqrt(det g) eta^Lambda
     (exact backend).  xi_mu -| eta^Lambda = (-1)^(mu+1) eta^{Lambda minus mu}."""
     _require_exact(g, T)
+    _, vol = _exact_volume(g)
+    return _tau(T, g, vol)
+
+
+def _tau(T: EnergyMomentum, g: MetricChart, vol):
+    """`tensor_to_mform` given the volume coefficient."""
     m = g.m
-    vol, _ = _exact_volume_and_inverse(g)
     comps = []
     for lam in range(1, m + 1):
         coeffs = {}
@@ -286,6 +310,53 @@ def covariant_exterior_derivative(tau: VectorValuedForm, gamma):
 # numeric backend (pointwise)
 
 
+class _Stencil(NamedTuple):
+    """The point x, then x + h e_mu and x - h e_mu for mu = 1..m, with the
+    metric matrix and sqrt(det g) at each."""
+    points: list
+    mats: list
+    sqrtg: list
+
+
+def _metric_stencil(g: MetricChart, point, h) -> _Stencil:
+    """The stencil of `point`.  The metric is evaluated, checked symmetric
+    positive definite and factorised once per stencil point, in the order
+    of `points`; every finite difference at x reads these values."""
+    points = [point]
+    for mu in range(g.m):
+        hi = list(point)
+        lo = list(point)
+        hi[mu] += h
+        lo[mu] -= h
+        points += [hi, lo]
+    mats, sqrtg = [], []
+    for pt in points:
+        mat, L = g._factor_at(pt)
+        mats.append(mat)
+        sqrtg.append(float(np.prod(np.diag(L))))
+    return _Stencil(points, mats, sqrtg)
+
+
+def _stencil_christoffel(stencil: _Stencil, h):
+    """Gamma^lam_{mu nu} at the stencil's point as nested lists, from the
+    central differences of the stencil's metric matrices."""
+    mats = stencil.mats
+    m = len(mats[0])
+    ginv = np.linalg.inv(mats[0]).tolist()
+    dg = [((mats[2 * mu + 1] - mats[2 * mu + 2]) / (2 * h)).tolist()
+          for mu in range(m)]
+    gamma = [[[0.0] * m for _ in range(m)] for _ in range(m)]
+    for lam in range(m):
+        for mu in range(m):
+            for nu in range(m):
+                s = 0.0
+                for rho in range(m):
+                    s += ginv[lam][rho] * (dg[mu][rho][nu] + dg[nu][rho][mu]
+                                           - dg[rho][mu][nu])
+                gamma[lam][mu][nu] = 0.5 * s
+    return gamma
+
+
 def _fold(terms):
     """(sum, sum of magnitudes) of the terms, added left to right."""
     total = size = 0.0
@@ -296,37 +367,44 @@ def _fold(terms):
 
 
 def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP,
-                      tolerance=TOLERANCE):
+                      tolerance=TOLERANCE, stencil=None):
     """(lhs, rhs, size): coefficients of eta^Lambda at one point, and for
     each lam the magnitude of the terms summed into the two sides.
 
     lhs^lam: coefficient of the volume monomial in d_grad tau^lam,
         sum_mu d_mu(T^{lam mu} sqrt(g)) + Gamma^lam_{rho mu} T^{rho mu} sqrt(g);
     rhs^lam: (grad_mu T^{lam mu}) sqrt(g).
-    Both use only pointwise data and finite differences.  The terms of a
-    conserved T nearly cancel, so |lhs| and |rhs| can be far below the
-    rounding error of their terms; `size` is what that error scales with.
-    The terms can themselves be rounding noise (on a det-1 chart
-    d_mu sqrt(g) is), so size is floored where tolerance * size reaches 64
-    times the rounding error eps/h * sqrt(g) * sum_mu |T^{lam mu}| of the
-    difference quotients; like size, the floor is linear in T."""
+    Both use only pointwise data and finite differences over
+    `_metric_stencil(g, point, h)`, built here unless it is given.  The
+    terms of a conserved T nearly cancel, so |lhs| and |rhs| can be far
+    below the rounding error of their terms; `size` is what that error
+    scales with.  The terms can themselves be rounding noise (on a det-1
+    chart d_mu sqrt(g) is), so size is floored where tolerance * size
+    reaches 64 times the rounding error eps/h * sqrt(g) * sum_mu |T^{lam mu}|
+    of the difference quotients; like size, the floor is linear in T."""
     m = g.m
-    gamma = christoffel_at(g, point, h)
-    sqrtg = g.volume_coefficient_at(point)
-    Tval = [[float(v) for v in row] for row in T.matrix_at(point)]
+    if stencil is None:
+        stencil = _metric_stencil(g, point, h)
+    points, sqrtg_at = stencil.points, stencil.sqrtg
+    gamma = _stencil_christoffel(stencil, h)
+    sqrtg = sqrtg_at[0]
+    fns = _functions_at(T.T, T._float_T, point)
+    Tval = [[float(f(point)) for f in row] for row in fns]
+    # T^{lam mu} at x + h e_mu and x - h e_mu, read by both difference quotients
+    Thi = [[fns[lam][mu](points[2 * mu + 1]) for mu in range(m)] for lam in range(m)]
+    Tlo = [[fns[lam][mu](points[2 * mu + 2]) for mu in range(m)] for lam in range(m)]
     lhs, rhs, size = [], [], []
     for lam in range(m):
         a_terms = []
         for mu in range(m):
-            def flux(pt, lam=lam, mu=mu):
-                return float(_eval(T.T[lam][mu], pt)) * g.volume_coefficient_at(pt)
-            a_terms.append(_fd_partial(flux, point, mu + 1, h))
+            a_terms.append((float(Thi[lam][mu]) * sqrtg_at[2 * mu + 1]
+                            - float(Tlo[lam][mu]) * sqrtg_at[2 * mu + 2]) / (2 * h))
         for rho in range(m):
             for mu in range(m):
                 a_terms.append(gamma[lam][rho][mu] * Tval[rho][mu] * sqrtg)
         b_terms = []
         for mu in range(m):
-            b_terms.append(_fd_partial(T.T[lam][mu], point, mu + 1, h))
+            b_terms.append((Thi[lam][mu] - Tlo[lam][mu]) / (2 * h))
             for nu in range(m):
                 b_terms.append(Tval[lam][mu] * gamma[nu][nu][mu])
                 b_terms.append(Tval[mu][nu] * gamma[lam][nu][mu])
@@ -388,10 +466,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     tdim = target_dimension(m)
     if backend == "exact":
         _require_exact(g, T)
-        gamma = christoffel(g)
-        tau = tensor_to_mform(T, g)
-        lhs = covariant_exterior_derivative(tau, gamma)
-        vol, _ = _exact_volume_and_inverse(g)
+        vol, ginv = _exact_volume_and_inverse(g)
+        gamma = _christoffel_from_inverse(g, ginv)
+        lhs = covariant_exterior_derivative(_tau(T, g, vol), gamma)
         div = covariant_divergence(T, gamma)
         vol_key = tuple(range(1, m + 1))
         for lam in range(m):
@@ -416,8 +493,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     worst_val, worst_point, max_div = 0.0, None, 0.0
     worst_rel, breach = tolerance, None
     for point in g.sample_points(count):
-        lhs, rhs, size = _numeric_sides_at(T, g, point, h, tolerance)
-        sqrtg = max(g.volume_coefficient_at(point), 1e-300)
+        stencil = _metric_stencil(g, point, h)
+        lhs, rhs, size = _numeric_sides_at(T, g, point, h, tolerance, stencil)
+        sqrtg = max(stencil.sqrtg[0], 1e-300)
         for lam in range(m):
             res = abs(lhs[lam] - rhs[lam])
             if res > worst_val:

@@ -1,0 +1,85 @@
+"""Per-call reference for the numeric EMT backend.
+
+The library evaluates the metric once per stencil point and reuses those
+values in every finite difference.  This module keeps the earlier
+formulation, which evaluates each chart function and factorises the
+metric afresh for every value it needs, through `Polynomial.eval`.  It
+performs the same floating-point operations in the same order, so the
+tests require its sides to equal the library's float for float.
+"""
+
+import numpy as np
+
+from gielab.emt import EPS, FD_STEP, TOLERANCE, _fold
+from gielab.poly import Polynomial
+
+
+def _eval(f, point):
+    if isinstance(f, Polynomial):
+        return f.eval(point)
+    return f(point)
+
+
+def _fd_partial(f, point, mu, h=FD_STEP):
+    """Central finite difference d f / d x_mu (mu 1-based)."""
+    hi = list(point)
+    lo = list(point)
+    hi[mu - 1] += h
+    lo[mu - 1] -= h
+    return (_eval(f, hi) - _eval(f, lo)) / (2 * h)
+
+
+def matrix_at(g, point):
+    return np.array([[float(_eval(f, point)) for f in row] for row in g.g])
+
+
+def volume_coefficient_at(g, point):
+    return float(np.prod(np.diag(np.linalg.cholesky(matrix_at(g, point)))))
+
+
+def christoffel_at(g, point, h=FD_STEP):
+    m = g.m
+    ginv = np.linalg.inv(matrix_at(g, point))
+    dg = [[[_fd_partial(g.g[rho][nu], point, mu + 1, h)
+            for nu in range(m)] for rho in range(m)] for mu in range(m)]
+    gamma = np.empty((m, m, m))
+    for lam in range(m):
+        for mu in range(m):
+            for nu in range(m):
+                s = 0.0
+                for rho in range(m):
+                    s += ginv[lam][rho] * (dg[mu][rho][nu] + dg[nu][rho][mu]
+                                           - dg[rho][mu][nu])
+                gamma[lam][mu][nu] = 0.5 * s
+    return gamma
+
+
+def numeric_sides_at(T, g, point, h=FD_STEP, tolerance=TOLERANCE):
+    """(lhs, rhs, size) as `emt._numeric_sides_at` defines them."""
+    m = g.m
+    gamma = christoffel_at(g, point, h)
+    sqrtg = volume_coefficient_at(g, point)
+    Tval = [[float(_eval(f, point)) for f in row] for row in T.T]
+    lhs, rhs, size = [], [], []
+    for lam in range(m):
+        a_terms = []
+        for mu in range(m):
+            def flux(pt, lam=lam, mu=mu):
+                return float(_eval(T.T[lam][mu], pt)) * volume_coefficient_at(g, pt)
+            a_terms.append(_fd_partial(flux, point, mu + 1, h))
+        for rho in range(m):
+            for mu in range(m):
+                a_terms.append(gamma[lam][rho][mu] * Tval[rho][mu] * sqrtg)
+        b_terms = []
+        for mu in range(m):
+            b_terms.append(_fd_partial(T.T[lam][mu], point, mu + 1, h))
+            for nu in range(m):
+                b_terms.append(Tval[lam][mu] * gamma[nu][nu][mu])
+                b_terms.append(Tval[mu][nu] * gamma[lam][nu][mu])
+        a, a_size = _fold(a_terms)
+        b, b_size = _fold(b_terms)
+        lhs.append(a)
+        rhs.append(b * sqrtg)
+        rounding = EPS / h * sqrtg * sum(abs(t) for t in Tval[lam])
+        size.append(max(a_size, b_size * sqrtg, 64 * rounding / tolerance))
+    return lhs, rhs, size

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gielab.cli import EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, main
+from gielab.cli import EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES, main
 
 
 def run(argv, capsys):
@@ -276,6 +276,52 @@ def test_output_file_option(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify-lemma", "--m", "2", "--kappa", "1", "--random-psi", "1"],
+     "required: --n"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
+    (["sweep", "--n-range", "-1..2"], "argument --n-range: expected one argument"),
+])
+def test_rejected_argv_ends_in_a_report(capsys, argv, message):
+    code, report = run(argv, capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+    assert message in report["results"]["error"]
+    assert report["inputs"] == {"argv": argv}
+
+
+def test_rejected_argv_report_goes_to_parsed_output(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["--output", str(out), "flag", "--n", "2"]) == EXIT_INVALID
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["command"] == "flag"
+    assert "required: --m, --kappa" in report["results"]["error"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["verify-lemma", "--n", "9999", "--m", "9999", "--kappa", "1",
+      "--random-psi", "1"], 9999 * 9999),
+    (["flag", "--n", "9999", "--m", "9999", "--kappa", "99960004",
+      "--random-psi", "1"], 99960004 * 9999 * 9999),
+    (["flag", "--n", "2", "--m", "2", "--kappa", str(10 ** 30),
+      "--random-psi", "1"], 4 * 10 ** 30),
+    (["sweep", "--n-range", "2..9999", "--m-range", "2..3"], 9998 * 2 * 9999 * 3),
+])
+def test_sizes_beyond_the_limit_are_invalid(capsys, argv, size):
+    code, report = run(argv, capsys)
+    assert code == EXIT_INVALID
+    error = report["results"]["error"]
+    assert f"kappa*n*m = {size}" in error and f"limit {MAX_H_ENTRIES}" in error
+
+
 def test_reports_are_deterministic(capsys):
     _, first = run(["verify-lemma", "--n", "3", "--m", "3", "--kappa", "4",
                     "--random-psi", "99"], capsys)
@@ -363,10 +409,11 @@ def _invocations(draw):
     command = draw(st.sampled_from(["verify-lemma", "flag", "ledger", "sweep",
                                     "emt-audit"]))
     if command == "sweep":
-        # bounded spans only: a cell of 9999 asks for an H of 10^8 entries
+        # a cell of 9999 asks for an H of 10^8 entries: refused by size
         span = st.one_of(st.tuples(small, small).map(lambda t: f"{t[0]}..{t[1]}"),
                          small.map(str),
-                         st.sampled_from(["", "x", "2..", "..3", "2..x", "2.5", "-"]))
+                         st.sampled_from(["", "x", "2..", "..3", "2..x", "2.5", "-",
+                                          "9999", "2..9999"]))
         return [command, f"--n-range={draw(span)}", f"--m-range={draw(span)}",
                 f"--seeds={draw(st.integers(-1, 2))}"] + draw(
                     st.sampled_from([[], ["--inject-corrupt"]])), {}

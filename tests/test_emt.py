@@ -2,10 +2,15 @@
 
 import math
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emt_reference import numeric_sides_at as reference_sides_at
 from gielab import InputError, VerificationError, emt
 from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
                         christoffel_at, covariant_divergence,
@@ -110,11 +115,25 @@ def test_conformal_christoffel_oracle():
         assert abs(gamma[0][0][0] - 1.0) < 1e-6
 
 
+def _rejected_by_every_exact_entry_point(chart, message):
+    for call in (lambda: christoffel(chart),
+                 lambda: tensor_to_mform(tensor_const(2), chart),
+                 lambda: verify_equivalence(tensor_const(2), chart, backend="exact")):
+        with pytest.raises(InputError, match=message):
+            call()
+
+
 def test_exact_backend_rejects_nonconstant_determinant():
     x1 = Polynomial.variable(0, 2)
     g = [[const(1) + x1 * x1, const(0)], [const(0), const(1)]]
-    with pytest.raises(InputError):
-        christoffel(MetricChart(2, g, box=[[0, 1], [0, 1]]))
+    _rejected_by_every_exact_entry_point(MetricChart(2, g, box=[[0, 1], [0, 1]]),
+                                         "requires constant metric determinant")
+
+
+def test_exact_backend_rejects_non_square_determinant():
+    g = [[const(2), const(0)], [const(0), const(1)]]
+    _rejected_by_every_exact_entry_point(MetricChart(2, g, box=[[0, 1], [0, 1]]),
+                                         "requires det g to be a perfect rational square")
 
 
 # -- tau and divergence ----------------------------------------------------
@@ -280,3 +299,85 @@ def test_load_chart_roundtrip():
     assert chart.m == 2 and chart.margin == 0.1
     report = verify_equivalence(tensor, chart, backend="exact")
     assert report.identity_holds and not report.conserved
+
+
+# -- the numeric backend against its per-call reference ---------------------
+
+
+def test_float_chart_functions_match_polynomial_eval():
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    point = [0.3, -1.7]
+    for p in (const(0), const(Fraction(1, 3)),
+              Fraction(2, 7) * x1 * x2 * x2 + Fraction(-5, 3) * x2 + Fraction(1, 3)):
+        # a constant evaluates to its Fraction exactly, to its float here
+        assert emt._float_function(p)(point) == float(p.eval(point))
+    huge = Fraction(10) ** 400 * x1
+    with pytest.raises(OverflowError):
+        emt._float_function(huge)(point)
+    with pytest.raises(InputError, match="wrong length"):
+        emt._float_function(x1)([0.3])
+
+
+_nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@st.composite
+def _det1_charts(draw):
+    """(g, T) as the benchmark's emt-audit charts: g = A^T A with A unit
+    upper triangular, A_ij = a + b x_j, and T^{lam mu} = 10^k (c0 + c1 x_lam
+    + c2 x_lam x_mu)."""
+    m, k = draw(st.integers(2, 4)), draw(st.integers(-9, 6))
+    x = [Polynomial.variable(i, m) for i in range(m)]
+    A = [[const(1 if i == j else 0, m) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            A[i][j] = draw(_nonzero) + draw(_nonzero) * x[j]
+    g = [[sum((A[r][i] * A[r][j] for r in range(m)), const(0, m)) for j in range(m)]
+         for i in range(m)]
+    scale = Fraction(10) ** k
+    T = [[scale * (draw(_nonzero) + draw(_nonzero) * x[lam]
+                   + draw(_nonzero) * x[lam] * x[mu]) for mu in range(m)]
+         for lam in range(m)]
+    return MetricChart(m, g, box=[[-1, 1]] * m), EnergyMomentum(m, T)
+
+
+@st.composite
+def _sphere_audits(draw):
+    chart, k = sphere_chart(), draw(st.integers(-9, 6))
+    T = draw(st.sampled_from([inverse_metric_tensor(chart), _random_tensor(20),
+                              _random_tensor(21)]))
+    return chart, _scaled(T, 10.0 ** k)
+
+
+def _outcome(T, chart):
+    try:
+        return verify_equivalence(T, chart, backend="numeric", count=4).as_dict()
+    except VerificationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_det1_charts(), _sphere_audits()))
+def test_numeric_backend_equals_per_call_reference(audit):
+    chart, T = audit
+    for point in chart.sample_points(3):
+        assert emt._numeric_sides_at(T, chart, point) == reference_sides_at(T, chart, point)
+    reference = mock.patch.object(
+        emt, "_numeric_sides_at",
+        lambda T, g, point, h, tolerance, stencil: reference_sides_at(T, g, point, h,
+                                                                      tolerance))
+    with reference:
+        expected = _outcome(T, chart)
+    assert _outcome(T, chart) == expected
+
+
+@pytest.mark.parametrize("mu,sign", [(0, 1), (0, -1), (1, 1), (1, -1)])
+def test_numeric_audit_checks_the_metric_at_every_stencil_point(mu, sign):
+    # positive definite at the sample point, indefinite at one neighbour
+    point = flat_chart(2).sample_points(1)[0]
+    bad = list(point)
+    bad[mu] += sign * emt.FD_STEP
+    chart = MetricChart(2, [[lambda pt: -1.0 if pt == bad else 1.0, lambda pt: 0.0],
+                            [lambda pt: 0.0, lambda pt: 1.0]])
+    with pytest.raises(InputError, match=re.escape(f"indefinite at sample point {bad}")):
+        verify_equivalence(tensor_const(2), chart, backend="numeric", count=1)
