@@ -40,13 +40,23 @@ def _report(command, inputs, results, verdict, started):
     }
 
 
-def _emit(report, output):
+def _emit(report, output, code):
+    """Write the report to `output`, or to stdout, and return `code`.  A
+    report that cannot be written is replaced on stdout by an
+    invalid-input report naming the path, with EXIT_INVALID."""
     text = json.dumps(report, indent=2, default=str)
-    if output:
+    if not output:
+        print(text)
+        return code
+    try:
         with open(output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        failed = dict(report, verdict="invalid-input",
+                      results={"error": f"cannot write the report to {output}: {exc}"})
+        print(json.dumps(failed, indent=2, default=str))
+        return EXIT_INVALID
+    return code
 
 
 def _echo(args):
@@ -284,8 +294,7 @@ def main(argv=None):
         # --output is set only if argparse reached it before failing
         report = _report(getattr(parsed, "command", None), {"argv": argv},
                          {"error": str(exc)}, "invalid-input", started)
-        _emit(report, getattr(parsed, "output", None))
-        return EXIT_INVALID
+        return _emit(report, getattr(parsed, "output", None), EXIT_INVALID)
     inputs = _echo(args)
     try:
         report = args.func(args, inputs, started)
@@ -294,19 +303,18 @@ def main(argv=None):
     except (OSError, ValueError, OverflowError) as exc:
         report = _report(args.command, inputs, {"error": str(exc)},
                          "invalid-input", started)
-        _emit(report, args.output)
-        return EXIT_INVALID
+        return _emit(report, args.output, EXIT_INVALID)
     except VerificationError as exc:
         report = _report(args.command, inputs, {"error": str(exc)},
                          "violation", started)
-        _emit(report, args.output)
-        return EXIT_VIOLATION
-    _emit(report, args.output)
+        return _emit(report, args.output, EXIT_VIOLATION)
     if report["verdict"] == "pass":
-        return EXIT_PASS
-    if report["verdict"] == "invalid-input":
-        return EXIT_INVALID
-    return EXIT_VIOLATION
+        code = EXIT_PASS
+    elif report["verdict"] == "invalid-input":
+        code = EXIT_INVALID
+    else:
+        code = EXIT_VIOLATION
+    return _emit(report, args.output, code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import InputError, VerificationError
-from .exterior import evaluate, interior_product
+from .exterior import contract, sparse_vector
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,35 @@ class IntegralElement:
         self.basis = [list(map(Fraction, v)) for v in basis]
         if self.basis and not linalg.independent(self.basis):
             raise InputError("integral-element basis is linearly dependent")
+        self.sparse_basis = [sparse_vector(v) for v in self.basis]
 
     @property
     def dimension(self):
         return len(self.basis)
+
+
+def first_nonvanishing(g, vectors):
+    """The first increasing index tuple S into `vectors` (given as
+    `sparse_vector`s), in lex order, with g(vectors[S]) != 0, as
+    (S, value); None if g vanishes on every increasing g.degree-subset.
+
+    g(s_1..s_d) = s_d -| ... s_1 -| g, so subsets sharing a prefix share
+    its contraction, and a prefix whose contraction vanishes is pruned
+    with every subset that extends it.
+    """
+    def walk(form, start, prefix):
+        if not form.degree:
+            value = form.coefficients.get(())
+            return (prefix, value) if value else None
+        for i in range(start, len(vectors) - form.degree + 1):
+            rest = contract(vectors[i], form)
+            if rest:
+                found = walk(rest, i + 1, prefix + (i,))
+                if found:
+                    return found
+        return None
+
+    return walk(g, 0, ())
 
 
 def is_integral_element(element: IntegralElement, ideal: AlgebraicIdeal) -> bool:
@@ -78,13 +103,8 @@ def is_integral_element(element: IntegralElement, ideal: AlgebraicIdeal) -> bool
     sub-tuple of the basis (multilinearity extends this to the whole
     ideal)."""
     p = element.dimension
-    for g in ideal.generators:
-        if g.degree > p:
-            continue
-        for subset in combinations(element.basis, g.degree):
-            if evaluate(g, subset):
-                return False
-    return True
+    return all(first_nonvanishing(g, element.sparse_basis) is None
+               for g in ideal.generators if g.degree <= p)
 
 
 def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
@@ -104,10 +124,10 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
         if g.degree > p + 1:
             continue
         sign = -1 if (g.degree - 1) % 2 else 1
-        for subset in combinations(element.basis, g.degree - 1):
+        for subset in combinations(element.sparse_basis, g.degree - 1):
             form = g
             for s in subset:
-                form = interior_product(s, form)
+                form = contract(s, form)
             if not form:
                 continue
             row = [Fraction(0)] * dim

@@ -80,6 +80,18 @@ def _functions_at(rows, float_rows, point):
     return [[f.eval if _is_poly(f) else f for f in row] for row in rows]
 
 
+def _is_symmetric(rows):
+    """np.allclose(mat, mat.T, atol=1e-12) on a square list of floats:
+    each pair of mirrored entries is compared in both orientations, NaN
+    is close to nothing (also on the diagonal) and an infinity only to
+    itself."""
+    def close(a, b):
+        return a == b or (math.isfinite(b) and abs(a - b) <= 1e-12 + 1e-5 * abs(b))
+
+    return all(close(rows[i][j], rows[j][i]) and close(rows[j][i], rows[i][j])
+               for i in range(len(rows)) for j in range(i, len(rows)))
+
+
 class MetricChart:
     """Metric components on a single chart.
 
@@ -118,10 +130,11 @@ class MetricChart:
         """(g, L) at a point with g = L L^T: one evaluation and one
         factorisation.  Raises InputError when g is not symmetric positive
         definite there."""
-        mat = np.array([[float(f(point)) for f in row]
-                        for row in _functions_at(self.g, self._float_g, point)])
-        if not np.allclose(mat, mat.T, atol=1e-12):
+        rows = [[float(f(point)) for f in row]
+                for row in _functions_at(self.g, self._float_g, point)]
+        if not _is_symmetric(rows):
             raise InputError(f"metric not symmetric at {point}")
+        mat = np.array(rows)
         try:
             L = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:

@@ -6,11 +6,14 @@ Coefficients are exact rationals by default, but any commutative ring
 element supporting +, -, * and truthiness works (polynomial-coefficient
 forms reuse this class).
 
-All sign bookkeeping goes through :func:`sort_with_sign`.
+Signs come from :func:`sort_with_sign`, except in `substitute`, which
+inserts one index at a time into a sorted key and counts the larger
+indices it passes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import InputError
@@ -171,14 +174,25 @@ def interior_product(v, a: ExteriorForm) -> ExteriorForm:
     """Contraction v -| a of a form by a vector (degree drops by one)."""
     if len(v) != a.dim:
         raise InputError(f"vector length {len(v)} != form dimension {a.dim}")
+    return contract(sparse_vector(v), a)
+
+
+def sparse_vector(v):
+    """{k: v_k} over the non-zero entries of a vector, k 1-based."""
+    return {k: vk for k, vk in enumerate(v, 1) if vk}
+
+
+def contract(support, a: ExteriorForm) -> ExteriorForm:
+    """v -| a for the vector v given by `sparse_vector(v)`, so that a
+    vector contracted into many forms is scanned once."""
     if a.degree == 0:
         raise InputError("interior product of a 0-form")
     out = ExteriorForm.zero(a.dim, a.degree - 1)
     coeffs = {}
     for key, val in a.coefficients.items():
         for pos, k in enumerate(key):
-            vk = v[k - 1]
-            if not vk:
+            vk = support.get(k)
+            if vk is None:
                 continue
             rest = key[:pos] + key[pos + 1:]
             term = vk * val if pos % 2 == 0 else -(vk * val)
@@ -234,21 +248,61 @@ def substitute(a: ExteriorForm, images, new_dim=None) -> ExteriorForm:
 
     images[k] (1-based key) is the 1-form replacing the covector eta^k;
     the substitution extends multiplicatively over wedge monomials.
+
+    Each monomial is expanded multilinearly in one pass: an index joins
+    a sorted partial key by bisection, with the sign of the larger
+    indices it passes, and an index without an image joins without a
+    multiplication.  Terms accumulate in one dict, in the order (and
+    with the cancellations) that repeated wedging and adding would give.
     """
     if new_dim is None:
         new_dim = next(iter(images.values())).dim if images else a.dim
-    out = ExteriorForm.zero(new_dim, a.degree)
+    factors_of = {}
+    coeffs = {}
     for key, val in a.coefficients.items():
-        term = None
+        terms = {(): val}
         for k in key:
-            img = images.get(k)
-            if img is None:
-                img = ExteriorForm.covector(new_dim, k)
-            term = img if term is None else wedge(term, img)
-        if term is None:  # degree 0
-            term = ExteriorForm(new_dim, 0, {(): Fraction(1)})
-        out = out + term.scale(val)
+            factors = factors_of.get(k)
+            if factors is None:
+                factors = factors_of[k] = _image_factors(k, images.get(k), new_dim)
+            nxt = {}
+            for t, c in terms.items():
+                for j, cj in factors:
+                    pos = bisect_left(t, j)
+                    if pos < len(t) and t[pos] == j:
+                        continue
+                    c_new = c if cj is None else c * cj
+                    if (len(t) - pos) % 2:
+                        c_new = -c_new
+                    _accumulate(nxt, t[:pos] + (j,) + t[pos:], c_new)
+            terms = nxt
+        for t, c in terms.items():
+            _accumulate(coeffs, t, c)
+    out = ExteriorForm.zero(new_dim, a.degree)
+    out.coefficients = coeffs
     return out
+
+
+def _image_factors(k, image, dim):
+    """The terms (j, c) of eta^k's image under `substitute`; (k, None),
+    eta^k with no coefficient to multiply by, when there is no image."""
+    if image is None:
+        if not 1 <= k <= dim:
+            raise InputError(f"index {k} out of range 1..{dim}")
+        return [(k, None)]
+    if image.dim != dim or image.degree != 1:
+        raise InputError(f"image of eta^{k} is not a 1-form on {dim} coordinates")
+    return [(j, c) for (j,), c in image.coefficients.items()]
+
+
+def _accumulate(coeffs, key, val):
+    """coeffs[key] += val, dropping the key when the sum vanishes."""
+    acc = coeffs.get(key)
+    new = val if acc is None else acc + val
+    if new:
+        coeffs[key] = new
+    else:
+        coeffs.pop(key, None)
 
 
 class VectorValuedForm:

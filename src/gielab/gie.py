@@ -22,7 +22,7 @@ from math import lcm
 from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test,
-                  is_integral_element)
+                  first_nonvanishing, is_integral_element)
 from .errors import InputError, VerificationError
 from .exterior import ExteriorForm, evaluate, substitute
 
@@ -611,32 +611,41 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
     sigma = SigmaIndexMap(n, kappa)
     coframe = gie_coframe(n, m, kappa)
     N = coframe.dim
+
+    def form(degree, coefficients):
+        # keys are written sorted: base indices 1..m precede fiber ones,
+        # and sigma(a, i) < sigma(a, j) for i < j
+        out = ExteriorForm.zero(N, degree)
+        out.coefficients = coefficients
+        return out
+
     gens = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            gens.append(ExteriorForm.covector(N, m + sigma.pair(i, j)))
+            gens.append(form(1, {(m + sigma.pair(i, j),): Fraction(1)}))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            g = ExteriorForm.zero(N, 2)
-            for a in range(n + 1, n + kappa + 1):
-                g = g + ExteriorForm.monomial(
-                    N, (m + sigma.normal(a, i), m + sigma.normal(a, j)))
+            g = {(m + sigma.normal(a, i), m + sigma.normal(a, j)): Fraction(1)
+                 for a in range(n + 1, n + kappa + 1)}
             for lam in range(1, m + 1):
                 for mu in range(lam + 1, m + 1):
                     v = R[i, j, lam, mu]
                     if v:
-                        g = g + ExteriorForm.monomial(N, (lam, mu), -v)
-            gens.append(g)
+                        g[lam, mu] = -v
+            gens.append(form(2, g))
+    # omega^a_i ^ eta^(Lambda minus lam): moving the fiber index to the
+    # end, past m - 1 base indices, gives the sign (-1)^(m-1)
+    sign = -1 if (m - 1) % 2 else 1
+    complements = [tuple(k for k in range(1, m + 1) if k != lam) for lam in range(1, m + 1)]
     for a in range(n + 1, n + kappa + 1):
-        g = ExteriorForm.zero(N, m)
+        g = {}
         for i in range(1, n + 1):
+            fiber = (m + sigma.normal(a, i),)
             for lam in range(1, m + 1):
                 v = psi[i, lam]
                 if v:
-                    comp = tuple(k for k in range(1, m + 1) if k != lam)
-                    g = g + ExteriorForm.monomial(
-                        N, (m + sigma.normal(a, i),) + comp, v)
-        gens.append(g)
+                    g[complements[lam - 1] + fiber] = sign * v
+        gens.append(form(m, g))
 
     if adapted:
         if H is None:
@@ -645,12 +654,12 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
         for a in range(n + 1, n + kappa + 1):
             for i in range(1, n + 1):
                 coord = m + sigma.normal(a, i)
-                img = ExteriorForm.covector(N, coord)
+                img = {(coord,): Fraction(1)}
                 for lam in range(1, m + 1):
                     v = H[a - n, i, lam]
                     if v:
-                        img = img + ExteriorForm.covector(N, lam, v)
-                images[coord] = img
+                        img[(lam,)] = v
+                images[coord] = form(1, img)
         gens = [substitute(g, images, new_dim=N) for g in gens]
     return AlgebraicIdeal(coframe, gens)
 
@@ -684,16 +693,14 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
 
 
 def _report_first_violation(element, ideal):
-    from itertools import combinations
     for gi, g in enumerate(ideal.generators):
         if g.degree > element.dimension:
             continue
-        for subset in combinations(element.basis, g.degree):
-            val = evaluate(g, subset)
-            if val:
-                raise VerificationError(
-                    f"generator {gi} evaluates to {val} on the flag; "
-                    "H violates the Gauss/Cartan preconditions")
+        found = first_nonvanishing(g, element.sparse_basis)
+        if found:
+            raise VerificationError(
+                f"generator {gi} evaluates to {found[1]} on the flag; "
+                "H violates the Gauss/Cartan preconditions")
     raise VerificationError("integrality check failed without a witness")
 
 
@@ -776,12 +783,7 @@ class GrassmannPullback:
         this is the observed codimension of the integral-element variety."""
         ech = linalg.SparseEchelon()
         for f in self.functions:
-            grad = {}
-            for v in dict.fromkeys(v for mono in f.terms for v, _ in mono):
-                d = f.partial(v).eval(point)
-                if d:
-                    grad[v] = d
-            ech.insert(grad)
+            ech.insert(f.gradient_at(point))
         return ech.rank
 
 

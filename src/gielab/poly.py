@@ -182,6 +182,24 @@ class Polynomial:
             total = total + term
         return total
 
+    def gradient_at(self, point):
+        """{v: d/dx_{v+1} at `point`} over the non-zero entries, v 0-based,
+        in one pass over the terms.  At a rational point each value equals
+        `partial(v).eval(point)` exactly."""
+        if len(point) != self.nvars:
+            raise InputError("evaluation point has wrong length")
+        grad = {}
+        for k, c in self.terms.items():
+            for pos, (var, e) in enumerate(k):
+                d = c * e
+                for q, (w, ew) in enumerate(k):
+                    if q == pos:
+                        ew -= 1
+                    if ew:
+                        d = d * point[w] ** ew
+                grad[var] = grad.get(var, 0) + d
+        return {v: d for v, d in grad.items() if d}
+
     def degree(self):
         return max((sum(e for _, e in k) for k in self.terms), default=0)
 

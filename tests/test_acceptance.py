@@ -28,6 +28,7 @@ from gielab.gie import (PsiData, SecondFundamental, build_integral_flag,
 from gielab.poly import Polynomial
 
 GRID = [(n, m) for n in range(2, 6) for m in range(2, 6)]
+ROUTE_GRID = [(n, m) for n in range(2, 7) for m in range(2, 7)]
 SEEDS_PER_CELL = 5
 
 
@@ -152,9 +153,9 @@ def test_criterion_6_expansion_equals_polar_codimensions():
 
 def test_character_routes_agree_on_the_whole_grid():
     # closed form = expansion = polar-space codimension at every p, and the
-    # Grassmannian count = their sum = codim_V, in every cell of 2..5
+    # Grassmannian count = their sum = codim_V, in every cell of 2..6
     started = time.monotonic()
-    for n, m in GRID:
+    for n, m in ROUTE_GRID:
         kappa = (n - 1) * (m - 1)
         psi = grid_psis(n, m, salt=3)[0]
         H = construct_preimage(psi, kappa)

@@ -276,6 +276,20 @@ def test_output_file_option(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["ledger", "--n", "2", "--m", "2", "--kappa", "1"],          # a pass
+    ["ledger", "--n", "4", "--m", "5", "--kappa", "11"],         # invalid input
+    ["flag", "--n", "2"],                                        # rejected argv
+])
+def test_unwritable_output_ends_in_an_invalid_input_report(tmp_path, capsys, command):
+    target = str(tmp_path / "no-such-dir" / "x.json")
+    code, report = run(["--output", target] + command, capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+    assert report["command"] == command[0]
+    assert f"cannot write the report to {target}" in report["results"]["error"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify-lemma", "--m", "2", "--kappa", "1", "--random-psi", "1"],
      "required: --n"),

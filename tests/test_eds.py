@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flag_reference
 from gielab import InputError, VerificationError, linalg
 from gielab.eds import (AlgebraicIdeal, CartanReport, IntegralElement,
                         SigmaCoframe, cartan_characters_by_expansion,
-                        cartan_test, extension_rank, is_integral_element,
-                        polar_space)
-from gielab.exterior import ExteriorForm
+                        cartan_test, extension_rank, first_nonvanishing,
+                        is_integral_element, polar_space)
+from gielab.exterior import ExteriorForm, sparse_vector
 
 
 def unit(dim, k):
@@ -159,3 +162,70 @@ def test_polar_rows_by_contraction_match_evaluate(n, m, monkeypatch):
         element = IntegralElement(flag.basis[:p])
         polar_space(element, ideal)
         assert seen[-1] == evaluate_polar_rows(element, ideal), p
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """A sparse form with small coefficients and up to five vectors with
+    entries in -1..1, so that many subsets, and prefixes, vanish."""
+    from itertools import combinations
+    dim = draw(st.integers(1, 5))
+    degree = draw(st.integers(1, dim))
+    keys = list(combinations(range(1, dim + 1), degree))
+    coeffs = draw(st.dictionaries(st.sampled_from(keys),
+                                  st.integers(-2, 2).map(Fraction), max_size=5))
+    vectors = draw(st.lists(st.lists(st.integers(-1, 1).map(Fraction),
+                                     min_size=dim, max_size=dim), max_size=5))
+    return ExteriorForm(dim, degree, coeffs), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_and_vectors())
+def test_contraction_walk_finds_the_first_witness(case):
+    g, vectors = case
+    got = first_nonvanishing(g, [sparse_vector(v) for v in vectors])
+    assert got == flag_reference.first_nonvanishing(g, vectors)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 3), (3, 4)])
+def test_contraction_walk_on_flags_off_the_preimage(n, m):
+    # e_lam = X_lam + H^a_{i lam} Y_{sigma(a,i)} for an H moved off the
+    # Cartan identity: some generator is non-zero on it
+    import random
+    from gielab import gie
+    psi = gie.random_normalized_psi(n, m, random.Random(10 * n + m))
+    kappa = (n - 1) * (m - 1)
+    H = gie.construct_preimage(psi, kappa)
+    ideal = gie.gie_ideal(psi, gie.gauss_map(H), kappa)
+    H.set(1, 1, m, H[1, 1, m] + 1)
+    sigma = gie.SigmaIndexMap(n, kappa)
+    basis = []
+    for lam in range(1, m + 1):
+        v = unit(ideal.dim, lam)
+        for a in range(n + 1, n + kappa + 1):
+            for i in range(1, n + 1):
+                v[m + sigma.normal(a, i) - 1] = H[a - n, i, lam]
+        basis.append(v)
+    vectors = [sparse_vector(v) for v in basis]
+    witnesses = [first_nonvanishing(g, vectors) for g in ideal.generators]
+    assert witnesses == [flag_reference.first_nonvanishing(g, basis)
+                         for g in ideal.generators]
+    assert any(witnesses)
+
+
+def test_contraction_walk_prunes_vanishing_prefixes(monkeypatch):
+    # eta^123 on (e4, e1, e2, e3): the prefix e4 contracts to zero and is
+    # dropped with all its extensions, then e1, e2, e3 reach the value 1
+    from gielab import eds
+    calls = []
+    contract = eds.contract
+
+    def spy(support, form):
+        calls.append(form.degree)
+        return contract(support, form)
+
+    monkeypatch.setattr(eds, "contract", spy)
+    g = ExteriorForm.monomial(4, (1, 2, 3))
+    vectors = [sparse_vector(unit(4, k)) for k in (4, 1, 2, 3)]
+    assert first_nonvanishing(g, vectors) == ((1, 2, 3), 1)
+    assert calls == [3, 3, 2, 1]

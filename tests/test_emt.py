@@ -54,6 +54,48 @@ def test_asymmetric_metric_rejected():
         MetricChart(2, g)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("rows,symmetric", [
+    ([[1.0, NAN], [NAN, 1.0]], False),       # NaN off the diagonal
+    ([[NAN, 0.0], [0.0, 1.0]], False),       # NaN on the diagonal
+    ([[1.0, INF], [INF, 1.0]], True),        # equal infinities
+    ([[INF, 0.0], [0.0, -INF]], True),
+    ([[1.0, INF], [-INF, 1.0]], False),
+    ([[1.0, INF], [1e308, 1.0]], False),
+    ([[1.0, 1.0], [1.0 + 1e-6, 1.0]], True),  # within rtol = 1e-5
+    ([[1.0, 1.0], [1.0 + 1e-4, 1.0]], False),
+    ([[1.0, 0.0], [5e-13, 1.0]], True),       # within atol = 1e-12
+    ([[1.0, 0.0], [5e-12, 1.0]], False),
+])
+def test_symmetry_check_matches_allclose(rows, symmetric):
+    import numpy as np
+    assert emt._is_symmetric(rows) is symmetric
+    mat = np.array(rows)
+    assert bool(np.allclose(mat, mat.T, atol=1e-12)) is symmetric
+
+
+_entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([0.0, 1.0, 1.0 + 1e-5, 1.0 - 1e-5, 1e-12, -1e-12]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_symmetry_check_is_allclose(rows):
+    import numpy as np
+    mat = np.array(rows)
+    assert emt._is_symmetric(rows) == bool(np.allclose(mat, mat.T, atol=1e-12))
+
+
+def test_nan_metric_rejected():
+    x1 = Polynomial.variable(0, 2)
+    chart = MetricChart(2, [[const(1), x1], [x1, const(1)]], box=[[0, 1], [0, 1]])
+    with pytest.raises(InputError, match="not symmetric"):
+        chart.matrix_at([NAN, 0.5])
+
+
 # -- Christoffel symbols --------------------------------------------------
 
 

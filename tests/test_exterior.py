@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flag_reference
 from gielab import InputError
 from gielab.exterior import (ExteriorForm, evaluate, interior_product,
                              sort_with_sign, substitute, wedge)
@@ -136,6 +137,63 @@ def test_substitute_linear_change():
     form = ExteriorForm.monomial(2, (1, 2))
     image = ExteriorForm.covector(2, 1) + ExteriorForm.covector(2, 2, Fraction(2))
     assert substitute(form, {1: image}) == form
+
+
+# Small coefficients, so that expanded terms often cancel.
+small = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+
+
+def sparse_form(dim, degree):
+    from itertools import combinations
+    keys = list(combinations(range(1, dim + 1), degree))
+    return st.dictionaries(st.sampled_from(keys), small, max_size=6).map(
+        lambda cs: ExteriorForm(dim, degree, cs))
+
+
+@st.composite
+def substitutions(draw):
+    """A form, 1-form images of some of its covectors (which may share
+    indices, or be zero) and the image dimension, or None for the
+    default."""
+    dim = draw(st.integers(1, 5))
+    new_dim = draw(st.integers(dim, dim + 2))
+    form = draw(sparse_form(dim, draw(st.integers(0, min(dim, 4)))))
+    ks = draw(st.lists(st.integers(1, dim), unique=True, max_size=dim))
+    images = {k: draw(sparse_form(new_dim, 1)) for k in ks}
+    explicit = new_dim if (draw(st.booleans()) or not images) else None
+    return form, images, explicit
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_substitute_matches_repeated_wedges(case):
+    form, images, new_dim = case
+    got = substitute(form, images, new_dim=new_dim)
+    want = flag_reference.substitute(form, images, new_dim=new_dim)
+    assert (got.dim, got.degree) == (want.dim, want.degree)
+    # equal as dicts and in order: the order fixes which term a report names
+    assert list(got.coefficients.items()) == list(want.coefficients.items())
+
+
+def test_substitute_degree_zero_and_repeated_indices():
+    scalar = ExteriorForm(2, 0, {(): Fraction(3)})
+    assert substitute(scalar, {}).coefficients == {(): Fraction(3)}
+    # eta^1 -> eta^2 and eta^2 -> eta^2 + eta^3 in eta^12: the repeated
+    # eta^2 ^ eta^2 drops, eta^2 ^ eta^3 stays
+    images = {1: ExteriorForm.covector(3, 2),
+              2: ExteriorForm.covector(3, 2) + ExteriorForm.covector(3, 3)}
+    got = substitute(ExteriorForm.monomial(2, (1, 2)), images)
+    assert got == ExteriorForm.monomial(3, (2, 3))
+
+
+def test_substitute_rejects_mismatched_images():
+    form = ExteriorForm.monomial(3, (1, 3))
+    with pytest.raises(InputError):  # an image on another space
+        substitute(form, {1: ExteriorForm.covector(4, 2)}, new_dim=3)
+    with pytest.raises(InputError):  # an image that is not a 1-form
+        substitute(form, {1: ExteriorForm.monomial(3, (1, 2))})
+    with pytest.raises(InputError):  # eta^3 kept, but the target has 2 coordinates
+        substitute(form, {1: ExteriorForm.covector(2, 2)})
 
 
 def test_monomial_sorts_and_signs():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flag_reference
 from dg_reference import dg_columns, dg_matrix
 from gielab import InputError, VerificationError, linalg
 from gielab.eds import IntegralElement, cartan_characters_by_expansion, polar_space
@@ -427,3 +428,32 @@ def test_grassmann_functions_vanish_at_flag_point():
     point = pullback.point_from(H)
     for f in pullback.functions:
         assert f.eval(point) == 0
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(2, 6)])
+def test_ideal_matches_monomial_sums(n, m):
+    # raw and adapted, at the pre-image (R = 0) and with the curvature of
+    # an H off it (R != 0, so the -R terms are written too); compared in
+    # dict order, which fixes the first term an error report names
+    psi = random_normalized_psi(n, m, random.Random(n * m))
+    kappa = (n - 1) * (m - 1)
+    preimage = construct_preimage(psi, kappa)
+    for H in (preimage, random_H(n, m, kappa, random.Random(n + m))):
+        R = gauss_map(H)
+        for adapted in (False, True):
+            got = gie_ideal(psi, R, kappa, H=H, adapted=adapted).generators
+            want = flag_reference.gie_ideal_generators(psi, R, kappa, H=H, adapted=adapted)
+            assert [(g.dim, g.degree, list(g.coefficients.items())) for g in got] == \
+                [(g.dim, g.degree, list(g.coefficients.items())) for g in want], adapted
+
+
+def test_grassmann_count_uses_the_symbolic_gradient():
+    # every pulled-back function's gradient at the flag's chart point is
+    # the list of its partial derivatives evaluated there
+    psi = random_normalized_psi(3, 3, random.Random(7))
+    H = construct_preimage(psi, 4)
+    pullback = grassmann_pullback(psi, gauss_map(H), 4)
+    point = pullback.point_from(H)
+    for f in pullback.functions:
+        expected = {v: f.partial(v).eval(point) for v in range(pullback.nvars)}
+        assert f.gradient_at(point) == {v: d for v, d in expected.items() if d}

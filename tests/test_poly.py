@@ -157,3 +157,24 @@ def test_variable_index_out_of_range(i):
         Polynomial.variable(i, 2)
     with pytest.raises(InputError):
         Polynomial.variable(0, 2).partial(i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(nvars=3, max_terms=6), st.lists(fractions, min_size=3, max_size=3))
+def test_gradient_is_each_partial_evaluated(p, point):
+    expected = {v: p.partial(v).eval(point) for v in range(3)}
+    assert p.gradient_at(point) == {v: d for v, d in expected.items() if d}
+
+
+def test_gradient_at_known_polynomial():
+    # f = 3 x1^2 x3 + x2: grad = (6 x1 x3, 1, 3 x1^2); x1 = 0 drops two entries
+    f = Polynomial(3, {(2, 0, 1): 3, (0, 1, 0): 1})
+    assert f.gradient_at([Fraction(2), Fraction(5), Fraction(1, 2)]) == {
+        0: Fraction(6), 1: Fraction(1), 2: Fraction(12)}
+    assert f.gradient_at([Fraction(0), Fraction(5), Fraction(1, 2)]) == {1: Fraction(1)}
+
+
+@pytest.mark.parametrize("point", [[], [Fraction(1)], [Fraction(1)] * 3])
+def test_gradient_at_rejects_wrong_point_length(point):
+    with pytest.raises(InputError, match="evaluation point has wrong length"):
+        Polynomial.variable(0, 2).gradient_at(point)

@@ -45,15 +45,17 @@ def test_tracer_targets_resolve_and_record(tmp_path):
         assert getattr(owner, attr) is originals[name], name
     stats, _ = tracer.summary()
     reached = {name for name, st in stats.items() if st["calls"]}
+    # exterior.wedge and Polynomial.partial/eval are off the flag path (the
+    # ideal is written directly and the Grassmann route takes gradient_at);
+    # bundle and emt still call them
     assert {"cli.main", "gie.construct_preimage", "gie.gauss_map", "gie.gie_ideal",
             "gie.build_integral_flag", "gie.gie_cartan_report",
             "gie.grassmann_pullback",
             "gie.GrassmannPullback.independent_differential_count",
             "eds.is_integral_element", "eds.cartan_characters_by_expansion",
             "eds.polar_space", "linalg.bareiss_echelon", "linalg.nullspace",
-            "linalg.SparseEchelon.insert", "exterior.evaluate", "exterior.wedge",
-            "exterior.substitute", "poly.Polynomial.mul", "poly.Polynomial.partial",
-            "poly.Polynomial.eval"} <= reached
+            "linalg.SparseEchelon.insert", "exterior.evaluate",
+            "exterior.substitute", "poly.Polynomial.mul"} <= reached
     # each counter hook ran at its call site
     for key in ("cli.report_bytes", "gie.gie_ideal.terms", "gie.grassmann_pullback.terms",
                 "eds.expansion_rows", "eds.polar_space.rows",
