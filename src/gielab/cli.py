@@ -23,9 +23,10 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
-# Largest second fundamental form, in kappa*n*m entries, a command may ask
-# for: H and the arrays built from it are dense.  The (16, 16) frontier
-# with kappa = 225 needs 57,600.
+# Largest cell, in kappa*n*m, a command may ask for.  H stores only its
+# non-zeros, but the flag has m dense basis vectors of length about
+# n*kappa, eliminated together to check their independence.  The (16, 16)
+# frontier with kappa = 225 has 57,600; (32, 32) with kappa = 961 has 984,064.
 MAX_H_ENTRIES = 10 ** 6
 
 
@@ -77,7 +78,7 @@ def _echo(args):
 
 
 def _check_size(n, m, kappa):
-    """Refuse an H of kappa*n*m entries (psi alone has n*m) beyond
+    """Refuse a cell whose kappa*n*m (psi alone has n*m entries) exceeds
     MAX_H_ENTRIES before anything of that size is allocated."""
     size = max(kappa, 1) * n * m
     if size > MAX_H_ENTRIES:
@@ -125,10 +126,6 @@ def _lemma_results(psi, kappa):
 def cmd_verify_lemma(args, inputs, started):
     _check_size(args.n, args.m, args.kappa)
     psi = _load_psi_arg(args)
-    if args.kappa < (psi.n - 1) * (psi.m - 1):
-        raise InputError(
-            f"kappa = {args.kappa} below the minimum (n-1)(m-1) = "
-            f"{(psi.n - 1) * (psi.m - 1)}")
     results, ok = _lemma_results(psi, args.kappa)
     verdict = "pass" if ok else "violation"
     return _report("verify-lemma", inputs, results, verdict, started)

@@ -9,6 +9,7 @@ and the one-sided Cartan test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -158,36 +159,31 @@ class CartanReport:
 def _expansion_rows(ideal: AlgebraicIdeal):
     """Split every generator into its single-fiber-factor expansion.
 
-    Yields (sup_J, row) where row maps fiber coordinates to the
-    coefficient of the corresponding pi covector in the 1-form pi_rho^J.
+    Returns (sup_J, row) pairs sorted by sup_J, where row maps fiber
+    coordinates to the coefficient of the pi covector in the 1-form pi_rho^J.
     Raises VerificationError if a generator has a nonzero pure-base term
     (the expansion shape then fails at this point).
     """
     n_base = ideal.coframe.n_base
-    out = []
+    merged = {}  # (generator, J) -> (sup J, row)
     for gi, g in enumerate(ideal.generators):
         for key, val in g.coefficients.items():
-            fiber = [k for k in key if k > n_base]
-            if len(fiber) == 0:
+            # a key is sorted, so its base indices J come first
+            split = bisect_right(key, n_base)
+            if split == len(key):
                 raise VerificationError(
                     f"generator {gi} has pure-base term {key} with coefficient {val}; "
                     "the expansion shape does not apply")
-            if len(fiber) > 1:
+            if split < len(key) - 1:
                 continue  # quadratic or higher in pi: part of the remainder
-            base = tuple(k for k in key if k <= n_base)
-            # key is sorted with the single fiber index last; moving it to
-            # the front across |J| base indices flips the sign |J| times
-            sign = -1 if len(base) % 2 else 1
-            sup = base[-1] if base else 0
-            out.append((sup, gi, base, {fiber[0]: sign * val}))
-    # merge rows belonging to the same (generator, J)
-    merged = {}
-    for sup, gi, base, row in out:
-        acc = merged.setdefault((gi, base), (sup, {}))
-        for c, v in row.items():
-            acc[1][c] = acc[1].get(c, Fraction(0)) + v
-    return sorted(((sup, row) for (gi, base), (sup, row) in merged.items()
-                   if any(row.values())), key=lambda t: t[0])
+            base = key[:split]
+            _, row = merged.setdefault((gi, base), (base[-1] if base else 0, {}))
+            # moving the single fiber index to the front across |J| base
+            # indices flips the sign |J| times
+            fiber = key[split]
+            row[fiber] = row.get(fiber, 0) + (-val if split % 2 else val)
+    return sorted(((sup, row) for sup, row in merged.values() if any(row.values())),
+                  key=lambda t: t[0])
 
 
 def cartan_characters_by_expansion(ideal: AlgebraicIdeal) -> CartanReport:

@@ -40,10 +40,6 @@ def target_dimension(m):
     return m + (m - 1) ** 2
 
 
-def _is_poly(f):
-    return isinstance(f, Polynomial)
-
-
 def _float_function(f):
     """f as a function of a point of floats.
 
@@ -51,7 +47,7 @@ def _float_function(f):
     to floats once, which gives Polynomial.eval's floats bit for bit:
     Fraction * float computes float(fraction) * float, and both sums start
     from the integer 0.  A callable is returned as it is."""
-    if not _is_poly(f):
+    if not isinstance(f, Polynomial):
         return f
     try:
         terms = [(float(c), k) for k, c in f.terms.items()]
@@ -69,15 +65,6 @@ def _float_function(f):
             total = total + c
         return total
     return at
-
-
-def _functions_at(rows, float_rows, point):
-    """The chart functions of `rows` as functions of `point`: the compiled
-    `float_rows` when the point is made of floats, exact Polynomial.eval
-    otherwise."""
-    if all(isinstance(x, float) for x in point):
-        return float_rows
-    return [[f.eval if _is_poly(f) else f for f in row] for row in rows]
 
 
 def _is_symmetric(rows):
@@ -124,14 +111,13 @@ class MetricChart:
         self.matrix_at(pt)  # positive-definiteness check
 
     def is_polynomial(self):
-        return all(_is_poly(e) for row in self.g for e in row)
+        return all(isinstance(e, Polynomial) for row in self.g for e in row)
 
     def _factor_at(self, point):
         """(g, L) at a point with g = L L^T: one evaluation and one
         factorisation.  Raises InputError when g is not symmetric positive
         definite there."""
-        rows = [[float(f(point)) for f in row]
-                for row in _functions_at(self.g, self._float_g, point)]
+        rows = [[float(f(point)) for f in row] for row in self._float_g]
         if not _is_symmetric(rows):
             raise InputError(f"metric not symmetric at {point}")
         mat = np.array(rows)
@@ -182,7 +168,7 @@ class EnergyMomentum:
         self._float_T = [[_float_function(f) for f in row] for row in self.T]
 
     def is_polynomial(self):
-        return all(_is_poly(e) for row in self.T for e in row)
+        return all(isinstance(e, Polynomial) for row in self.T for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +250,9 @@ def _christoffel_from_inverse(g: MetricChart, ginv):
     return gamma
 
 
-def christoffel_at(g: MetricChart, point, h=FD_STEP):
+def christoffel_at(g: MetricChart, point):
     """Numeric Levi-Civita symbols at a point (central differences)."""
-    return np.array(_stencil_christoffel(_metric_stencil(g, point, h), h))
+    return np.array(_stencil_christoffel(_metric_stencil(g, point)))
 
 
 def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
@@ -324,14 +310,14 @@ def covariant_exterior_derivative(tau: VectorValuedForm, gamma):
 
 
 class _Stencil(NamedTuple):
-    """The point x, then x + h e_mu and x - h e_mu for mu = 1..m, with the
-    metric matrix and sqrt(det g) at each."""
+    """The point x, then x + h e_mu and x - h e_mu for mu = 1..m with
+    h = FD_STEP, with the metric matrix and sqrt(det g) at each."""
     points: list
     mats: list
     sqrtg: list
 
 
-def _metric_stencil(g: MetricChart, point, h) -> _Stencil:
+def _metric_stencil(g: MetricChart, point) -> _Stencil:
     """The stencil of `point`.  The metric is evaluated, checked symmetric
     positive definite and factorised once per stencil point, in the order
     of `points`; every finite difference at x reads these values."""
@@ -339,8 +325,8 @@ def _metric_stencil(g: MetricChart, point, h) -> _Stencil:
     for mu in range(g.m):
         hi = list(point)
         lo = list(point)
-        hi[mu] += h
-        lo[mu] -= h
+        hi[mu] += FD_STEP
+        lo[mu] -= FD_STEP
         points += [hi, lo]
     mats, sqrtg = [], []
     for pt in points:
@@ -350,13 +336,13 @@ def _metric_stencil(g: MetricChart, point, h) -> _Stencil:
     return _Stencil(points, mats, sqrtg)
 
 
-def _stencil_christoffel(stencil: _Stencil, h):
+def _stencil_christoffel(stencil: _Stencil):
     """Gamma^lam_{mu nu} at the stencil's point as nested lists, from the
     central differences of the stencil's metric matrices."""
     mats = stencil.mats
     m = len(mats[0])
     ginv = np.linalg.inv(mats[0]).tolist()
-    dg = [((mats[2 * mu + 1] - mats[2 * mu + 2]) / (2 * h)).tolist()
+    dg = [((mats[2 * mu + 1] - mats[2 * mu + 2]) / (2 * FD_STEP)).tolist()
           for mu in range(m)]
     gamma = [[[0.0] * m for _ in range(m)] for _ in range(m)]
     for lam in range(m):
@@ -379,30 +365,27 @@ def _fold(terms):
     return total, size
 
 
-def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP,
-                      tolerance=TOLERANCE, stencil=None):
-    """(lhs, rhs, size): coefficients of eta^Lambda at one point, and for
-    each lam the magnitude of the terms summed into the two sides.
+def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, stencil: _Stencil):
+    """(lhs, rhs, size): coefficients of eta^Lambda at the stencil's point,
+    and for each lam the magnitude of the terms summed into the two sides.
 
     lhs^lam: coefficient of the volume monomial in d_grad tau^lam,
         sum_mu d_mu(T^{lam mu} sqrt(g)) + Gamma^lam_{rho mu} T^{rho mu} sqrt(g);
     rhs^lam: (grad_mu T^{lam mu}) sqrt(g).
-    Both use only pointwise data and finite differences over
-    `_metric_stencil(g, point, h)`, built here unless it is given.  The
+    Both use only pointwise data and finite differences over the
+    stencil, with step h = FD_STEP.  The
     terms of a conserved T nearly cancel, so |lhs| and |rhs| can be far
     below the rounding error of their terms; `size` is what that error
     scales with.  The terms can themselves be rounding noise (on a det-1
-    chart d_mu sqrt(g) is), so size is floored where tolerance * size
+    chart d_mu sqrt(g) is), so size is floored where TOLERANCE * size
     reaches 64 times the rounding error eps/h * sqrt(g) * sum_mu |T^{lam mu}|
     of the difference quotients; like size, the floor is linear in T."""
-    m = g.m
-    if stencil is None:
-        stencil = _metric_stencil(g, point, h)
+    m, h = g.m, FD_STEP
     points, sqrtg_at = stencil.points, stencil.sqrtg
-    gamma = _stencil_christoffel(stencil, h)
+    gamma = _stencil_christoffel(stencil)
     sqrtg = sqrtg_at[0]
-    fns = _functions_at(T.T, T._float_T, point)
-    Tval = [[float(f(point)) for f in row] for row in fns]
+    fns = T._float_T
+    Tval = [[float(f(points[0])) for f in row] for row in fns]
     # T^{lam mu} at x + h e_mu and x - h e_mu, read by both difference quotients
     Thi = [[fns[lam][mu](points[2 * mu + 1]) for mu in range(m)] for lam in range(m)]
     Tlo = [[fns[lam][mu](points[2 * mu + 2]) for mu in range(m)] for lam in range(m)]
@@ -426,7 +409,7 @@ def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, point, h=FD_STEP,
         lhs.append(a)
         rhs.append(b * sqrtg)
         rounding = EPS / h * sqrtg * sum(abs(t) for t in Tval[lam])
-        size.append(max(a_size, b_size * sqrtg, 64 * rounding / tolerance))
+        size.append(max(a_size, b_size * sqrtg, 64 * rounding / TOLERANCE))
     return lhs, rhs, size
 
 
@@ -465,13 +448,13 @@ class EquivalenceReport:
 
 
 def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
-                       count=100, h=FD_STEP, tolerance=TOLERANCE) -> EquivalenceReport:
+                       count=100) -> EquivalenceReport:
     """Verify d_grad tau = (grad_mu T^{lam mu}) * vol componentwise.
 
     The exact backend proves the identity in the polynomial ring and
     reports exact residuals; the numeric backend checks it at `count`
     deterministic sample points, raising VerificationError with the worst
-    point when a residual exceeds `tolerance` * size, where size is the
+    point when a residual exceeds TOLERANCE * size, where size is the
     magnitude of the terms that make up the two sides there, floored at
     the rounding error of their finite differences.
     """
@@ -504,10 +487,10 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     if backend != "numeric":
         raise InputError(f"unknown backend {backend!r}")
     worst_val, worst_point, max_div = 0.0, None, 0.0
-    worst_rel, breach = tolerance, None
+    worst_rel, breach = TOLERANCE, None
     for point in g.sample_points(count):
-        stencil = _metric_stencil(g, point, h)
-        lhs, rhs, size = _numeric_sides_at(T, g, point, h, tolerance, stencil)
+        stencil = _metric_stencil(g, point)
+        lhs, rhs, size = _numeric_sides_at(T, g, stencil)
         sqrtg = max(stencil.sqrtg[0], 1e-300)
         for lam in range(m):
             res = abs(lhs[lam] - rhs[lam])
@@ -523,7 +506,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                                max_identity_residual=worst_val,
                                worst_point=worst_point,
                                max_divergence=max_div,
-                               conserved=max_div <= tolerance,
+                               conserved=max_div <= TOLERANCE,
                                target_dimension=tdim, exact=False)
     if not holds:
         res, point = breach
@@ -540,7 +523,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
 def flat_chart(m, box=None, margin=DEFAULT_MARGIN) -> MetricChart:
     g = [[Polynomial.constant(1 if i == j else 0, m) for j in range(m)]
          for i in range(m)]
-    return MetricChart(m, g, base_point=[Fraction(0)] * m, box=box, margin=margin)
+    return MetricChart(m, g, base_point=[0.0] * m, box=box, margin=margin)
 
 
 def sphere_chart() -> MetricChart:

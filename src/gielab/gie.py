@@ -189,13 +189,16 @@ def normalize_psi(psi: PsiData):
     return work, change
 
 
-def random_normalized_psi(n, m, rng, bound=10):
+RANDOM_PSI_BOUND = 10
+
+
+def random_normalized_psi(n, m, rng):
     """Seeded random psi already in normalized form; entries have
-    numerators and denominators bounded by `bound`."""
+    numerators and denominators bounded by RANDOM_PSI_BOUND."""
     _require_shape(n, m)
     while True:
-        values = [[Fraction(rng.randint(-(bound - 1), bound - 1),
-                            rng.randint(1, bound))
+        values = [[Fraction(rng.randint(1 - RANDOM_PSI_BOUND, RANDOM_PSI_BOUND - 1),
+                            rng.randint(1, RANDOM_PSI_BOUND))
                    for _ in range(m)] for _ in range(n)]
         for i in range(n):
             values[i][m - 1] = Fraction(1 if i == 0 else 0)
@@ -219,37 +222,59 @@ def load_psi(doc) -> PsiData:
 # second fundamental form, curvature elements
 
 
-def _fraction(v):
-    return v if type(v) is Fraction else Fraction(v)
+_ZERO = Fraction(0)
 
 
 class SecondFundamental:
     """Coefficients H^a_{i lam}; the columns H_{i lam} are vectors in the
-    kappa-dimensional normal space W."""
+    kappa-dimensional normal space W.  Only the non-zero entries are
+    stored, as Fractions: columns[(i, lam)] = {a: H^a_{i lam}}."""
 
-    def __init__(self, n, m, kappa, entries):
+    def __init__(self, n, m, kappa, entries=None):
+        """The H with H^a_{i lam} = entries[a-1][i-1][lam-1], given as an
+        exactly kappa x n x m array; the zero H when entries is None."""
         self.n = n
         self.m = m
         self.kappa = kappa
-        # entries[a-1][i-1][lam-1]; a Fraction is immutable, so it is kept
-        # as given rather than built a second time
-        self.entries = [[[_fraction(entries[a][i][lam]) for lam in range(m)]
-                         for i in range(n)] for a in range(kappa)]
+        self.columns = {(i, lam): {} for i in range(1, n + 1) for lam in range(1, m + 1)}
+        if entries is None:
+            return
+        if [len(block) for block in entries] != [n] * kappa or any(
+                len(row) != m for block in entries for row in block):
+            raise InputError(f"H entries must form a {kappa} x {n} x {m} array")
+        for a, block in enumerate(entries, 1):
+            for i, row in enumerate(block, 1):
+                for lam, v in enumerate(row, 1):
+                    # a Fraction is immutable, so it is kept as given
+                    v = v if type(v) is Fraction else Fraction(v)
+                    if v:
+                        self.columns[i, lam][a] = v
 
-    @classmethod
-    def zero(cls, n, m, kappa):
-        return cls(n, m, kappa, [[[Fraction(0)] * m] * n] * kappa)
+    def _column(self, a, i, lam):
+        if not (0 < a <= self.kappa and 0 < i <= self.n and 0 < lam <= self.m):
+            raise InputError(
+                f"H index (a, i, lam) = {(a, i, lam)} outside 1..{self.kappa}, "
+                f"1..{self.n}, 1..{self.m}")
+        return self.columns[i, lam]
 
     def __getitem__(self, ail):
         a, i, lam = ail
-        return self.entries[a - 1][i - 1][lam - 1]
+        return self._column(a, i, lam).get(a, _ZERO)
 
     def set(self, a, i, lam, value):
-        self.entries[a - 1][i - 1][lam - 1] = Fraction(value)
+        column = self._column(a, i, lam)
+        value = Fraction(value)
+        if value:
+            column[a] = value
+        else:
+            column.pop(a, None)
 
     def vector(self, i, lam):
         """H_{i lam} as a vector of W (length kappa)."""
-        return [self.entries[a][i - 1][lam - 1] for a in range(self.kappa)]
+        out = [_ZERO] * self.kappa
+        for a, v in self.columns[i, lam].items():
+            out[a - 1] = v
+        return out
 
     def integer_columns(self):
         """(D, columns): D is the lcm of the denominators of H, and
@@ -259,22 +284,17 @@ class SecondFundamental:
         The Gauss map is homogeneous quadratic and ranks are unchanged by
         scaling, so the exact kernels run on these columns and divide by D
         only where a rational value is reported."""
-        D = lcm(*(v.denominator for block in self.entries for row in block
-                  for v in row))
-        columns = {(i, lam): {} for i in range(1, self.n + 1)
-                   for lam in range(1, self.m + 1)}
-        for a, block in enumerate(self.entries, 1):
-            for i, row in enumerate(block, 1):
-                for lam, v in enumerate(row, 1):
-                    if v:
-                        columns[i, lam][a] = v.numerator * (D // v.denominator)
-        return D, columns
+        D = lcm(*(v.denominator for col in self.columns.values() for v in col.values()))
+        return D, {key: {a: v.numerator * (D // v.denominator) for a, v in col.items()}
+                   for key, col in self.columns.items()}
 
     def scaled(self, rho):
         rho = Fraction(rho)
-        return SecondFundamental(self.n, self.m, self.kappa,
-                                 [[[rho * v for v in row] for row in block]
-                                  for block in self.entries])
+        out = SecondFundamental(self.n, self.m, self.kappa)
+        if rho:
+            out.columns = {key: {a: rho * v for a, v in col.items()}
+                           for key, col in self.columns.items()}
+        return out
 
     def in_open_set(self):
         """Nonsingular Gram matrix of {H_{i lam} : i <= n-1, lam <= m-1};
@@ -327,12 +347,13 @@ def cartan_identity_residual(H: SecondFundamental, psi: PsiData):
     for each normal direction a; zero iff the identities hold."""
     if (H.n, H.m) != (psi.n, psi.m):
         raise InputError("H and psi shapes disagree")
-    terms = [(i - 1, lam - 1, psi[i, lam] if lam % 2 else -psi[i, lam])
-             for i in range(1, H.n + 1) for lam in range(1, H.m + 1)
-             if psi[i, lam]]
-    return [sum((c * block[i][lam] for i, lam, c in terms if block[i][lam]),
-                Fraction(0))
-            for block in H.entries]
+    residuals = [_ZERO] * H.kappa
+    for (i, lam), column in H.columns.items():
+        c = psi[i, lam] if lam % 2 else -psi[i, lam]
+        if c:
+            for a, v in column.items():
+                residuals[a - 1] += c * v
+    return residuals
 
 
 def gauss_map(H: SecondFundamental) -> CurvatureElement:
@@ -446,7 +467,15 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
                            witness_columns=[], failed_level=failed)
 
 
-def construct_preimage(psi: PsiData, kappa=None) -> SecondFundamental:
+def _require_kappa(n, m, kappa):
+    """(n-1)(m-1), the least kappa of the pre-image; InputError below it."""
+    min_kappa = (n - 1) * (m - 1)
+    if kappa < min_kappa:
+        raise InputError(f"kappa = {kappa} below the minimum (n-1)(m-1) = {min_kappa}")
+    return min_kappa
+
+
+def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
     """Explicit pre-image of 0 under the Gauss map.
 
     The vectors H_{i lam} (i <= n-1, lam <= m-1) are standard basis
@@ -457,39 +486,33 @@ def construct_preimage(psi: PsiData, kappa=None) -> SecondFundamental:
     G(H) = 0.
     """
     n, m = psi.n, psi.m
-    min_kappa = (n - 1) * (m - 1)
-    if kappa is None:
-        kappa = min_kappa
-    if kappa < min_kappa:
-        raise InputError(f"kappa = {kappa} below the minimum {(n - 1)}*{(m - 1)} = {min_kappa}")
+    _require_kappa(n, m, kappa)
     if not psi.is_normalized():
         raise InputError("construct_preimage requires normalized psi")
 
-    def widx(i, lam):  # 0-based W coordinate of the basis vector H_{i lam}
-        return (i - 1) * (m - 1) + (lam - 1)
+    def a_of(i, lam):  # the W coordinate of the basis vector H_{i lam}
+        return (i - 1) * (m - 1) + lam
 
-    H = SecondFundamental.zero(n, m, kappa)
+    H = SecondFundamental(n, m, kappa)
     for i in range(1, n):
         for lam in range(1, m):
-            H.set(widx(i, lam) + 1, i, lam, 1)
-
-    def sign(lam):
-        return 1 if (m + lam + 1) % 2 == 0 else -1
+            H.columns[i, lam][a_of(i, lam)] = Fraction(1)
 
     # A^{1 lam}_j = (-1)^(m+lam+1) psi^j_{Lambda minus lam}; symmetric partner
     # A^{i lam}_1 fills the first column; all other coefficients are zero.
+    # Every (a, column) below is written at most once.
     for lam in range(1, m):
-        s = sign(lam)
+        s = 1 if (m + lam + 1) % 2 == 0 else -1
         # H_{1 m} collects contributions from every basis vector e_{i lam}
         for i in range(1, n):
             v = s * psi[i, lam]
             if v:
-                H.set(widx(i, lam) + 1, 1, m, H[widx(i, lam) + 1, 1, m] + v)
+                H.columns[1, m][a_of(i, lam)] = v
         # H_{j m}, j >= 2, uses only the first-row basis vectors e_{1 lam}
         for j in range(2, n):
             v = s * psi[j, lam]
             if v:
-                H.set(widx(1, lam) + 1, j, m, H[widx(1, lam) + 1, j, m] + v)
+                H.columns[j, m][a_of(1, lam)] = v
     return H
 
 
@@ -560,9 +583,7 @@ def closed_form_characters(n, m, kappa):
 
 def dimension_ledger(n, m, kappa) -> DimensionLedger:
     _require_shape(n, m)
-    min_kappa = (n - 1) * (m - 1)
-    if kappa < min_kappa:
-        raise InputError(f"kappa = {kappa} below the minimum (n-1)(m-1) = {min_kappa}")
+    min_kappa = _require_kappa(n, m, kappa)
     dim_k = n * (n - 1) * m * (m - 1) // 4
     dim_sigma = m + n * (n - 1) // 2 + n * kappa
     dim_hset = (n * m - 1) * kappa - dim_k

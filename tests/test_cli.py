@@ -51,10 +51,14 @@ def test_verify_lemma_random_psi(capsys):
     assert all(r == "0" for r in report["results"]["cartan_identity_residuals"])
 
 
-def test_verify_lemma_kappa_zero_is_invalid(capsys):
-    code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "0",
-                        "--random-psi", "7"], capsys)
+@pytest.mark.parametrize("argv", [["verify-lemma", "--random-psi", "7"],
+                                  ["flag", "--random-psi", "7"],
+                                  ["ledger"]], ids=lambda argv: argv[0])
+def test_verify_lemma_kappa_zero_is_invalid(argv, capsys):
+    # one check of the minimum kappa, with one message, behind all three
+    code, report = run(argv + ["--n", "2", "--m", "2", "--kappa", "0"], capsys)
     assert code == EXIT_INVALID
+    assert report["results"]["error"] == "kappa = 0 below the minimum (n-1)(m-1) = 1"
 
 
 def test_verify_lemma_psi_file(tmp_path, capsys):

@@ -403,11 +403,11 @@ def _outcome(T, chart):
 def test_numeric_backend_equals_per_call_reference(audit):
     chart, T = audit
     for point in chart.sample_points(3):
-        assert emt._numeric_sides_at(T, chart, point) == reference_sides_at(T, chart, point)
+        stencil = emt._metric_stencil(chart, point)
+        assert emt._numeric_sides_at(T, chart, stencil) == reference_sides_at(T, chart, point)
     reference = mock.patch.object(
         emt, "_numeric_sides_at",
-        lambda T, g, point, h, tolerance, stencil: reference_sides_at(T, g, point, h,
-                                                                      tolerance))
+        lambda T, g, stencil: reference_sides_at(T, g, stencil.points[0]))
     with reference:
         expected = _outcome(T, chart)
     assert _outcome(T, chart) == expected

@@ -200,6 +200,29 @@ def test_open_set_rejects_dependent_columns():
     assert not H.in_open_set()
 
 
+def test_H_rejects_indices_and_shapes_out_of_range():
+    # index 0 or -1 must not wrap to the last normal direction, fiber or
+    # base index, and a read or write past the end must not read 0 or
+    # create an entry
+    psi = random_normalized_psi(3, 3, random.Random(2))
+    H = construct_preimage(psi, 4)
+    before = H.integer_columns()
+    for a, i, lam in [(0, 1, 1), (-1, 1, 1), (5, 1, 1), (1, 0, 3), (1, 4, 1),
+                      (1, -1, 1), (1, 1, 0), (1, 1, 4)]:
+        with pytest.raises(InputError, match="outside"):
+            H[a, i, lam]
+        with pytest.raises(InputError, match="outside"):
+            H.set(a, i, lam, 7)
+    assert H.integer_columns() == before
+    zero_row = [Fraction(0)] * 2
+    for entries in ([[zero_row] * 2] * 2,          # an extra block
+                    [[zero_row + [1]] + [zero_row]],  # an extra row entry
+                    [[zero_row]],                   # a short block
+                    []):                            # no block
+        with pytest.raises(InputError, match="1 x 2 x 2"):
+            SecondFundamental(2, 2, 1, entries)
+
+
 def test_preimage_rejects_small_kappa():
     psi = PsiData(3, 3, [[1, 1, 1], [1, 1, 0], [1, 1, 0]])
     with pytest.raises(InputError):
@@ -341,7 +364,7 @@ def test_closed_form_characters():
 def test_flat_flag_is_integral():
     # H = 0, R = 0: the flag is the base plane span{X_1..X_m}
     psi = PsiData(2, 2, [[Fraction(2), 1], [Fraction(3), 0]])
-    H = SecondFundamental.zero(2, 2, 1)
+    H = SecondFundamental(2, 2, 1)
     element = build_integral_flag(psi, H)
     assert element.dimension == 2
     for v in element.basis:
