@@ -8,6 +8,7 @@ violation, and 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -187,6 +188,8 @@ def _parse_range(text):
 
 
 def cmd_sweep(args, inputs, started):
+    if args.seeds < 0:
+        raise InputError(f"--seeds {args.seeds} is negative")
     n_range = _parse_range(args.n_range)
     m_range = _parse_range(args.m_range)
     if not (n_range and m_range):
@@ -236,7 +239,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process on the first call: building
+    it costs about as much as a small verdict, and parsing leaves no state in
+    it, since every `main` call parses into a fresh Namespace.  It is not
+    built at import, so importing the CLI stays cheap."""
     parser = _Parser(
         prog="gielab",
         description="Exact verification pipelines for the isometric-embedding "

@@ -357,25 +357,29 @@ def cartan_identity_residual(H: SecondFundamental, psi: PsiData):
 
 
 def gauss_map(H: SecondFundamental) -> CurvatureElement:
-    """(G(H))^i_{j; lam mu} = H_{i lam}.H_{j mu} - H_{i mu}.H_{j lam}."""
+    """(G(H))^i_{j; lam mu} = H_{i lam}.H_{j mu} - H_{i mu}.H_{j lam}.
+
+    Summed one normal direction a at a time: each pair of non-zeros
+    x = D*H^a_{i lam}, y = D*H^a_{j mu} with i != j and lam != mu adds x*y
+    to the component (i, j; lam, mu), stored up to sign with i < j, lam < mu.
+    The cost is the sum over a of the squared non-zero count of a, not a
+    dot product per component."""
     D, cols = H.integer_columns()
+    by_normal = {}
+    for (i, lam), column in cols.items():
+        for a, x in column.items():
+            by_normal.setdefault(a, []).append((i, lam, x))
+    sums = {}
+    for entries in by_normal.values():
+        for p, (i, lam, x) in enumerate(entries):
+            for j, mu, y in entries[p + 1:]:
+                if i != j and lam != mu:
+                    key = (min(i, j), max(i, j), min(lam, mu), max(lam, mu))
+                    xy = x * y if (i < j) == (lam < mu) else -x * y
+                    sums[key] = sums.get(key, 0) + xy
     scale = D * D
-
-    def dot(u, v):
-        if len(u) > len(v):
-            u, v = v, u
-        return sum(x * v[a] for a, x in u.items() if a in v)
-
-    values = {}
-    for i in range(1, H.n + 1):
-        for j in range(i + 1, H.n + 1):
-            for lam in range(1, H.m + 1):
-                for mu in range(lam + 1, H.m + 1):
-                    v = (dot(cols[i, lam], cols[j, mu])
-                         - dot(cols[i, mu], cols[j, lam]))
-                    if v:
-                        values[(i, j, lam, mu)] = Fraction(v, scale)
-    return CurvatureElement(H.n, H.m, values)
+    return CurvatureElement(H.n, H.m, {key: Fraction(v, scale)
+                                       for key, v in sorted(sums.items()) if v})
 
 
 def curvature_rows(n, m):

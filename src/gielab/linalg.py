@@ -4,14 +4,15 @@ Dense routines use fraction-free (Bareiss) elimination on integer
 matrices obtained by clearing denominators, so every intermediate value
 stays an exact integer.  For the large, very sparse systems that arise
 when counting Cartan characters and solving polar systems there is an
-incremental sparse echelon structure that accepts one row at a time;
-its fully reduced form (the RREF) gives nullspace bases directly.
+incremental sparse echelon structure that accepts one row at a time; it
+is fraction-free too, and only its fully reduced form (the RREF), which
+gives nullspace bases directly, divides by the leading entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def frac_sqrt(x: Fraction):
@@ -107,55 +108,70 @@ def independent(vectors) -> bool:
     return rank(vecs) == len(vecs)
 
 
-class SparseEchelon:
-    """Incremental exact rank over sparse rational rows.
+def _primitive(row):
+    """The int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
-    Rows are dicts {column: Fraction}.  Each inserted row is reduced
-    against the stored pivots; a surviving row becomes a new pivot.
+
+def _eliminate(row, piv, c):
+    """The int row b*row - a*piv, with a/b = row[c]/piv[c] in lowest terms,
+    so that column c vanishes.  `row` is changed in place when b = 1;
+    otherwise the result is a new row with its gcd divided out."""
+    a, b = row[c], piv[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b < 0:
+        a, b = -a, -b
+    out = row if b == 1 else {j: b * v for j, v in row.items()}
+    for j, v in piv.items():
+        nv = out.get(j, 0) - a * v
+        if nv:
+            out[j] = nv
+        else:
+            del out[j]
+    return out if b == 1 or not out else _primitive(out)
+
+
+class SparseEchelon:
+    """Incremental exact rank over sparse rational rows, fraction-free.
+
+    Rows are dicts {column: int or Fraction}; an inserted row is never
+    changed.  Its denominators are cleared once, and it is reduced against
+    the stored pivots by integer cross-multiplication; a surviving row
+    becomes a new pivot, kept as a primitive int row.
     """
 
     def __init__(self):
-        self.pivots = {}  # column -> reduced row (leading coefficient 1)
+        self.pivots = {}  # column -> primitive int row leading at that column
 
     def insert(self, row) -> bool:
         """Reduce `row` and keep it if independent; returns True if kept."""
-        work = {c: Fraction(v) for c, v in row.items() if v}
+        d = lcm(*(v.denominator for v in row.values()))
+        work = {c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
         while work:
             lead = min(work)
             piv = self.pivots.get(lead)
             if piv is None:
-                coeff = work[lead]
-                self.pivots[lead] = {c: v / coeff for c, v in work.items()}
+                self.pivots[lead] = _primitive(work)
                 return True
-            factor = work[lead]
-            for c, v in piv.items():
-                nv = work.get(c, Fraction(0)) - factor * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
+            work = _eliminate(work, piv, lead)
         return False
 
     def reduced(self):
         """The pivot rows fully reduced, i.e. the RREF: {pivot column: row}
-        where each row is 1 at its own pivot and 0 at every other pivot
-        column.  Rows are reduced from the last pivot to the first, so
-        each one is cleared against rows that are already final."""
-        rref = {}
+        of Fractions, each row 1 at its own pivot and 0 at every other
+        pivot column.  Rows are reduced in ints from the last pivot to the
+        first, so each one is cleared against rows that are already final,
+        and divided by their leading entries at the end."""
+        final = {}
         for lead in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[lead])
-            for c in [c for c in row if c != lead and c in rref]:
-                factor = row.pop(c)
-                for j, v in rref[c].items():
-                    if j == c:
-                        continue
-                    nv = row.get(j, Fraction(0)) - factor * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
-            rref[lead] = row
-        return rref
+            for c in [c for c in row if c != lead and c in final]:
+                row = _eliminate(row, final[c], c)
+            final[lead] = row
+        return {lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
+                for lead, row in final.items()}
 
     @property
     def rank(self) -> int:

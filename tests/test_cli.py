@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gielab.cli import EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES, main
+from gielab.cli import (EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES,
+                        build_parser, main)
 
 
 def run(argv, capsys):
@@ -317,6 +318,37 @@ def test_rejected_argv_report_goes_to_parsed_output(tmp_path, capsys):
     assert "required: --m, --kappa" in report["results"]["error"]
 
 
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    calls = [
+        ["--output", str(out), "flag", "--n", "2"],  # rejected after --output
+        ["verify-lemma", "--n", "3", "--m", "3", "--kappa", "4", "--random-psi", "99"],
+        ["flag", "--n", "3"],
+        ["sweep", "--n-range", "2..3", "--m-range", "2..3", "--seeds", "1"],
+    ]
+
+    def report_of(argv):
+        code = main(argv)
+        text = capsys.readouterr().out
+        if argv[0] == "--output":
+            assert text == ""
+            text = out.read_text()
+        report = json.loads(text)  # fails unless a call without --output used stdout
+        report.pop("wall_time_s")
+        return code, report
+
+    shared = [report_of(calls[0])]
+    first_file = out.read_text()
+    shared += [report_of(argv) for argv in calls[1:]]
+    assert out.read_text() == first_file
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(report_of(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [EXIT_INVALID, EXIT_PASS, EXIT_INVALID, EXIT_PASS]
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
@@ -475,6 +507,8 @@ _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
 @example((_AUDIT, _chart_with(box=True)))
 @example((_AUDIT, _chart_with(T=_FRACTIONAL_T, box=[[-2, -1], [0, 1]])))
 @example((_AUDIT, _chart_with(T=_HUGE_T)))
+# a negative seed count once passed vacuously
+@example((["sweep", "--n-range=2..3", "--m-range=2..2", "--seeds=-1"], {}))
 def test_every_accepted_invocation_ends_in_one_report(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -495,3 +529,6 @@ def test_every_accepted_invocation_ends_in_one_report(invocation):
         # no fiber rank or base dimension below 2 is valid input
         if min(report["inputs"]["n"], report["inputs"]["m"]) < 2:
             assert code == EXIT_INVALID
+    if report["command"] == "sweep" and report["inputs"].get("seeds", 0) < 0:
+        assert code == EXIT_INVALID
+        assert "--seeds" in report["results"]["error"]

@@ -273,8 +273,11 @@ def test_rank_deficit_reported_at_first_bad_level():
 @st.composite
 def sparse_rational_H(draw):
     """Random H off the pre-image: sparse rational entries, sometimes
-    kappa below the minimum, sometimes the dependent row H_21 := c H_11."""
-    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    kappa below the minimum, sometimes the dependent row H_21 := c H_11.
+    The larger shapes give normal directions with non-zeros at many
+    (i, lam), each paired with many others by the Gauss map."""
+    n, m = draw(st.one_of(st.tuples(st.integers(2, 4), st.integers(2, 4)),
+                          st.sampled_from([(2, 6), (6, 2), (3, 6), (6, 3)])))
     kappa = draw(st.integers(1, (n - 1) * (m - 1) + 1))
     entry = st.one_of(st.just(Fraction(0)), fractions)
     H = SecondFundamental(n, m, kappa, draw(st.lists(

@@ -1,6 +1,7 @@
 """Exact linear algebra: fraction-free elimination, rank, nullspace."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -113,3 +114,28 @@ def test_sparse_echelon_reduced_is_rref():
     # pivots 0, 1, 2; every pivot column is cleared from the other rows
     assert ech.reduced() == {2: {2: 1, 3: 1}, 1: {1: 1, 3: -2},
                              0: {0: 1, 3: 2}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems(), st.data())
+def test_sparse_echelon_ignores_row_scaling_and_keeps_rows_intact(system, data):
+    # the same rows inserted as given, as ints after clearing denominators,
+    # and each scaled by a non-zero rational give one and the same echelon
+    rows, _ = system
+    given_rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    int_rows = [{j: int(v * lcm(*(x.denominator for x in row.values())))
+                 for j, v in row.items()} for row in given_rows]
+    scales = data.draw(st.lists(fractions.filter(bool), min_size=len(rows),
+                                max_size=len(rows)))
+    scaled_rows = [{j: c * v for j, v in row.items()} for row, c in zip(given_rows, scales)]
+    outcomes = []
+    for variant in (given_rows, int_rows, scaled_rows):
+        copies = [dict(row) for row in variant]
+        ech = linalg.SparseEchelon()
+        kept = [ech.insert(row) for row in variant]
+        rref = ech.reduced()
+        assert variant == copies  # no inserted row was changed
+        outcomes.append((kept, sorted(ech.pivots), ech.rank, rref))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    for lead, row in outcomes[0][3].items():
+        assert row[lead] == 1 and not set(row) & set(outcomes[0][3]) - {lead}
