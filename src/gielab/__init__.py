@@ -4,8 +4,8 @@ generalized Gauss map with its pre-image and rank certificates, explicit
 ordinary integral flags, and the energy-momentum conservation audit."""
 
 from .errors import InputError, VerificationError
-from .exterior import (ExteriorForm, VectorValuedForm, evaluate,
-                       interior_product, sort_with_sign, substitute, wedge)
+from .exterior import (ExteriorForm, VectorValuedForm, contract, evaluate,
+                       sort_with_sign, substitute, wedge)
 from .poly import Polynomial
 from .bundle import (ConnectionForm, Curvature2Form, bianchi_residual,
                      curvature_from_connection, exterior_derivative,

@@ -24,10 +24,12 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
-# Largest cell, in kappa*n*m, a command may ask for.  H stores only its
-# non-zeros, but the flag has m dense basis vectors of length about
-# n*kappa, eliminated together to check their independence.  The (16, 16)
-# frontier with kappa = 225 has 57,600; (32, 32) with kappa = 961 has 984,064.
+# Largest cell, in kappa*n*m, a command may ask for.  H and the flag store
+# only their non-zeros, but the ideal's kappa phi-type generators
+# omega^a_i ^ phi^i have up to kappa*n*m terms together, and the rank
+# certificate's fallback eliminates over that many coordinates of H.  The
+# (16, 16) frontier with kappa = 225 has 57,600; (32, 32) with kappa = 961
+# has 984,064.
 MAX_H_ENTRIES = 10 ** 6
 
 
@@ -73,7 +75,7 @@ def _echo(args):
     if args.command != "ledger":
         if args.psi:
             inputs["psi_file"] = args.psi
-        elif args.random_psi is not None:
+        if args.random_psi is not None:
             inputs["random_psi_seed"] = args.random_psi
     return inputs
 
@@ -89,6 +91,8 @@ def _check_size(n, m, kappa):
 
 
 def _load_psi_arg(args):
+    if args.psi and args.random_psi is not None:
+        raise InputError("give only one of --psi FILE and --random-psi SEED")
     if args.psi:
         with open(args.psi) as fh:
             doc = json.load(fh)
@@ -153,8 +157,9 @@ def cmd_flag(args, inputs, started):
     _check_size(args.n, args.m, args.kappa)
     psi = _load_psi_arg(args)
     H = gie.construct_preimage(psi, args.kappa)
-    element = gie.build_integral_flag(psi, H)  # raises on a violated contract
-    report = gie.gie_cartan_report(psi, H)
+    R = gie.gauss_map(H)
+    element = gie.build_integral_flag(psi, H, R)  # raises on a violated contract
+    report = gie.gie_cartan_report(psi, H, R)
     results = {
         "flag_dimension": element.dimension,
         "integral": True,

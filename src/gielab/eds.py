@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import InputError, VerificationError
-from .exterior import contract, sparse_vector
+from .exterior import contract
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,14 @@ class AlgebraicIdeal:
 
 
 class IntegralElement:
-    """A p-dimensional subspace given by an independent basis."""
+    """A p-dimensional subspace given by an independent basis of vectors
+    {k: v_k}, their non-zero entries at 1-based coordinates k."""
 
     def __init__(self, basis):
-        self.basis = [list(map(Fraction, v)) for v in basis]
-        if self.basis and not linalg.independent(self.basis):
+        self.basis = [{k: Fraction(x) for k, x in v.items() if x} for v in basis]
+        echelon = linalg.SparseEchelon()
+        if not all(echelon.insert(v) for v in self.basis):
             raise InputError("integral-element basis is linearly dependent")
-        self.sparse_basis = [sparse_vector(v) for v in self.basis]
 
     @property
     def dimension(self):
@@ -77,7 +78,7 @@ class IntegralElement:
 
 def first_nonvanishing(g, vectors):
     """The first increasing index tuple S into `vectors` (given as
-    `sparse_vector`s), in lex order, with g(vectors[S]) != 0, as
+    {k: v_k}), in lex order, with g(vectors[S]) != 0, as
     (S, value); None if g vanishes on every increasing g.degree-subset.
 
     g(s_1..s_d) = s_d -| ... s_1 -| g, so subsets sharing a prefix share
@@ -104,13 +105,14 @@ def is_integral_element(element: IntegralElement, ideal: AlgebraicIdeal) -> bool
     sub-tuple of the basis (multilinearity extends this to the whole
     ideal)."""
     p = element.dimension
-    return all(first_nonvanishing(g, element.sparse_basis) is None
+    return all(first_nonvanishing(g, element.basis) is None
                for g in ideal.generators if g.degree <= p)
 
 
 def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
     """Polar space H(E) = {v : phi(v, e_1..e_p) = 0 for phi in I_{p+1}},
-    returned as a basis of the linear polar system's solution space.
+    returned as a basis {k: v_k} of the linear polar system's solution
+    space.
 
     For a generator g of degree d and any (d-1)-subset S = (s_1..s_r) of
     the basis, v -> g(v, S) is one polar equation; these span all of
@@ -125,16 +127,13 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
         if g.degree > p + 1:
             continue
         sign = -1 if (g.degree - 1) % 2 else 1
-        for subset in combinations(element.sparse_basis, g.degree - 1):
+        for subset in combinations(element.basis, g.degree - 1):
             form = g
             for s in subset:
                 form = contract(s, form)
             if not form:
                 continue
-            row = [Fraction(0)] * dim
-            for (k,), v in form.coefficients.items():
-                row[k - 1] = sign * v
-            rows.append(row)
+            rows.append({k: sign * v for (k,), v in form.coefficients.items()})
     return linalg.nullspace(rows, n_cols=dim)
 
 

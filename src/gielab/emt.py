@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, json_int
 from .exterior import VectorValuedForm, _minor_det
 from .bundle import _covariant_d, poly_form
 from .linalg import frac_sqrt
@@ -101,7 +101,13 @@ class MetricChart:
                 raise ValueError  # NaN bounds fail `lo < hi` too
         except (TypeError, ValueError, OverflowError):
             raise InputError("chart box must give m ordered [lo, hi] pairs") from None
-        self.margin = float(margin)
+        try:
+            self.margin = float(margin)
+            if not (math.isfinite(self.margin) and self.margin >= 0):
+                raise ValueError  # a negative margin samples outside the box
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"chart margin must be a finite number >= 0, "
+                             f"got {margin!r}") from None
         if self.is_polynomial():
             for lam in range(m):
                 for mu in range(m):
@@ -551,13 +557,13 @@ def load_chart(doc):
     {"m", "g", "T", "box", "margin"} with polynomial entries given as
     lists of {"exponents", "coefficient"}."""
     try:
-        m = int(doc["m"])
+        m = json_int(doc, "m")
         g = [[from_json_terms(doc["g"][i][j], m) for j in range(m)]
              for i in range(m)]
         T = [[from_json_terms(doc["T"][i][j], m) for j in range(m)]
              for i in range(m)]
         box = doc.get("box")
-        margin = float(doc.get("margin", DEFAULT_MARGIN))
+        margin = doc.get("margin", DEFAULT_MARGIN)
     except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:
         raise InputError(f"malformed chart input: {exc}") from exc
     return MetricChart(m, g, box=box, margin=margin), EnergyMomentum(m, T)

@@ -11,3 +11,12 @@ class InputError(ValueError):
 
 class VerificationError(RuntimeError):
     """An identity or rank check that should hold failed."""
+
+
+def json_int(doc, field):
+    """doc[field] if it is a JSON integer (a boolean is not); an
+    InputError naming the field otherwise."""
+    value = doc[field]
+    if type(value) is not int:
+        raise InputError(f"field {field!r} must be an integer, got {value!r}")
+    return value

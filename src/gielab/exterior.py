@@ -170,28 +170,16 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return out
 
 
-def interior_product(v, a: ExteriorForm) -> ExteriorForm:
-    """Contraction v -| a of a form by a vector (degree drops by one)."""
-    if len(v) != a.dim:
-        raise InputError(f"vector length {len(v)} != form dimension {a.dim}")
-    return contract(sparse_vector(v), a)
-
-
-def sparse_vector(v):
-    """{k: v_k} over the non-zero entries of a vector, k 1-based."""
-    return {k: vk for k, vk in enumerate(v, 1) if vk}
-
-
-def contract(support, a: ExteriorForm) -> ExteriorForm:
-    """v -| a for the vector v given by `sparse_vector(v)`, so that a
-    vector contracted into many forms is scanned once."""
+def contract(v, a: ExteriorForm) -> ExteriorForm:
+    """Interior product v -| a (degree drops by one) for the vector v
+    given by its non-zero entries {k: v_k}, k 1-based."""
     if a.degree == 0:
         raise InputError("interior product of a 0-form")
     out = ExteriorForm.zero(a.dim, a.degree - 1)
     coeffs = {}
     for key, val in a.coefficients.items():
         for pos, k in enumerate(key):
-            vk = support.get(k)
+            vk = v.get(k)
             if vk is None:
                 continue
             rest = key[:pos] + key[pos + 1:]
@@ -227,20 +215,15 @@ def _minor_det(rows):
 
 
 def evaluate(a: ExteriorForm, vectors):
-    """Evaluate a degree-p form on p vectors (lists of coefficients)."""
+    """a(v_1..v_p) = v_p -| ... v_1 -| a for p vectors given as {k: v_k}."""
     vectors = list(vectors)
     if len(vectors) != a.degree:
         raise InputError(f"evaluating degree-{a.degree} form on {len(vectors)} vectors")
     for v in vectors:
-        if len(v) != a.dim:
-            raise InputError("vector length does not match form dimension")
-    total = Fraction(0)
-    for key, val in a.coefficients.items():
-        rows = [[v[k - 1] for k in key] for v in vectors]
-        d = _minor_det(rows)
-        if d:
-            total = total + val * d
-    return total
+        if any(not 1 <= k <= a.dim for k in v):
+            raise InputError(f"vector index outside 1..{a.dim}")
+        a = contract(v, a)
+    return a.coefficients.get((), Fraction(0))
 
 
 def substitute(a: ExteriorForm, images, new_dim=None) -> ExteriorForm:

@@ -23,7 +23,7 @@ from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test,
                   first_nonvanishing, is_integral_element)
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, json_int
 from .exterior import ExteriorForm, evaluate, substitute
 
 
@@ -211,7 +211,7 @@ def random_normalized_psi(n, m, rng):
 def load_psi(doc) -> PsiData:
     """psi-data from the JSON schema {"n", "m", "psi": [[str]]}."""
     try:
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = json_int(doc, "n"), json_int(doc, "m")
         values = [[Fraction(str(v)) for v in row] for row in doc["psi"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed psi input: {exc}") from exc
@@ -702,17 +702,16 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
     N = ideal.dim
     basis = []
     for lam in range(1, m + 1):
-        v = [Fraction(0)] * N
-        v[lam - 1] = Fraction(1)
-        for a in range(n + 1, n + kappa + 1):
-            for i in range(1, n + 1):
-                v[m + sigma.normal(a, i) - 1] = H[a - n, i, lam]
+        v = {lam: Fraction(1)}
+        for i in range(1, n + 1):
+            for a, h in H.columns[i, lam].items():
+                v[m + sigma.normal(n + a, i)] = h
         basis.append(v)
     element = IntegralElement(basis)
     if not is_integral_element(element, ideal):
         _report_first_violation(element, ideal)
     vol = ExteriorForm.monomial(N, tuple(range(1, m + 1)))
-    if evaluate(vol, basis) != 1:
+    if evaluate(vol, element.basis) != 1:
         raise VerificationError("volume form does not evaluate to 1 on the flag")
     return element
 
@@ -721,7 +720,7 @@ def _report_first_violation(element, ideal):
     for gi, g in enumerate(ideal.generators):
         if g.degree > element.dimension:
             continue
-        found = first_nonvanishing(g, element.sparse_basis)
+        found = first_nonvanishing(g, element.basis)
         if found:
             raise VerificationError(
                 f"generator {gi} evaluates to {found[1]} on the flag; "

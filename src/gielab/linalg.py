@@ -74,30 +74,23 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def nullspace(rows, n_cols=None):
-    """Basis of {x : A x = 0} as lists of Fractions, one per free column
-    fc: x[fc] = 1 and x[pc] = -rref[pc][fc] at each pivot column pc.
-    The RREF is unique, so the basis does not depend on row order."""
-    if rows:
-        n_cols = len(rows[0])
-    elif n_cols is None:
-        raise ValueError("nullspace of an empty system needs n_cols")
+def nullspace(rows, n_cols):
+    """Basis of {x : A x = 0} for the rows {column: value} of A over the
+    columns 1..n_cols, one vector {column: value} per free column fc:
+    x[fc] = 1 and x[pc] = -rref[pc][fc] at each pivot column pc.  The
+    RREF is unique, so the basis does not depend on row order."""
     ech = SparseEchelon()
     for row in rows:
-        ech.insert({j: v for j, v in enumerate(row) if v})
+        if row and not (1 <= min(row) and max(row) <= n_cols):
+            raise ValueError(f"nullspace row has a column outside 1..{n_cols}")
+        ech.insert(row)
     rref = ech.reduced()
-    basis = []
-    for fc in range(n_cols):
-        if fc in rref:
-            continue
-        x = [Fraction(0)] * n_cols
-        x[fc] = Fraction(1)
-        for pc, prow in rref.items():
-            v = prow.get(fc)
-            if v:
-                x[pc] = -v
-        basis.append(x)
-    return basis
+    basis = {fc: {fc: Fraction(1)} for fc in range(1, n_cols + 1) if fc not in rref}
+    for pc, prow in rref.items():
+        for fc, v in prow.items():
+            if fc != pc:
+                basis[fc][pc] = -v
+    return list(basis.values())
 
 
 def independent(vectors) -> bool:

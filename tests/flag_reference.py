@@ -5,16 +5,16 @@ substitutes a change of coframe in one multilinear pass, and finds a
 generator's first non-zero value on the flag by shared-prefix
 contraction.  This module keeps the earlier formulations: generators
 summed from `ExteriorForm.monomial`, substitution by repeated `wedge`
-and addition, and every subset evaluated by cofactor expansion.  The
-tests require the library to agree with them exactly, including the
-order of the coefficient dicts, which fixes the first witness a failure
-report names.
+and addition, and every subset evaluated by cofactor expansion on dense
+vectors, independent of contraction.  The tests require the library to
+agree with them exactly, including the order of the coefficient dicts,
+which fixes the first witness a failure report names.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from gielab.exterior import ExteriorForm, evaluate, wedge
+from gielab.exterior import ExteriorForm, _minor_det, wedge
 from gielab.gie import SigmaIndexMap, gie_coframe
 
 
@@ -36,9 +36,23 @@ def substitute(a, images, new_dim=None):
     return out
 
 
+def evaluate(a, vectors):
+    """a(v_1..v_p) for p dense vectors (lists of length a.dim): each term
+    times the cofactor expansion of its p x p minor."""
+    vectors = list(vectors)
+    assert len(vectors) == a.degree and all(len(v) == a.dim for v in vectors)
+    total = Fraction(0)
+    for key, val in a.coefficients.items():
+        d = _minor_det([[v[k - 1] for k in key] for v in vectors])
+        if d:
+            total = total + val * d
+    return total
+
+
 def first_nonvanishing(g, vectors):
     """(S, g(vectors[S])) for the first increasing index tuple S, in
-    `combinations` order, on which g is non-zero; None if there is none."""
+    `combinations` order, on which g is non-zero; None if there is none.
+    The vectors are dense."""
     for subset in combinations(range(len(vectors)), g.degree):
         value = evaluate(g, [vectors[i] for i in subset])
         if value:

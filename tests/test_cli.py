@@ -115,7 +115,7 @@ def test_flag_error_report_echoes_inputs(tmp_path, capsys):
 def test_flag_violation_report_echoes_inputs(capsys, monkeypatch):
     from gielab import VerificationError, gie
 
-    def refuse(psi, H):
+    def refuse(psi, H, R):
         raise VerificationError("generator 0 evaluates to 1 on the flag")
 
     monkeypatch.setattr(gie, "build_integral_flag", refuse)
@@ -130,6 +130,34 @@ def test_verify_lemma_requires_psi_source(capsys):
     code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1"],
                        capsys)
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "flag"])
+def test_psi_file_and_random_psi_together_are_invalid(tmp_path, capsys, command):
+    path = str(tmp_path / "psi.json")
+    with open(path, "w") as fh:
+        json.dump({"n": 2, "m": 2, "psi": [["2", "1"], ["3", "0"]]}, fh)
+    code, report = run([command, "--n", "2", "--m", "2", "--kappa", "1",
+                        "--psi", path, "--random-psi", "3"], capsys)
+    assert code == EXIT_INVALID
+    assert "--psi" in report["results"]["error"]
+    assert "--random-psi" in report["results"]["error"]
+    assert report["inputs"] == {"n": 2, "m": 2, "kappa": 1, "psi_file": path,
+                                "random_psi_seed": 3}
+
+
+@pytest.mark.parametrize("field,value", [("n", 2.0), ("m", 2.5), ("m", True),
+                                         ("n", "2")])
+def test_psi_shape_must_be_a_json_integer(tmp_path, capsys, field, value):
+    doc = {"n": 2, "m": 2, "psi": [["2", "1"], ["3", "0"]]}
+    doc[field] = value
+    path = str(tmp_path / "psi.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1",
+                        "--psi", path], capsys)
+    assert code == EXIT_INVALID
+    assert f"field '{field}' must be an integer" in report["results"]["error"]
 
 
 def test_flag_command(capsys):
@@ -246,6 +274,28 @@ def test_emt_audit_zero_denominator_is_invalid(tmp_path, capsys):
     code, report = run(["emt-audit", "--input", str(path)], capsys)
     assert code == EXIT_INVALID
     assert report["verdict"] == "invalid-input"
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, False])
+def test_chart_dimension_must_be_a_json_integer(tmp_path, capsys, value):
+    doc = _flat_chart_doc()
+    doc["m"] = value
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path)], capsys)
+    assert code == EXIT_INVALID
+    assert "field 'm' must be an integer" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("margin", [-5, -0.01, math.nan, math.inf])
+def test_chart_margin_must_be_finite_and_non_negative(tmp_path, capsys, margin):
+    doc = _flat_chart_doc()
+    doc["margin"] = margin
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path)], capsys)
+    assert code == EXIT_INVALID
+    assert "margin" in report["results"]["error"]
 
 
 def test_emt_audit_missing_file(capsys):
@@ -507,6 +557,12 @@ _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
 @example((_AUDIT, _chart_with(box=True)))
 @example((_AUDIT, _chart_with(T=_FRACTIONAL_T, box=[[-2, -1], [0, 1]])))
 @example((_AUDIT, _chart_with(T=_HUGE_T)))
+# non-integer shapes were once truncated, and a negative margin sampled
+# outside the box
+@example((["verify-lemma", "--n=2", "--m=2", "--kappa=1", "--psi=psi.json"],
+          {"psi.json": {"n": 2, "m": 2.5, "psi": [["0", "1"], ["1", "0"]]}}))
+@example((_AUDIT, _chart_with(m=2.7)))
+@example((_AUDIT, _chart_with(margin=-5)))
 # a negative seed count once passed vacuously
 @example((["sweep", "--n-range=2..3", "--m-range=2..2", "--seeds=-1"], {}))
 def test_every_accepted_invocation_ends_in_one_report(invocation):
@@ -532,3 +588,12 @@ def test_every_accepted_invocation_ends_in_one_report(invocation):
     if report["command"] == "sweep" and report["inputs"].get("seeds", 0) < 0:
         assert code == EXIT_INVALID
         assert "--seeds" in report["results"]["error"]
+    # a shape given as anything but a JSON integer, or a negative chart
+    # margin, is never truncated or sampled outside the box
+    for doc in files.values():
+        if isinstance(doc, dict):
+            if any(type(doc.get(key, 0)) is not int for key in ("n", "m")):
+                assert code == EXIT_INVALID
+            margin = doc.get("margin")
+            if type(margin) in (int, float) and margin < 0:
+                assert code == EXIT_INVALID

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flag_reference
+from dense_vectors import sparse
 from gielab import InputError
-from gielab.exterior import (ExteriorForm, evaluate, interior_product,
-                             sort_with_sign, substitute, wedge)
+from gielab.exterior import (ExteriorForm, contract, evaluate, sort_with_sign,
+                             substitute, wedge)
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
@@ -88,8 +89,8 @@ def test_self_wedge_of_covector_is_zero():
 def test_interior_product_signs():
     # xi_2 -| eta^12 = -eta^1 ; xi_1 -| eta^12 = eta^2
     vol = ExteriorForm.monomial(2, (1, 2))
-    assert interior_product([1, 0], vol) == ExteriorForm.covector(2, 2)
-    assert interior_product([0, 1], vol) == -ExteriorForm.covector(2, 1)
+    assert contract({1: 1}, vol) == ExteriorForm.covector(2, 2)
+    assert contract({2: 1}, vol) == -ExteriorForm.covector(2, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -97,15 +98,16 @@ def test_interior_product_signs():
        random_form(4, 1))
 def test_interior_product_antiderivation(v, a, b):
     # v -| (a ^ b) = (v -| a) ^ b + (-1)^deg(a) a ^ (v -| b)
-    lhs = interior_product(v, wedge(a, b))
-    rhs = wedge(interior_product(v, a), b) + wedge(a, interior_product(v, b))
+    v = sparse(v)
+    lhs = contract(v, wedge(a, b))
+    rhs = wedge(contract(v, a), b) + wedge(a, contract(v, b))
     assert lhs == rhs
 
 
 def test_interior_product_rejects_zero_form():
     f = ExteriorForm(2, 0, {(): Fraction(1)})
     with pytest.raises(InputError):
-        interior_product([1, 0], f)
+        contract({1: 1}, f)
 
 
 # -- evaluation ---------------------------------------------------------
@@ -113,15 +115,51 @@ def test_interior_product_rejects_zero_form():
 
 def test_evaluate_is_determinant():
     form = ExteriorForm.monomial(3, (1, 2, 3))
-    vectors = [[2, 0, 0], [0, 3, 0], [0, 0, 4]]
-    assert evaluate(form, [list(map(Fraction, v)) for v in vectors]) == 24
+    vectors = [{1: Fraction(2)}, {2: Fraction(3)}, {3: Fraction(4)}]
+    assert evaluate(form, vectors) == 24
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_form(3, 2), st.lists(st.lists(fractions, min_size=3, max_size=3),
                                    min_size=2, max_size=2))
 def test_evaluate_alternating(form, vectors):
+    vectors = [sparse(v) for v in vectors]
     assert evaluate(form, vectors) == -evaluate(form, vectors[::-1])
+
+
+@st.composite
+def form_and_vectors(draw):
+    """A form of any degree on up to five coordinates, sparse or full,
+    and as many dense vectors as its degree."""
+    dim = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, dim))
+    form = draw(random_form(dim, degree))
+    sparse_entries = st.one_of(st.just(Fraction(0)), fractions)
+    vectors = draw(st.lists(st.lists(sparse_entries, min_size=dim, max_size=dim),
+                            min_size=degree, max_size=degree))
+    return form, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_and_vectors())
+def test_evaluate_by_contraction_equals_cofactor_expansion(case):
+    form, vectors = case
+    assert evaluate(form, [sparse(v) for v in vectors]) == \
+        flag_reference.evaluate(form, vectors)
+
+
+def test_evaluate_rejects_a_vector_count_other_than_the_degree():
+    form = ExteriorForm.monomial(3, (1, 2))
+    for vectors in ([], [{1: 1}], [{1: 1}, {2: 1}, {3: 1}]):
+        with pytest.raises(InputError, match="degree-2 form on"):
+            evaluate(form, vectors)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_evaluate_rejects_an_index_outside_the_coframe(k):
+    form = ExteriorForm.monomial(3, (1, 2))
+    with pytest.raises(InputError, match="outside 1..3"):
+        evaluate(form, [{1: 1}, {k: 1}])
 
 
 # -- substitution -------------------------------------------------------

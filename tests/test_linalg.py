@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_vectors import dense, sparse
 from gielab import linalg
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -30,7 +31,7 @@ def test_rank_of_dependent_rows():
 @settings(max_examples=60, deadline=None)
 @given(matrix(3, 5))
 def test_nullspace_annihilates(rows):
-    basis = linalg.nullspace(rows, n_cols=5)
+    basis = [dense(v, 5) for v in linalg.nullspace([sparse(r) for r in rows], 5)]
     assert linalg.rank(rows) + len(basis) == 5
     for v in basis:
         for row in rows:
@@ -103,7 +104,14 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_nullspace_equals_bareiss_back_substitution(system):
     rows, n_cols = system
-    assert linalg.nullspace(rows, n_cols=n_cols) == bareiss_nullspace(rows, n_cols)
+    basis = linalg.nullspace([sparse(r) for r in rows], n_cols)
+    assert [dense(v, n_cols) for v in basis] == bareiss_nullspace(rows, n_cols)
+
+
+@pytest.mark.parametrize("column", [0, 4])
+def test_nullspace_rejects_a_column_outside_the_system(column):
+    with pytest.raises(ValueError, match="outside 1..3"):
+        linalg.nullspace([{1: Fraction(1)}, {column: Fraction(1)}], 3)
 
 
 def test_sparse_echelon_reduced_is_rref():
