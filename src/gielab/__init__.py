@@ -13,13 +13,13 @@ from .bundle import (ConnectionForm, Curvature2Form, bianchi_residual,
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test, extension_rank,
                   is_integral_element, polar_space)
-from .gie import (CurvatureElement, DimensionLedger, FrameChange, PsiData,
+from .gie import (CurvatureElement, DimensionLedger, PsiData,
                   RankCertificate, SecondFundamental, SigmaIndexMap,
                   build_integral_flag, cartan_identity_residual,
                   closed_form_characters, construct_preimage,
                   dimension_ledger, gauss_map, gie_cartan_report, gie_ideal,
                   grassmann_pullback, jacobian_rank_certificate, load_psi,
-                  normalize_psi, random_normalized_psi)
+                  random_normalized_psi)
 from .emt import (EnergyMomentum, EquivalenceReport, MetricChart, christoffel,
                   christoffel_at, covariant_divergence, flat_chart,
                   inverse_metric_tensor, load_chart, sphere_chart,

@@ -101,7 +101,6 @@ def _load_psi_arg(args):
             raise InputError(
                 f"--n {args.n} --m {args.m} disagree with the {psi.n} x {psi.m} "
                 f"psi in {args.psi}")
-        psi, _ = gie.normalize_psi(psi)
         return psi
     if args.random_psi is not None:
         rng = random.Random(args.random_psi)

@@ -100,10 +100,19 @@ def first_nonvanishing(g, vectors):
     return walk(g, 0, ())
 
 
+def _require_within(element: IntegralElement, dim):
+    """InputError unless every basis vector lies in the space 1..dim."""
+    for v in element.basis:
+        if v and not (1 <= min(v) and max(v) <= dim):
+            raise InputError(
+                f"integral-element vector with indices {sorted(v)} outside 1..{dim}")
+
+
 def is_integral_element(element: IntegralElement, ideal: AlgebraicIdeal) -> bool:
     """True iff every generator of degree <= p vanishes on every
     sub-tuple of the basis (multilinearity extends this to the whole
-    ideal)."""
+    ideal).  InputError for a vector outside the ideal's space."""
+    _require_within(element, ideal.dim)
     p = element.dimension
     return all(first_nonvanishing(g, element.basis) is None
                for g in ideal.generators if g.degree <= p)
@@ -118,10 +127,12 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
     the basis, v -> g(v, S) is one polar equation; these span all of
     I_{p+1} evaluated against E.  Its row is read off the 1-form left by
     contracting g with s_1, then s_2, and so on:
-    g(e_k, s_1..s_r) = (-1)^r (s_r -| ... s_1 -| g)_k.
+    g(e_k, s_1..s_r) = (-1)^r (s_r -| ... s_1 -| g)_k.  InputError for a
+    vector outside the ideal's space.
     """
     p = element.dimension
     dim = ideal.dim
+    _require_within(element, dim)
     rows = []
     for g in ideal.generators:
         if g.degree > p + 1:

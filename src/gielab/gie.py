@@ -54,139 +54,12 @@ class PsiData:
         i, lam = ilam
         return self.values[i - 1][lam - 1]
 
-    def is_normalized(self):
-        col = [self.values[i][self.m - 1] for i in range(self.n)]
-        return col[0] == 1 and all(not c for c in col[1:])
-
     def det2(self):
         """det psi for the n = m = 2 case."""
         if self.n != 2 or self.m != 2:
             raise InputError("det psi is only defined for n = m = 2")
         v = self.values
         return v[0][0] * v[1][1] - v[0][1] * v[1][0]
-
-
-@dataclass
-class FrameChange:
-    """Record of the transformations applied during normalization."""
-    base_permutation: list        # new position of each base index (1-based)
-    fiber_matrix: list            # orthogonal n x n matrix applied to rows
-    scale: Fraction               # overall factor applied to phi
-
-    @classmethod
-    def identity(cls, n, m):
-        return cls(base_permutation=list(range(1, m + 1)),
-                   fiber_matrix=[[Fraction(int(i == j)) for j in range(n)]
-                                 for i in range(n)],
-                   scale=Fraction(1))
-
-    def is_identity(self):
-        return (self.base_permutation == list(range(1, len(self.base_permutation) + 1))
-                and self.scale == 1
-                and all(self.fiber_matrix[i][j] == int(i == j)
-                        for i in range(len(self.fiber_matrix))
-                        for j in range(len(self.fiber_matrix))))
-
-
-def _permute_base(psi: PsiData, perm):
-    """Relabel base coordinates: new index of old lam is perm[lam-1].
-
-    The complementary wedge eta^{Lambda minus lam} picks up the sign of
-    sorting the permuted complementary index tuple.
-    """
-    from .exterior import sort_with_sign
-    n, m = psi.n, psi.m
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for lam in range(1, m + 1):
-        comp = tuple(perm[k - 1] for k in range(1, m + 1) if k != lam)
-        _, sign = sort_with_sign(comp)
-        new_lam = perm[lam - 1]
-        for i in range(n):
-            out[i][new_lam - 1] = sign * psi.values[i][lam - 1]
-    return PsiData(n, m, out)
-
-
-def _apply_fiber(psi: PsiData, q):
-    """psi'^i = sum_j q[i][j] psi^j (frame rotation acting on components)."""
-    n, m = psi.n, psi.m
-    out = [[sum((q[i][j] * psi.values[j][lam] for j in range(n)), Fraction(0))
-            for lam in range(m)] for i in range(n)]
-    return PsiData(n, m, out)
-
-
-def normalize_psi(psi: PsiData):
-    """Bring psi to the form psi^1_{Lambda minus m} = 1, psi^i_{Lambda minus m} = 0
-    for i >= 2 using a base reordering, an exactly-rational orthogonal
-    fiber change, and an overall rescaling of phi.
-
-    Returns (normalized PsiData, FrameChange).  Raises InputError when no
-    exact rational orthogonal change exists (the pivot column's squared
-    norm is not a perfect rational square) or, for n = m = 2, when
-    det psi = 0.
-    """
-    n, m = psi.n, psi.m
-    if n == 2 and m == 2 and not psi.det2():
-        raise InputError("n = m = 2 requires det psi != 0")
-    if psi.is_normalized():
-        return psi, FrameChange.identity(n, m)
-
-    change = FrameChange.identity(n, m)
-    work = psi
-    # base reordering: move a nonzero column into slot m
-    col_m = [work.values[i][m - 1] for i in range(n)]
-    if all(not c for c in col_m):
-        lam0 = max(lam for lam in range(1, m + 1)
-                   if any(work.values[i][lam - 1] for i in range(n)))
-        perm = list(range(1, m + 1))
-        perm[lam0 - 1], perm[m - 1] = perm[m - 1], perm[lam0 - 1]
-        work = _permute_base(work, perm)
-        change.base_permutation = perm
-
-    u = [work.values[i][m - 1] for i in range(n)]
-    support = [i for i in range(n) if u[i]]
-    if len(support) == 1:
-        i0 = support[0]
-        q = [[Fraction(0)] * n for _ in range(n)]
-        # signed permutation swapping rows 1 and i0, fixing the rest
-        for i in range(n):
-            q[i][i] = Fraction(1)
-        if i0 != 0:
-            q[0][0] = q[i0][i0] = Fraction(0)
-            q[0][i0] = Fraction(1)
-            # determinant sign is irrelevant for orthogonality; keep +1 rows
-            q[i0][0] = Fraction(1)
-        r = u[i0]
-    else:
-        norm2 = sum((c * c for c in u), Fraction(0))
-        r = linalg.frac_sqrt(norm2)
-        if r is None:
-            raise InputError(
-                "pivot column cannot be rotated to e1 exactly: |u|^2 is not a "
-                "perfect rational square")
-        # Householder reflection sending u to r*e1
-        w = list(u)
-        w[0] -= r
-        ww = sum((c * c for c in w), Fraction(0))
-        if not ww:  # u already r*e1
-            q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        else:
-            q = [[Fraction(int(i == j)) - 2 * w[i] * w[j] / ww
-                  for j in range(n)] for i in range(n)]
-    work = _apply_fiber(work, q)
-    change.fiber_matrix = q
-
-    pivot = work.values[0][m - 1]
-    if not pivot:
-        raise InputError("normalization failed: pivot vanished")
-    scaled = [[v / pivot for v in row] for row in work.values]
-    work = PsiData(n, m, scaled)
-    change.scale = Fraction(1) / pivot
-
-    if not work.is_normalized():
-        raise VerificationError("normalization postcondition failed")
-    if n == 2 and m == 2 and not work.det2():
-        raise InputError("n = m = 2 requires det psi != 0")
-    return work, change
 
 
 RANDOM_PSI_BOUND = 10
@@ -296,13 +169,6 @@ class SecondFundamental:
                            for key, col in self.columns.items()}
         return out
 
-    def in_open_set(self):
-        """Nonsingular Gram matrix of {H_{i lam} : i <= n-1, lam <= m-1};
-        over the rationals that holds exactly when the vectors are
-        linearly independent."""
-        return linalg.independent(self.vector(i, lam) for i in range(1, self.n)
-                                  for lam in range(1, self.m))
-
 
 class CurvatureElement:
     """R^i_{j; lam mu} with both antisymmetries, stored for i<j, lam<mu."""
@@ -390,7 +256,9 @@ def curvature_rows(n, m):
 
 
 def dependent_coefficient(H: SecondFundamental, psi: PsiData, a: int):
-    """The value of H^a_{1m} dictated by the Cartan identity."""
+    """The value of H^a_{1m} dictated by the Cartan identity, for
+    normalized psi (psi^1_{Lambda minus m} = 1, every other
+    psi^i_{Lambda minus m} = 0)."""
     m = H.m
     total = Fraction(0)
     for i in range(1, H.n + 1):
@@ -480,19 +348,40 @@ def _require_kappa(n, m, kappa):
 
 
 def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
-    """Explicit pre-image of 0 under the Gauss map.
+    """Explicit pre-image of 0 under the Gauss map, for psi as given.
 
-    The vectors H_{i lam} (i <= n-1, lam <= m-1) are standard basis
-    vectors of W in (i, lam)-lexicographic order, the last fiber row is
-    zero, and H_{j m} are symmetric-coefficient combinations whose first
-    row carries the sign (-1)^(m+lam+1) psi^j_{Lambda minus lam} so that the
-    Cartan identities hold exactly; symmetry of the coefficients makes
-    G(H) = 0.
+    With Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}, the sign of
+    `cartan_identity_residual`, let u_i = Psi'_{i m} (i <= n-1) and p the
+    first i with u_i != 0, the pivot.  The vectors H_{i lam} (i <= n-1,
+    lam <= m-1) are standard basis vectors e_{(i, lam)} of W in
+    (i, lam)-lexicographic order and the last fiber row is zero.  For
+    each lam <= m-1, w_k = -Psi'_{k lam} and the symmetric matrix
+
+        S = (e_p w^T + w e_p^T) / u_p - (w.u) / u_p^2 e_p e_p^T,
+
+    which has S u = w, gives H^{(k, lam)}_{i m} = S_{ik}: the Cartan
+    identity of a = (k, lam) is Psi'_{k lam} + (S u)_k = 0, symmetry of S
+    makes G(H) = 0, and the rank certificate is full because it only
+    reads the basis vectors.  Only row and column p of S are non-zero.
+    For normalized psi (u = +-e_1) this is S_{1k} = (-1)^(m+lam+1)
+    psi^k_{Lambda minus lam}.
+
+    InputError for kappa below (n-1)(m-1), for det psi = 0 at n = m = 2,
+    and when there is no pivot.
     """
     n, m = psi.n, psi.m
     _require_kappa(n, m, kappa)
-    if not psi.is_normalized():
-        raise InputError("construct_preimage requires normalized psi")
+    if n == 2 and m == 2 and not psi.det2():
+        raise InputError("n = m = 2 requires det psi != 0")
+    u = [psi[i, m] if m % 2 else -psi[i, m] for i in range(1, n)]
+    p = next((i for i, x in enumerate(u, 1) if x), None)
+    if p is None:
+        raise InputError(
+            "psi^i_{Lambda minus m} = 0 for every fiber index i <= n-1, so the "
+            "pre-image has no pivot; reorder the fiber or the base so that one "
+            "of them is non-zero")
+    r = 1 / u[p - 1]
+    others = [k for k in range(p + 1, n) if u[k - 1]]
 
     def a_of(i, lam):  # the W coordinate of the basis vector H_{i lam}
         return (i - 1) * (m - 1) + lam
@@ -502,21 +391,20 @@ def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
         for lam in range(1, m):
             H.columns[i, lam][a_of(i, lam)] = Fraction(1)
 
-    # A^{1 lam}_j = (-1)^(m+lam+1) psi^j_{Lambda minus lam}; symmetric partner
-    # A^{i lam}_1 fills the first column; all other coefficients are zero.
-    # Every (a, column) below is written at most once.
+    # Row p of S: S_{pk} = w_k / u_p for k != p, and S_{pp} = w_p / u_p -
+    # sum_{k != p} S_{pk} u_k / u_p (u_k = 0 for k < p).  H_{p m} collects
+    # S_{pk} at every a = (k, lam); H_{k m}, k != p, gets the symmetric
+    # partner S_{kp} = S_{pk} at a = (p, lam).  Every (a, column) below is
+    # written at most once.
     for lam in range(1, m):
-        s = 1 if (m + lam + 1) % 2 == 0 else -1
-        # H_{1 m} collects contributions from every basis vector e_{i lam}
-        for i in range(1, n):
-            v = s * psi[i, lam]
+        r_lam = r if lam % 2 == 0 else -r  # w_k / u_p = psi^k_lam * r_lam
+        row = [psi[k, lam] * r_lam for k in range(1, n)]
+        row[p - 1] -= sum(row[k - 1] * u[k - 1] for k in others) * r
+        for k, v in enumerate(row, 1):
             if v:
-                H.columns[1, m][a_of(i, lam)] = v
-        # H_{j m}, j >= 2, uses only the first-row basis vectors e_{1 lam}
-        for j in range(2, n):
-            v = s * psi[j, lam]
-            if v:
-                H.columns[j, m][a_of(1, lam)] = v
+                H.columns[p, m][a_of(k, lam)] = v
+                if k != p:
+                    H.columns[k, m][a_of(p, lam)] = v
     return H
 
 

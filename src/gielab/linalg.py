@@ -93,14 +93,6 @@ def nullspace(rows, n_cols):
     return list(basis.values())
 
 
-def independent(vectors) -> bool:
-    """True iff the given vectors are linearly independent."""
-    vecs = list(vectors)
-    if not vecs:
-        return True
-    return rank(vecs) == len(vecs)
-
-
 def _primitive(row):
     """The int row divided by the gcd of its entries."""
     g = gcd(*row.values())

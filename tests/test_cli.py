@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -72,6 +73,47 @@ def test_verify_lemma_psi_file(tmp_path, capsys):
                         "--psi", str(path)], capsys)
     assert code == EXIT_PASS
     assert report["results"]["jacobian_rank"] == 3
+
+
+def _psi_file(tmp_path, psi):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"n": len(psi), "m": len(psi[0]), "psi": psi}))
+    return str(path)
+
+
+# pivot columns (1, 1) and (3, 4): the first cannot be rotated to e_1 by a
+# rational orthogonal change, the second only by a Householder reflection
+@pytest.mark.parametrize("psi", [[["1", "1"], ["0", "1"]], [["3", "3"], ["1", "4"]]])
+def test_psi_is_verified_as_given(tmp_path, capsys, psi):
+    path = _psi_file(tmp_path, psi)
+    code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1",
+                        "--psi", path], capsys)
+    assert code == EXIT_PASS
+    assert report["results"]["cartan_identity_residuals"] == ["0"]
+    assert report["results"]["gauss_map_zero"] is True
+    assert report["results"]["jacobian_rank"] == 1
+    code, report = run(["flag", "--n", "2", "--m", "2", "--kappa", "1",
+                        "--psi", path], capsys)
+    assert code == EXIT_PASS
+    assert report["results"]["cartan_test"] == "ordinary"
+    assert report["results"]["characters"] == [1, 3]
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "flag"])
+@pytest.mark.parametrize("psi,message", [
+    ([["1", "0"], ["0", "1"]], "no pivot"),                  # psi^1_m = 0
+    ([["1", "2", "0"], ["2", "0", "0"], ["0", "1", "5"]], "no pivot"),
+    ([["1", "1"], ["1", "1"]], "det psi"),                  # det psi = 0
+])
+def test_psi_without_a_pivot_or_singular_is_invalid(tmp_path, capsys, command,
+                                                    psi, message):
+    n, m = len(psi), len(psi[0])
+    code, report = run([command, "--n", str(n), "--m", str(m),
+                        "--kappa", str((n - 1) * (m - 1)),
+                        "--psi", _psi_file(tmp_path, psi)], capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+    assert message in report["results"]["error"]
 
 
 def _three_sheet_psi_file(tmp_path, first="1/2"):
@@ -467,14 +509,38 @@ def _spoil(draw, doc):
     return doc
 
 
+# well-formed rationals only, so that a whole psi file is often verifiable
+_exact = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
+    lambda pq: f"{pq[0]}/{pq[1]}")
+
+
 @st.composite
 def _psi_docs(draw, n, m):
-    doc = {"n": n, "m": m, "psi": _grid(draw, n, m, _value)}
-    if draw(st.booleans()):  # a normalized pivot column keeps it rational
-        for i, row in enumerate(doc["psi"]):
-            if row and len(row) == m:
-                row[-1] = "1" if i == 0 else "0"
+    doc = {"n": n, "m": m, "psi": _grid(draw, n, m, draw(st.sampled_from([_value, _exact])))}
     return _spoil(draw, doc)
+
+
+def _verifiable(argv, files):
+    """True for verify-lemma on a well-formed psi file that matches --n and
+    --m, with a pivot psi^i_{Lambda minus m} != 0 at some i < n, kappa at
+    least (n-1)(m-1) and det psi != 0 at n = m = 2: psi as given, with no
+    other condition."""
+    doc = files.get("psi.json")
+    if argv[0] != "verify-lemma" or not isinstance(doc, dict):
+        return False
+    opts = dict(a[2:].split("=", 1) for a in argv[1:])
+    n, m, kappa = int(opts["n"]), int(opts["m"]), int(opts["kappa"])
+    try:
+        psi = [[Fraction(str(v)) for v in row] for row in doc["psi"]]
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        return False
+    if (type(doc.get("n")), type(doc.get("m"))) != (int, int) or (doc["n"], doc["m"]) != (n, m):
+        return False
+    if min(n, m) < 2 or [len(row) for row in psi] != [m] * n or kappa < (n - 1) * (m - 1):
+        return False
+    if not any(psi[i][m - 1] for i in range(n - 1)):
+        return False
+    return (n, m) != (2, 2) or psi[0][0] * psi[1][1] != psi[0][1] * psi[1][0]
 
 
 @st.composite
@@ -537,6 +603,18 @@ def _invocations(draw):
     return argv, {}
 
 
+@st.composite
+def _psi_invocations(draw):
+    """verify-lemma or flag on a psi file of the right shape, kappa near the
+    minimum: mostly verifiable, now and then without a pivot or singular."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    kappa = (n - 1) * (m - 1) + draw(st.integers(-1, 1))
+    command = draw(st.sampled_from(["verify-lemma", "flag"]))
+    doc = {"n": n, "m": m, "psi": [[draw(_exact) for _ in range(m)] for _ in range(n)]}
+    return [command, f"--n={n}", f"--m={m}", f"--kappa={kappa}", "--psi=psi.json"], {
+        "psi.json": doc}
+
+
 def _chart_with(**fields):
     return {"chart.json": dict(_flat_chart_doc(), **fields)}
 
@@ -548,7 +626,7 @@ _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_invocations())
+@given(st.one_of(_invocations(), _psi_invocations()))
 # each of these once ended in a traceback (exit 1) or, for ledger, a pass
 @example((["verify-lemma", "--n=3", "--m=0", "--kappa=0", "--random-psi=0"], {}))
 @example((["ledger", "--n=0", "--m=3", "--kappa=1"], {}))
@@ -563,10 +641,17 @@ _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
           {"psi.json": {"n": 2, "m": 2.5, "psi": [["0", "1"], ["1", "0"]]}}))
 @example((_AUDIT, _chart_with(m=2.7)))
 @example((_AUDIT, _chart_with(margin=-5)))
+# pivot columns that cannot be normalized by a rational rotation were once
+# refused
+@example((["verify-lemma", "--n=2", "--m=2", "--kappa=1", "--psi=psi.json"],
+          {"psi.json": {"n": 2, "m": 2, "psi": [["1", "1"], ["0", "1"]]}}))
+@example((["verify-lemma", "--n=3", "--m=2", "--kappa=2", "--psi=psi.json"],
+          {"psi.json": {"n": 3, "m": 2, "psi": [["0", "1/2"], ["2", "1"], ["1", "0"]]}}))
 # a negative seed count once passed vacuously
 @example((["sweep", "--n-range=2..3", "--m-range=2..2", "--seeds=-1"], {}))
 def test_every_accepted_invocation_ends_in_one_report(invocation):
     argv, files = invocation
+    verifiable = _verifiable(argv, files)
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in files.items():
             with open(os.path.join(tmp, name), "w") as fh:
@@ -585,6 +670,9 @@ def test_every_accepted_invocation_ends_in_one_report(invocation):
         # no fiber rank or base dimension below 2 is valid input
         if min(report["inputs"]["n"], report["inputs"]["m"]) < 2:
             assert code == EXIT_INVALID
+    # every well-formed psi with a pivot is verified as given
+    if verifiable:
+        assert code == EXIT_PASS, report
     if report["command"] == "sweep" and report["inputs"].get("seeds", 0) < 0:
         assert code == EXIT_INVALID
         assert "--seeds" in report["results"]["error"]

@@ -63,6 +63,17 @@ def test_non_integral_element_detected():
     assert not is_integral_element(tilted, ideal)
 
 
+def test_vectors_outside_the_space_are_rejected():
+    # indices 0 and 5 lie outside the 4-dimensional split coframe; contraction
+    # alone ignores them, so pi1 would seem to vanish on the element
+    ideal = AlgebraicIdeal(simple_coframe(), [ExteriorForm.covector(4, 3)])
+    for basis in ([{0: 1}, {5: 1}], [{0: 1}], [{1: 1, 5: 2}], [{-1: 1}]):
+        element = IntegralElement(basis)
+        for check in (is_integral_element, polar_space, extension_rank):
+            with pytest.raises(InputError, match="outside 1..4"):
+                check(element, ideal)
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(InputError):
         IntegralElement([sparse_unit(1), sparse_unit(1)])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_reference
@@ -17,7 +17,7 @@ from gielab.gie import (CurvatureElement, PsiData, SecondFundamental,
                         construct_preimage, curvature_rows,
                         dependent_coefficient, dimension_ledger, gauss_map,
                         gie_cartan_report, gie_ideal, grassmann_pullback,
-                        jacobian_rank_certificate, load_psi, normalize_psi,
+                        jacobian_rank_certificate, load_psi,
                         random_normalized_psi)
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -29,7 +29,7 @@ def random_H(n, m, kappa, rng):
          for _ in range(n)] for _ in range(kappa)])
 
 
-# -- psi data and normalization ----------------------------------------
+# -- psi data -----------------------------------------------------------
 
 
 def test_psi_indexing():
@@ -42,48 +42,10 @@ def test_psi_rejects_zero_form():
         PsiData(2, 2, [[0, 0], [0, 0]])
 
 
-def test_normalize_fixes_normalized_input():
-    psi = PsiData(2, 2, [[Fraction(3), 1], [Fraction(5), 0]])
-    out, change = normalize_psi(psi)
-    assert out.values == psi.values
-    assert change.is_identity()
-
-
-def test_normalize_householder_case():
-    # pivot column (3, 4): norm 25, an exact rational square
-    psi = PsiData(2, 2, [[3, 3], [1, 4]])
-    out, change = normalize_psi(psi)
-    assert out.is_normalized()
-    # the fiber change is orthogonal: Q Q^T = I
-    q = change.fiber_matrix
-    for i in range(2):
-        for j in range(2):
-            dot = sum(q[i][k] * q[j][k] for k in range(2))
-            assert dot == (1 if i == j else 0)
-
-
-def test_normalize_base_permutation_case():
-    psi = PsiData(2, 3, [[2, 0, 0], [1, 1, 0]])
-    out, change = normalize_psi(psi)
-    assert out.is_normalized()
-    assert change.base_permutation != [1, 2, 3]
-
-
-def test_normalize_rejects_irrational_rotation():
-    # pivot column (1, 1): norm 2 is not a perfect rational square
-    with pytest.raises(InputError):
-        normalize_psi(PsiData(2, 2, [[1, 1], [0, 1]]))
-
-
-def test_normalize_rejects_singular_2x2():
-    with pytest.raises(InputError):
-        normalize_psi(PsiData(2, 2, [[1, 1], [1, 1]]))
-
-
 def test_load_psi_roundtrip():
     doc = {"n": 2, "m": 2, "psi": [["1/2", "1"], ["3", "0"]]}
     psi = load_psi(doc)
-    assert psi[1, 1] == Fraction(1, 2) and psi.is_normalized()
+    assert psi.values == [[Fraction(1, 2), 1], [3, 0]]
 
 
 def test_load_psi_malformed():
@@ -187,17 +149,18 @@ def test_preimage_contracts_hold_exactly():
         H = construct_preimage(psi, kappa)
         assert all(not r for r in cartan_identity_residual(H, psi))
         assert gauss_map(H).is_zero()
-        assert H.in_open_set()
+        assert jacobian_rank_certificate(H, psi).full
 
 
 def test_open_set_rejects_dependent_columns():
-    # H_21 := H_11 on a pre-image makes the Gram matrix of H_11, H_21 singular
+    # H_21 := H_11 on a pre-image makes {H_{i lam} : i < n, lam < m}
+    # dependent, which the rank certificate detects
     psi = random_normalized_psi(3, 2, random.Random(10))
     H = construct_preimage(psi, 2)
-    assert H.in_open_set()
+    assert jacobian_rank_certificate(H, psi).full
     for a in (1, 2):
         H.set(a, 2, 1, H[a, 1, 1])
-    assert not H.in_open_set()
+    assert not jacobian_rank_certificate(H, psi).full
 
 
 def test_H_rejects_indices_and_shapes_out_of_range():
@@ -230,8 +193,94 @@ def test_preimage_rejects_small_kappa():
 
 
 def test_preimage_requires_normalized_psi():
-    with pytest.raises(InputError):
-        construct_preimage(PsiData(2, 2, [[1, 2], [0, 3]]), 1)
+    # the construction needs a pivot psi^i_{Lambda minus m} != 0 with i < n,
+    # and nothing more: psi^n_{Lambda minus m} alone is not one
+    for psi in (PsiData(3, 3, [[1, 1, 0], [2, 0, 0], [0, 1, 5]]),
+                PsiData(2, 2, [[1, 0], [0, 1]])):
+        with pytest.raises(InputError, match="no pivot"):
+            construct_preimage(psi, (psi.n - 1) * (psi.m - 1))
+    psi = PsiData(2, 2, [[1, 2], [0, 3]])  # once refused as not normalized
+    assert all(not r for r in cartan_identity_residual(construct_preimage(psi, 1), psi))
+
+
+def test_preimage_rejects_singular_2x2():
+    with pytest.raises(InputError, match="det psi"):
+        construct_preimage(PsiData(2, 2, [[1, 1], [1, 1]]), 1)
+
+
+def normalized_preimage(psi, kappa):
+    """The pre-image for normalized psi, written out: H_{i lam} = e_{(i, lam)}
+    for i < n, lam < m, the last fiber row zero, H_{1 m} = sum over
+    (i, lam) of (-1)^(m+lam+1) psi^i_{Lambda minus lam} e_{(i, lam)} and
+    H_{j m} = sum over lam of (-1)^(m+lam+1) psi^j_{Lambda minus lam}
+    e_{(1, lam)} for 2 <= j < n."""
+    n, m = psi.n, psi.m
+    H = SecondFundamental(n, m, kappa)
+    for i in range(1, n):
+        for lam in range(1, m):
+            H.columns[i, lam][(i - 1) * (m - 1) + lam] = Fraction(1)
+    for lam in range(1, m):
+        s = 1 if (m + lam + 1) % 2 == 0 else -1
+        for i in range(1, n):
+            if psi[i, lam]:
+                H.columns[1, m][(i - 1) * (m - 1) + lam] = s * psi[i, lam]
+        for j in range(2, n):
+            if psi[j, lam]:
+                H.columns[j, m][lam] = s * psi[j, lam]
+    return H
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 8) for m in range(2, 8)])
+def test_preimage_of_normalized_psi_is_the_written_out_formula(n, m):
+    # entry for entry and in insertion order, at the least kappa and above it
+    rng = random.Random(100 * n + m)
+    for kappa in ((n - 1) * (m - 1), (n - 1) * (m - 1) + 2):
+        for _ in range(3):
+            psi = random_normalized_psi(n, m, rng)
+            got = construct_preimage(psi, kappa).columns
+            want = normalized_preimage(psi, kappa).columns
+            assert {key: list(col.items()) for key, col in got.items()} == \
+                {key: list(col.items()) for key, col in want.items()}
+
+
+@st.composite
+def psi_with_pivot(draw):
+    """Rational psi over (2..5)^2, normalized or not, with a pivot
+    psi^p_{Lambda minus m} != 0 at some p < n, and det psi != 0 at (2, 2)."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    values = [[draw(fractions) for _ in range(m)] for _ in range(n)]
+    values[draw(st.integers(0, n - 2))][m - 1] = draw(fractions.filter(bool))
+    psi = PsiData(n, m, values)
+    assume(n * m > 4 or psi.det2())
+    return psi
+
+
+@settings(max_examples=100, deadline=None)
+@given(psi_with_pivot(), st.integers(0, 2))
+def test_preimage_of_psi_as_given(psi, extra):
+    n, m = psi.n, psi.m
+    kappa = (n - 1) * (m - 1) + extra
+    H = construct_preimage(psi, kappa)
+    assert all(not r for r in cartan_identity_residual(H, psi))
+    assert gauss_map(H).is_zero()
+    assert jacobian_rank_certificate(H, psi).full
+    if n * m <= 12:
+        assert build_integral_flag(psi, H).dimension == m
+        report = gie_cartan_report(psi, H)
+        assert report.verdict == "ordinary"
+        assert report.characters == closed_form_characters(n, m, kappa)
+
+
+def test_preimage_off_by_one_at_the_pivot_is_caught():
+    # psi^1_{Lambda minus 3} = 0, so the pivot is p = 2: H^1_{p m} + 1
+    # breaks the Cartan identity of a = 1, and the flag check refuses it
+    psi = PsiData(3, 3, [[1, 2, 0], [3, -1, 2], [1, 1, 5]])
+    H = construct_preimage(psi, 4)
+    assert all(not r for r in cartan_identity_residual(H, psi))
+    H.set(1, 2, 3, H[1, 2, 3] + 1)
+    assert cartan_identity_residual(H, psi)[0] == 2
+    with pytest.raises(VerificationError):
+        build_integral_flag(psi, H)
 
 
 # -- rank certificate ----------------------------------------------------

@@ -55,13 +55,6 @@ def test_sparse_echelon_insert_reports_novelty():
     assert ech.rank == 2
 
 
-def test_independent():
-    assert linalg.independent([[Fraction(1), Fraction(0)],
-                               [Fraction(1), Fraction(1)]])
-    assert not linalg.independent([[Fraction(1), Fraction(2)],
-                                   [Fraction(2), Fraction(4)]])
-
-
 # -- sparse RREF nullspace against Bareiss back-substitution ---------------
 
 
