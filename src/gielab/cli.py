@@ -156,9 +156,8 @@ def cmd_flag(args, inputs, started):
     _check_size(args.n, args.m, args.kappa)
     psi = _load_psi_arg(args)
     H = gie.construct_preimage(psi, args.kappa)
-    R = gie.gauss_map(H)
-    element = gie.build_integral_flag(psi, H, R)  # raises on a violated contract
-    report = gie.gie_cartan_report(psi, H, R)
+    element = gie.build_integral_flag(psi, H)  # raises on a violated contract
+    report = gie.gie_cartan_report(psi, H)
     results = {
         "flag_dimension": element.dimension,
         "integral": True,

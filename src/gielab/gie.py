@@ -21,10 +21,9 @@ from math import lcm
 
 from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
-                  cartan_characters_by_expansion, cartan_test,
-                  first_nonvanishing, is_integral_element)
+                  cartan_characters_by_expansion, cartan_test)
 from .errors import InputError, VerificationError, json_int
-from .exterior import ExteriorForm, evaluate, substitute
+from .exterior import ExteriorForm, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +255,11 @@ def curvature_rows(n, m):
 
 
 def dependent_coefficient(H: SecondFundamental, psi: PsiData, a: int):
-    """The value of H^a_{1m} dictated by the Cartan identity, for
-    normalized psi (psi^1_{Lambda minus m} = 1, every other
-    psi^i_{Lambda minus m} = 0)."""
-    m = H.m
-    total = Fraction(0)
-    for i in range(1, H.n + 1):
-        for lam in range(1, m):
-            s = 1 if (m + lam + 1) % 2 == 0 else -1
-            total += s * H[a, i, lam] * psi[i, lam]
-    return total
+    """The H^a_{p m} (p the pivot, see `_pivot`) that closes the Cartan
+    identity of a, other entries held fixed: the residual of a is linear
+    in it with coefficient u_p.  InputError when psi has no pivot."""
+    p, u = _pivot(psi)
+    return H[a, p, H.m] - cartan_identity_residual(H, psi)[a - 1] / u[p - 1]
 
 
 @dataclass
@@ -300,11 +294,12 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
     rank is computed by sparse elimination.
 
     Everything runs on the integer columns D*H, which have the same ranks
-    and pivots as H.  The block of level (k, nu) is the block of level
-    (k-1, nu) plus the rows H_{k-1, lam}, lam < nu, so one incremental
-    echelon per nu decides every level: a level fails when one of its
-    new rows is dependent, and otherwise its witness is the echelon's
-    pivot set, the column rank profile of the block.
+    and pivots as H.  The block of level (k, nu) is that of (k-1, nu) plus
+    the rows H_{k-1, lam}, lam < nu, or that of (k, nu-1) plus the rows
+    H_{i, nu-1}, i < k.  So one incremental echelon per nu (per k when
+    m > n, inserting each row once) decides every level: a level fails
+    when one of its new rows is dependent, and otherwise its witness is
+    the echelon's pivot set, the block's column rank profile.
     """
     n, m, kappa = H.n, H.m, H.kappa
     expected = n * (n - 1) * m * (m - 1) // 4
@@ -314,8 +309,10 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
     witness = []
     echelons = {}
     for (k, nu) in levels:
-        ech = echelons.setdefault(nu, linalg.SparseEchelon())
-        if not all(ech.insert(cols[k - 1, lam]) for lam in range(1, nu)):
+        ech = echelons.setdefault(k if m > n else nu, linalg.SparseEchelon())
+        rows = ([cols[i, nu - 1] for i in range(1, k)] if m > n
+                else [cols[k - 1, lam] for lam in range(1, nu)])
+        if not all(ech.insert(row) for row in rows):
             failed = (k, nu)
             break
         witness.extend((a, k, nu) for a in sorted(ech.pivots))
@@ -347,15 +344,29 @@ def _require_kappa(n, m, kappa):
     return min_kappa
 
 
+def _pivot(psi: PsiData):
+    """(p, u): u_i = (-1)^(m+1) psi^i_{Lambda minus m} (i <= n-1) and the
+    pivot p, the first i with u_i != 0; InputError when there is none."""
+    n, m = psi.n, psi.m
+    u = [psi[i, m] if m % 2 else -psi[i, m] for i in range(1, n)]
+    p = next((i for i, x in enumerate(u, 1) if x), None)
+    if p is None:
+        raise InputError(
+            "psi^i_{Lambda minus m} = 0 for every fiber index i <= n-1, so the "
+            "pre-image has no pivot; reorder the fiber or the base so that one "
+            "of them is non-zero")
+    return p, u
+
+
 def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
     """Explicit pre-image of 0 under the Gauss map, for psi as given.
 
     With Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}, the sign of
-    `cartan_identity_residual`, let u_i = Psi'_{i m} (i <= n-1) and p the
-    first i with u_i != 0, the pivot.  The vectors H_{i lam} (i <= n-1,
-    lam <= m-1) are standard basis vectors e_{(i, lam)} of W in
-    (i, lam)-lexicographic order and the last fiber row is zero.  For
-    each lam <= m-1, w_k = -Psi'_{k lam} and the symmetric matrix
+    `cartan_identity_residual`, u_i = Psi'_{i m} and the pivot p are those
+    of `_pivot`.  The vectors H_{i lam} (i <= n-1, lam <= m-1) are
+    standard basis vectors e_{(i, lam)} of W in (i, lam)-lexicographic
+    order and the last fiber row is zero.  For each lam <= m-1,
+    w_k = -Psi'_{k lam} and the symmetric matrix
 
         S = (e_p w^T + w e_p^T) / u_p - (w.u) / u_p^2 e_p e_p^T,
 
@@ -373,13 +384,7 @@ def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
     _require_kappa(n, m, kappa)
     if n == 2 and m == 2 and not psi.det2():
         raise InputError("n = m = 2 requires det psi != 0")
-    u = [psi[i, m] if m % 2 else -psi[i, m] for i in range(1, n)]
-    p = next((i for i, x in enumerate(u, 1) if x), None)
-    if p is None:
-        raise InputError(
-            "psi^i_{Lambda minus m} = 0 for every fiber index i <= n-1, so the "
-            "pre-image has no pivot; reorder the fiber or the base so that one "
-            "of them is non-zero")
+    p, u = _pivot(psi)
     r = 1 / u[p - 1]
     others = [k for k in range(p + 1, n) if u[k - 1]]
 
@@ -509,14 +514,13 @@ def gie_coframe(n, m, kappa) -> SigmaCoframe:
 
 
 def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
-              H: SecondFundamental | None = None,
-              adapted: bool = False) -> AlgebraicIdeal:
+              H: SecondFundamental | None = None) -> AlgebraicIdeal:
     """The exterior ideal on the product space in the sigma coframe.
 
     Generators: the coframe covectors omega^i_j - eta^i_j, the Gauss-type
     2-forms sum_a omega^a_i ^ omega^a_j - Omega^i_j, and the phi-type
-    m-forms omega^a_i ^ phi^i.  With adapted=True the normal covectors
-    are rewritten as pi^a_i + H^a_{i lam} eta^lam, the coframe adapted to
+    m-forms omega^a_i ^ phi^i.  Given H, the normal covectors are
+    rewritten as pi^a_i + H^a_{i lam} eta^lam, the coframe adapted to
     the integral flag of H (required for the expansion-method character
     count).
     """
@@ -560,9 +564,7 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
                     g[complements[lam - 1] + fiber] = sign * v
         gens.append(form(m, g))
 
-    if adapted:
-        if H is None:
-            raise InputError("adapted coframe requires H")
+    if H is not None:
         images = {}
         for a in range(n + 1, n + kappa + 1):
             for i in range(1, n + 1):
@@ -580,14 +582,16 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
 def build_integral_flag(psi: PsiData, H: SecondFundamental,
                         R: CurvatureElement | None = None) -> IntegralElement:
     """The explicit m-dimensional integral element e_lam = X_lam +
-    H^a_{i lam} Y_{sigma(a,i)}.  Verifies integrality, the vanishing of
-    all Y_{sigma(i,j)} coefficients, and eta^Lambda(e_1..e_m) = 1."""
+    H^a_{i lam} Y_{sigma(a,i)} of `gie_ideal(psi, R, kappa)`.
+
+    E is the pi = 0 plane of the coframe adapted to H, so a generator's
+    value on (e_S) is its pure-base coefficient at S: 0 for omega^i_j -
+    eta^i_j, (G(H) - R)_{ij; lam mu} for the Gauss-type form of (i, j) on
+    (e_lam, e_mu), the Cartan residual of a for the phi-type form of a
+    (R = None means R = G(H)).  VerificationError names the first
+    non-zero value, as `eds.first_nonvanishing` would."""
     n, m, kappa = H.n, H.m, H.kappa
-    if R is None:
-        R = gauss_map(H)
     sigma = SigmaIndexMap(n, kappa)
-    ideal = gie_ideal(psi, R, kappa)
-    N = ideal.dim
     basis = []
     for lam in range(1, m + 1):
         v = {lam: Fraction(1)}
@@ -596,24 +600,19 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
                 v[m + sigma.normal(n + a, i)] = h
         basis.append(v)
     element = IntegralElement(basis)
-    if not is_integral_element(element, ideal):
-        _report_first_violation(element, ideal)
-    vol = ExteriorForm.monomial(N, tuple(range(1, m + 1)))
-    if evaluate(vol, element.basis) != 1:
-        raise VerificationError("volume form does not evaluate to 1 on the flag")
-    return element
-
-
-def _report_first_violation(element, ideal):
-    for gi, g in enumerate(ideal.generators):
-        if g.degree > element.dimension:
-            continue
-        found = first_nonvanishing(g, element.basis)
-        if found:
+    pairs = n * (n - 1) // 2
+    values = []  # (generator, value), in the ideal's order
+    if R is not None:
+        G = gauss_map(H).values
+        values = [(pairs + sigma.pair(*key[:2]) - 1, G.get(key, _ZERO) - R[key])
+                  for key in sorted(G.keys() | R.values.keys())]
+    values += [(2 * pairs + a, r) for a, r in enumerate(cartan_identity_residual(H, psi))]
+    for generator, value in values:
+        if value:
             raise VerificationError(
-                f"generator {gi} evaluates to {found[1]} on the flag; "
+                f"generator {generator} evaluates to {value} on the flag; "
                 "H violates the Gauss/Cartan preconditions")
-    raise VerificationError("integrality check failed without a witness")
+    return element
 
 
 def gie_cartan_report(psi: PsiData, H: SecondFundamental,
@@ -623,7 +622,7 @@ def gie_cartan_report(psi: PsiData, H: SecondFundamental,
     if R is None:
         R = gauss_map(H)
     ledger = dimension_ledger(psi.n, psi.m, H.kappa)
-    ideal = gie_ideal(psi, R, H.kappa, H=H, adapted=True)
+    ideal = gie_ideal(psi, R, H.kappa, H=H)
     report = cartan_characters_by_expansion(ideal)
     return cartan_test(report, ledger.codim_v)
 

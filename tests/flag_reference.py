@@ -60,8 +60,9 @@ def first_nonvanishing(g, vectors):
     return None
 
 
-def gie_ideal_generators(psi, R, kappa, H=None, adapted=False):
-    """The generators of `gie.gie_ideal`, summed monomial by monomial."""
+def gie_ideal_generators(psi, R, kappa, H=None):
+    """The generators of `gie.gie_ideal`, summed monomial by monomial;
+    in the coframe adapted to H when H is given."""
     n, m = psi.n, psi.m
     sigma = SigmaIndexMap(n, kappa)
     N = gie_coframe(n, m, kappa).dim
@@ -91,7 +92,7 @@ def gie_ideal_generators(psi, R, kappa, H=None, adapted=False):
                     g = g + ExteriorForm.monomial(
                         N, (m + sigma.normal(a, i),) + comp, v)
         gens.append(g)
-    if adapted:
+    if H is not None:
         images = {}
         for a in range(n + 1, n + kappa + 1):
             for i in range(1, n + 1):

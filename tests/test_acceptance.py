@@ -16,9 +16,11 @@ import pytest
 
 from dg_reference import dg_columns, dg_entry
 from gielab import VerificationError, linalg
-from gielab.eds import IntegralElement, cartan_characters_by_expansion, polar_space
+from gielab.eds import (IntegralElement, cartan_characters_by_expansion,
+                        is_integral_element, polar_space)
 from gielab.emt import (EnergyMomentum, flat_chart, inverse_metric_tensor,
                         sphere_chart, target_dimension, verify_equivalence)
+from gielab.exterior import ExteriorForm, evaluate
 from gielab.gie import (PsiData, SecondFundamental, build_integral_flag,
                         cartan_identity_residual, closed_form_characters,
                         construct_preimage, curvature_rows,
@@ -125,8 +127,13 @@ def test_criterion_5_flag_and_grassmannian_agree():
         H = construct_preimage(psi, kappa)
         R = gauss_map(H)
         sigma_size = n * (n - 1) // 2
-        # build_integral_flag verifies: every generator 0, eta^Lambda = 1
         flag = build_integral_flag(psi, H, R)
+        # every generator vanishes on the flag, checked generically, and
+        # eta^Lambda = 1 on it
+        ideal = gie_ideal(psi, R, kappa)
+        assert is_integral_element(flag, ideal), (n, m)
+        volume = ExteriorForm.monomial(ideal.dim, tuple(range(1, m + 1)))
+        assert evaluate(volume, flag.basis) == 1, (n, m)
         # Y_{sigma(i,j)} coefficients vanish on every flag vector
         for v in flag.basis:
             assert not any(m < k <= m + sigma_size for k in v), (n, m)
@@ -142,7 +149,7 @@ def test_criterion_6_expansion_equals_polar_codimensions():
         H = construct_preimage(psi, 1)
         R = gauss_map(H)
         raw = gie_ideal(psi, R, 1)
-        adapted = gie_ideal(psi, R, 1, H=H, adapted=True)
+        adapted = gie_ideal(psi, R, 1, H=H)
         characters = cartan_characters_by_expansion(adapted).characters
         flag = build_integral_flag(psi, H, R)
         for p in range(2):
@@ -161,7 +168,7 @@ def test_character_routes_agree_on_the_whole_grid():
         H = construct_preimage(psi, kappa)
         R = gauss_map(H)
         closed = closed_form_characters(n, m, kappa)
-        adapted = gie_ideal(psi, R, kappa, H=H, adapted=True)
+        adapted = gie_ideal(psi, R, kappa, H=H)
         assert cartan_characters_by_expansion(adapted).characters == closed, (n, m)
         raw = gie_ideal(psi, R, kappa)
         flag = build_integral_flag(psi, H, R)

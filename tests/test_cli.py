@@ -157,7 +157,7 @@ def test_flag_error_report_echoes_inputs(tmp_path, capsys):
 def test_flag_violation_report_echoes_inputs(capsys, monkeypatch):
     from gielab import VerificationError, gie
 
-    def refuse(psi, H, R):
+    def refuse(psi, H, R=None):
         raise VerificationError("generator 0 evaluates to 1 on the flag")
 
     monkeypatch.setattr(gie, "build_integral_flag", refuse)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import flag_reference
 from dg_reference import dg_columns, dg_matrix
 from gielab import InputError, VerificationError, linalg
-from gielab.eds import IntegralElement, cartan_characters_by_expansion, polar_space
+from gielab.eds import (IntegralElement, cartan_characters_by_expansion,
+                        first_nonvanishing, is_integral_element, polar_space)
 from gielab.gie import (CurvatureElement, PsiData, SecondFundamental,
                         SigmaIndexMap, _flag_levels, build_integral_flag,
                         cartan_identity_residual, closed_form_characters,
@@ -77,6 +78,24 @@ def test_dependent_coefficient_closes_identity():
     for a in range(1, 5):
         H.set(a, 1, 3, dependent_coefficient(H, psi, a))
     assert all(not r for r in cartan_identity_residual(H, psi))
+
+
+def test_dependent_coefficient_for_psi_as_given():
+    # the pivot is p = 1 with u_1 = psi^1_{Lambda minus 3} = 2, and
+    # psi^2_{Lambda minus 3} = 1 != 0: neither is the normalized case
+    psi = PsiData(3, 3, [[1, 2, 2], [3, -1, 1], [1, 1, 5]])
+    for H in (construct_preimage(psi, 4), random_H(3, 3, 4, random.Random(3))):
+        for a in range(1, 5):
+            H.set(a, 1, 3, dependent_coefficient(H, psi, a))
+        assert all(not r for r in cartan_identity_residual(H, psi))
+    # psi^1_{Lambda minus 3} = 0 moves the pivot to p = 2
+    psi = PsiData(3, 3, [[1, 2, 0], [3, -1, 2], [1, 1, 5]])
+    H = random_H(3, 3, 4, random.Random(4))
+    for a in range(1, 5):
+        H.set(a, 2, 3, dependent_coefficient(H, psi, a))
+    assert all(not r for r in cartan_identity_residual(H, psi))
+    with pytest.raises(InputError, match="no pivot"):
+        dependent_coefficient(H, PsiData(3, 3, [[1, 1, 0], [2, 0, 0], [0, 1, 5]]), 1)
 
 
 def test_gauss_map_antisymmetry_storage():
@@ -364,6 +383,12 @@ def test_sparse_kernels_match_dense_reference(H):
     if first_bad is None:
         sub = dg_matrix(H, cert.witness_columns)
         assert linalg.rank(sub) == len(sub)
+        # each level's witness is its block's column rank profile, whichever
+        # way (per nu or, when m > n, per k) the blocks were grown
+        profiles = [(a + 1, k, nu) for (k, nu) in _flag_levels(n, m)
+                    for a in linalg.bareiss_echelon(
+                        [H.vector(i, lam) for i in range(1, k) for lam in range(1, nu)])[1]]
+        assert cert.witness_columns == profiles
 
 
 # -- sigma map, ledger ----------------------------------------------------
@@ -441,6 +466,58 @@ def test_flag_rejects_bad_H():
         build_integral_flag(psi, H)
 
 
+def flag_vectors(H):
+    """e_lam = X_lam + sum H^a_{i lam} Y_{sigma(a,i)}, written from H."""
+    n, m, kappa = H.n, H.m, H.kappa
+    sigma = SigmaIndexMap(n, kappa)
+    return [{lam: Fraction(1), **{m + sigma.normal(n + a, i): H[a, i, lam]
+                                  for i in range(1, n + 1) for a in range(1, kappa + 1)
+                                  if H[a, i, lam]}}
+            for lam in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(2, 6)])
+def test_flag_check_agrees_with_the_generic_walk(n, m):
+    # build_integral_flag reads the generators' values off G(H) - R and the
+    # Cartan residuals; the generic walk over every generator and subset must
+    # give the same verdict and name the same first witness.  Off-pre-image
+    # H, R != G(H) and R = None.
+    rng = random.Random(100 * n + m)
+    kappa = (n - 1) * (m - 1)
+    for case in range(8):
+        # kinds 0, 1, 3: H off the pre-image with R = None, R = 0, and R =
+        # G(H) moved by -1, 0 or 1 in one component; kind 2: H at the
+        # pre-image and R = 0 moved so in up to three components
+        kind = case % 4
+        psi = random_normalized_psi(n, m, rng)
+        H = construct_preimage(psi, kappa)
+        if kind != 2:
+            for _ in range(rng.randint(1, 2)):
+                H.set(rng.randint(1, kappa), rng.randint(1, n), rng.randint(1, m),
+                      Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        R = None
+        if kind:
+            values = dict(gauss_map(H).values) if kind == 3 else {}
+            for _ in range({1: 0, 2: 3, 3: 1}[kind]):
+                i, j = sorted(rng.sample(range(1, n + 1), 2))
+                lam, mu = sorted(rng.sample(range(1, m + 1), 2))
+                values[i, j, lam, mu] = values.get((i, j, lam, mu), 0) + rng.randint(-1, 1)
+            R = CurvatureElement(n, m, values)
+        element = IntegralElement(flag_vectors(H))
+        ideal = gie_ideal(psi, gauss_map(H) if R is None else R, kappa)
+        witness = next(((gi, found[1]) for gi, g in enumerate(ideal.generators)
+                        for found in [first_nonvanishing(g, element.basis)] if found), None)
+        assert is_integral_element(element, ideal) == (witness is None)
+        if witness is None:
+            assert build_integral_flag(psi, H, R).basis == element.basis
+        else:
+            want = (f"generator {witness[0]} evaluates to {witness[1]} on the flag; "
+                    "H violates the Gauss/Cartan preconditions")
+            with pytest.raises(VerificationError) as err:
+                build_integral_flag(psi, H, R)
+            assert str(err.value) == want
+
+
 def test_cartan_report_matches_closed_forms():
     rng = random.Random(12)
     for (n, m) in [(2, 2), (3, 2), (2, 3), (3, 3)]:
@@ -459,7 +536,7 @@ def test_expansion_fails_when_gauss_equation_violated():
     psi = random_normalized_psi(2, 2, rng)
     H = construct_preimage(psi, 1)
     R = CurvatureElement(2, 2, {(1, 2, 1, 2): Fraction(1)})
-    ideal = gie_ideal(psi, R, 1, H=H, adapted=True)
+    ideal = gie_ideal(psi, R, 1, H=H)
     with pytest.raises(VerificationError):
         cartan_characters_by_expansion(ideal)
 
@@ -472,7 +549,7 @@ def test_characters_equal_polar_codimensions_n2m2():
         H = construct_preimage(psi, 1)
         R = gauss_map(H)
         raw = gie_ideal(psi, R, 1)
-        adapted = gie_ideal(psi, R, 1, H=H, adapted=True)
+        adapted = gie_ideal(psi, R, 1, H=H)
         chars = cartan_characters_by_expansion(adapted).characters
         flag = build_integral_flag(psi, H)
         for p in range(2):
@@ -515,11 +592,11 @@ def test_ideal_matches_monomial_sums(n, m):
     preimage = construct_preimage(psi, kappa)
     for H in (preimage, random_H(n, m, kappa, random.Random(n + m))):
         R = gauss_map(H)
-        for adapted in (False, True):
-            got = gie_ideal(psi, R, kappa, H=H, adapted=adapted).generators
-            want = flag_reference.gie_ideal_generators(psi, R, kappa, H=H, adapted=adapted)
+        for adapted in (None, H):
+            got = gie_ideal(psi, R, kappa, H=adapted).generators
+            want = flag_reference.gie_ideal_generators(psi, R, kappa, H=adapted)
             assert [(g.dim, g.degree, list(g.coefficients.items())) for g in got] == \
-                [(g.dim, g.degree, list(g.coefficients.items())) for g in want], adapted
+                [(g.dim, g.degree, list(g.coefficients.items())) for g in want], adapted is H
 
 
 def test_grassmann_count_uses_the_symbolic_gradient():

@@ -9,7 +9,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from gielab import cli, eds, gie, linalg
+from gielab import cli, eds, exterior, gie, linalg
 from gielab.eds import IntegralElement
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -40,10 +40,13 @@ def test_tracer_targets_resolve_and_record(tmp_path):
         pullback = gie.grassmann_pullback(psi, R, 2)
         pullback.independent_differential_count(pullback.point_from(H))
         flag = gie.build_integral_flag(psi, H, R)
-        eds.polar_space(IntegralElement(flag.basis[:1]), gie.gie_ideal(psi, R, 2))
-        # no pipeline reaches Bareiss elimination any more; the dense rank
-        # is still a traced target
+        ideal = gie.gie_ideal(psi, R, 2)
+        eds.polar_space(IntegralElement(flag.basis[:1]), ideal)
+        # no pipeline reaches Bareiss elimination, the generic integrality
+        # walk or evaluate any more; they are still traced targets
         linalg.rank([H.vector(1, 1), H.vector(2, 1)])
+        assert eds.is_integral_element(flag, ideal)
+        assert exterior.evaluate(ideal.generators[-1], flag.basis) == 0
     for name, owner, attr, _, _ in tracer_mod.TARGETS:
         assert getattr(owner, attr) is originals[name], name
     stats, _ = tracer.summary()
