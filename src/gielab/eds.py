@@ -189,11 +189,10 @@ def _expansion_rows(ideal: AlgebraicIdeal):
             base = key[:split]
             _, row = merged.setdefault((gi, base), (base[-1] if base else 0, {}))
             # moving the single fiber index to the front across |J| base
-            # indices flips the sign |J| times
-            fiber = key[split]
-            row[fiber] = row.get(fiber, 0) + (-val if split % 2 else val)
-    return sorted(((sup, row) for sup, row in merged.values() if any(row.values())),
-                  key=lambda t: t[0])
+            # indices flips the sign |J| times; (J, fiber) is one key of g,
+            # so each row entry is written once
+            row[key[split]] = -val if split % 2 else val
+    return sorted(merged.values(), key=lambda t: t[0])
 
 
 def cartan_characters_by_expansion(ideal: AlgebraicIdeal) -> CartanReport:

@@ -10,7 +10,9 @@ componentwise.  Two backends: an exact one over polynomial charts
 (restricted to charts whose metric determinant is a nonzero constant
 perfect rational square, so the inverse metric and the volume
 coefficient stay in the polynomial ring) and a numeric one using central
-finite differences and pointwise Cholesky factors of g.
+finite differences and pointwise Cholesky factors of g.  numpy is
+imported inside the numeric functions only, so importing gielab does
+not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import InputError, VerificationError, json_int
 from .exterior import VectorValuedForm, _minor_det
@@ -123,6 +123,7 @@ class MetricChart:
         """(g, L) at a point with g = L L^T: one evaluation and one
         factorisation.  Raises InputError when g is not symmetric positive
         definite there."""
+        import numpy as np
         rows = [[float(f(point)) for f in row] for row in self._float_g]
         if not _is_symmetric(rows):
             raise InputError(f"metric not symmetric at {point}")
@@ -258,6 +259,7 @@ def _christoffel_from_inverse(g: MetricChart, ginv):
 
 def christoffel_at(g: MetricChart, point):
     """Numeric Levi-Civita symbols at a point (central differences)."""
+    import numpy as np
     return np.array(_stencil_christoffel(_metric_stencil(g, point)))
 
 
@@ -327,6 +329,7 @@ def _metric_stencil(g: MetricChart, point) -> _Stencil:
     """The stencil of `point`.  The metric is evaluated, checked symmetric
     positive definite and factorised once per stencil point, in the order
     of `points`; every finite difference at x reads these values."""
+    import numpy as np
     points = [point]
     for mu in range(g.m):
         hi = list(point)
@@ -345,6 +348,7 @@ def _metric_stencil(g: MetricChart, point) -> _Stencil:
 def _stencil_christoffel(stencil: _Stencil):
     """Gamma^lam_{mu nu} at the stencil's point as nested lists, from the
     central differences of the stencil's metric matrices."""
+    import numpy as np
     mats = stencil.mats
     m = len(mats[0])
     ginv = np.linalg.inv(mats[0]).tolist()
@@ -544,6 +548,7 @@ def sphere_chart() -> MetricChart:
 
 def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
     """T = g^{-1} as callables; covariantly constant, hence conserved."""
+    import numpy as np
     m = g.m
 
     def entry(i, j):

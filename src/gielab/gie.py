@@ -23,7 +23,7 @@ from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test)
 from .errors import InputError, VerificationError, json_int
-from .exterior import ExteriorForm, substitute
+from .exterior import ExteriorForm, _accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +523,35 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
     rewritten as pi^a_i + H^a_{i lam} eta^lam, the coframe adapted to
     the integral flag of H (required for the expansion-method character
     count).
+
+    The adapted generators are written from the non-zeros of H, grouped
+    into rows {lam: H^a_{i lam}} per (a, i).  The Gauss-type form of (i, j)
+    keeps pi^a_i ^ pi^a_j and gains -H^a_{j mu} at (mu, sigma(a, i)),
+    H^a_{i lam} at (lam, sigma(a, j)) and the pure-base sum over a of
+    H^a_{i lam} H^a_{j mu} - H^a_{i mu} H^a_{j lam}, which with -R is
+    (G(H) - R)_{ij; lam mu}.  The phi-type form of a keeps its terms and
+    gains the pure-base term eta^Lambda with the Cartan residual of a.
+    Terms are added in the order, and with the cancellations, of
+    substituting the adapted coframe monomial by monomial.  InputError
+    when H is not of shape (n, m, kappa).
     """
     n, m = psi.n, psi.m
     sigma = SigmaIndexMap(n, kappa)
     coframe = gie_coframe(n, m, kappa)
     N = coframe.dim
+    # rows[i][a] = {lam: H^a_{i lam}} over the non-zeros of H, lam ascending
+    rows = {i: {} for i in range(1, n + 1)}
+    if H is not None:
+        if (H.n, H.m, H.kappa) != (n, m, kappa):
+            raise InputError("H, psi and kappa shapes disagree")
+        for (i, lam), column in H.columns.items():
+            for a, v in column.items():
+                rows[i].setdefault(a, {})[lam] = v
+    negated = {i: {a: {lam: -v for lam, v in row.items()} for a, row in by_a.items()}
+               for i, by_a in rows.items()}
+    # coords[i][a - 1] = m + sigma(a, i), the coordinate of omega^a_i
+    coords = {i: [m + sigma.normal(n + a, i) for a in range(1, kappa + 1)]
+              for i in range(1, n + 1)}
 
     def form(degree, coefficients):
         # keys are written sorted: base indices 1..m precede fiber ones,
@@ -536,46 +560,70 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
         out.coefficients = coefficients
         return out
 
+    one = Fraction(1)
     gens = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            gens.append(form(1, {(m + sigma.pair(i, j),): Fraction(1)}))
+            gens.append(form(1, {(m + sigma.pair(i, j),): one}))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            g = {(m + sigma.normal(a, i), m + sigma.normal(a, j)): Fraction(1)
-                 for a in range(n + 1, n + kappa + 1)}
+            g = {}
+            rows_i, rows_j, negated_j = rows[i], rows[j], negated[j]
+            for a, ci, cj in zip(range(1, kappa + 1), coords[i], coords[j]):
+                g[ci, cj] = one
+                if a in negated_j:
+                    for mu, v in negated_j[a].items():
+                        g[mu, ci] = v
+                row_i = rows_i.get(a)
+                if row_i is None:
+                    continue
+                row_j = rows_j.get(a, {})
+                # the pure-base part of a, each (lam, mu) summed on its own
+                # and then added where substitution first reaches it
+                gauss = {}
+                for lam, h in row_i.items():
+                    for mu, k in row_j.items():
+                        if lam < mu:
+                            _accumulate(gauss, (lam, mu), h * k)
+                        elif lam > mu:
+                            _accumulate(gauss, (mu, lam), -(h * k))
+                for lam, h in row_i.items():
+                    g[lam, cj] = h
+                    for mu in row_j:
+                        key = (lam, mu) if lam < mu else (mu, lam)
+                        v = gauss.pop(key, None)
+                        if v is not None:
+                            _accumulate(g, key, v)
             for lam in range(1, m + 1):
                 for mu in range(lam + 1, m + 1):
-                    v = R[i, j, lam, mu]
+                    v = R.values.get((i, j, lam, mu))
                     if v:
-                        g[lam, mu] = -v
+                        _accumulate(g, (lam, mu), -v)
             gens.append(form(2, g))
     # omega^a_i ^ eta^(Lambda minus lam): moving the fiber index to the
-    # end, past m - 1 base indices, gives the sign (-1)^(m-1)
+    # end, past m - 1 base indices, gives the sign (-1)^(m-1); the adapted
+    # H^a_{i lam} eta^lam ^ eta^(Lambda minus lam) is (-1)^(lam+1) eta^Lambda
     sign = -1 if (m - 1) % 2 else 1
-    complements = [tuple(k for k in range(1, m + 1) if k != lam) for lam in range(1, m + 1)]
-    for a in range(n + 1, n + kappa + 1):
+    base = tuple(range(1, m + 1))
+    phi = []  # (i, [(Lambda minus lam, lam, coefficient, residual sign * psi)])
+    for i in range(1, n + 1):
+        terms = []
+        for lam in base:
+            v = psi[i, lam]
+            if v:
+                terms.append((base[:lam - 1] + base[lam:], lam, sign * v,
+                              v if lam % 2 else -v))
+        phi.append((i, terms))
+    for a in range(1, kappa + 1):
         g = {}
-        for i in range(1, n + 1):
-            fiber = (m + sigma.normal(a, i),)
-            for lam in range(1, m + 1):
-                v = psi[i, lam]
-                if v:
-                    g[complements[lam - 1] + fiber] = sign * v
+        for i, terms in phi:
+            fiber = (coords[i][a - 1],)
+            row = rows[i].get(a)
+            for complement, lam, v, residual_term in terms:
+                g[complement + fiber] = v
+                if row and lam in row:
+                    _accumulate(g, base, residual_term * row[lam])
         gens.append(form(m, g))
-
-    if H is not None:
-        images = {}
-        for a in range(n + 1, n + kappa + 1):
-            for i in range(1, n + 1):
-                coord = m + sigma.normal(a, i)
-                img = {(coord,): Fraction(1)}
-                for lam in range(1, m + 1):
-                    v = H[a - n, i, lam]
-                    if v:
-                        img[(lam,)] = v
-                images[coord] = form(1, img)
-        gens = [substitute(g, images, new_dim=N) for g in gens]
     return AlgebraicIdeal(coframe, gens)
 
 
@@ -645,31 +693,41 @@ class GrassmannPullback:
         s = sigma.size
         self.nvars = s * m
 
-        def P(A, lam):
-            return Polynomial.variable((A - 1) * m + (lam - 1), self.nvars)
+        def x(A, lam):  # the chart coordinate P^A_lam, 0-based
+            return (A - 1) * m + (lam - 1)
 
-        linear, quadratic, phi_type = [], [], []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for lam in range(1, m + 1):
-                    linear.append(P(sigma.pair(i, j), lam))
+        def polynomial(terms):
+            # terms are written in poly's sorted sparse monomials
+            f = Polynomial(self.nvars)
+            f.terms = terms
+            return f
+
+        one = Fraction(1)
+        linear = [polynomial({((x(sigma.pair(i, j), lam), 1),): one})
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                  for lam in range(1, m + 1)]
+        quadratic = []
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for lam in range(1, m + 1):
                     for mu in range(lam + 1, m + 1):
-                        f = Polynomial.constant(-R[i, j, lam, mu], self.nvars)
+                        r = R.values.get((i, j, lam, mu))
+                        terms = {(): -r} if r else {}
+                        # sigma(a, i) < sigma(a, j), so P^{Ai} precedes P^{Aj}
                         for a in range(n + 1, n + kappa + 1):
                             Ai, Aj = sigma.normal(a, i), sigma.normal(a, j)
-                            f = f + P(Ai, lam) * P(Aj, mu) - P(Ai, mu) * P(Aj, lam)
-                        quadratic.append(f)
+                            terms[(x(Ai, lam), 1), (x(Aj, mu), 1)] = one
+                            terms[(x(Ai, mu), 1), (x(Aj, lam), 1)] = -one
+                        quadratic.append(polynomial(terms))
+        phi_type = []
         for a in range(n + 1, n + kappa + 1):
-            f = Polynomial.constant(0, self.nvars)
+            terms = {}
             for i in range(1, n + 1):
                 for lam in range(1, m + 1):
                     c = psi[i, lam] if lam % 2 else -psi[i, lam]
                     if c:
-                        f = f + c * P(sigma.normal(a, i), lam)
-            phi_type.append(f)
+                        terms[((x(sigma.normal(a, i), lam), 1),)] = c
+            phi_type.append(polynomial(terms))
         self.linear = linear
         self.quadratic = quadratic
         self.phi_type = phi_type

@@ -185,19 +185,35 @@ class Polynomial:
     def gradient_at(self, point):
         """{v: d/dx_{v+1} at `point`} over the non-zero entries, v 0-based,
         in one pass over the terms.  At a rational point each value equals
-        `partial(v).eval(point)` exactly."""
+        `partial(v).eval(point)` exactly.
+
+        Each factor's value is read once.  A term whose zero factors have
+        total multiplicity 2 or more has a zero derivative in every
+        variable and is skipped; with one simple zero factor, only the
+        derivative in that variable is formed."""
         if len(point) != self.nvars:
             raise InputError("evaluation point has wrong length")
         grad = {}
         for k, c in self.terms.items():
-            for pos, (var, e) in enumerate(k):
-                d = c * e
-                for q, (w, ew) in enumerate(k):
-                    if q == pos:
-                        ew -= 1
-                    if ew:
-                        d = d * point[w] ** ew
-                grad[var] = grad.get(var, 0) + d
+            values = []
+            zero = None  # the position of the one simple zero factor
+            for q, (w, e) in enumerate(k):
+                x = point[w]
+                if not x:
+                    if zero is not None or e > 1:
+                        break
+                    zero = q
+                values.append(x)
+            else:
+                positions = enumerate(k) if zero is None else [(zero, k[zero])]
+                for pos, (var, e) in positions:
+                    d = c * e
+                    for q, (w, ew) in enumerate(k):
+                        if q == pos:
+                            ew -= 1
+                        if ew:
+                            d = d * values[q] ** ew
+                    grad[var] = grad.get(var, 0) + d
         return {v: d for v, d in grad.items() if d}
 
     def degree(self):

@@ -1,14 +1,16 @@
 """Term-by-term references for the flag pipeline's exterior kernels.
 
-The library builds the GIE ideal's generators as coefficient dicts,
+The library writes the GIE ideal's generators, raw or in the coframe
+adapted to H, straight into coefficient dicts from the non-zeros of H,
 substitutes a change of coframe in one multilinear pass, and finds a
 generator's first non-zero value on the flag by shared-prefix
 contraction.  This module keeps the earlier formulations: generators
-summed from `ExteriorForm.monomial`, substitution by repeated `wedge`
-and addition, and every subset evaluated by cofactor expansion on dense
-vectors, independent of contraction.  The tests require the library to
-agree with them exactly, including the order of the coefficient dicts,
-which fixes the first witness a failure report names.
+summed from `ExteriorForm.monomial`, the adapted ones by substitution,
+substitution by repeated `wedge` and addition, and every subset
+evaluated by cofactor expansion on dense vectors, independent of
+contraction.  The tests require the library to agree with them exactly,
+including the order of the coefficient dicts, which fixes the first
+witness a failure report names.
 """
 
 from fractions import Fraction

@@ -158,31 +158,41 @@ def test_criterion_6_expansion_equals_polar_codimensions():
             assert characters[p] == codim, (salt, p)
 
 
+def check_character_routes(n, m):
+    """Closed form = expansion = polar-space codimension at every p, and
+    the Grassmannian count = their sum = codim_V, at one cell."""
+    kappa = (n - 1) * (m - 1)
+    psi = grid_psis(n, m, salt=3)[0]
+    H = construct_preimage(psi, kappa)
+    R = gauss_map(H)
+    closed = closed_form_characters(n, m, kappa)
+    adapted = gie_ideal(psi, R, kappa, H=H)
+    assert cartan_characters_by_expansion(adapted).characters == closed, (n, m)
+    raw = gie_ideal(psi, R, kappa)
+    flag = build_integral_flag(psi, H, R)
+    codims = [raw.dim - len(polar_space(IntegralElement(flag.basis[:p]), raw))
+              for p in range(m)]
+    assert codims == closed, (n, m)
+    pullback = grassmann_pullback(psi, R, kappa)
+    count = pullback.independent_differential_count(pullback.point_from(H))
+    assert count == sum(closed) == dimension_ledger(n, m, kappa).codim_v, (n, m)
+    # negative case: an H moved off the pre-image yields no integral flag
+    H.set(1, 1, m, H[1, 1, m] + 1)
+    with pytest.raises(VerificationError):
+        build_integral_flag(psi, H)
+
+
 def test_character_routes_agree_on_the_whole_grid():
-    # closed form = expansion = polar-space codimension at every p, and the
-    # Grassmannian count = their sum = codim_V, in every cell of 2..6
+    # every cell of 2..6
     started = time.monotonic()
     for n, m in ROUTE_GRID:
-        kappa = (n - 1) * (m - 1)
-        psi = grid_psis(n, m, salt=3)[0]
-        H = construct_preimage(psi, kappa)
-        R = gauss_map(H)
-        closed = closed_form_characters(n, m, kappa)
-        adapted = gie_ideal(psi, R, kappa, H=H)
-        assert cartan_characters_by_expansion(adapted).characters == closed, (n, m)
-        raw = gie_ideal(psi, R, kappa)
-        flag = build_integral_flag(psi, H, R)
-        codims = [raw.dim - len(polar_space(IntegralElement(flag.basis[:p]), raw))
-                  for p in range(m)]
-        assert codims == closed, (n, m)
-        pullback = grassmann_pullback(psi, R, kappa)
-        count = pullback.independent_differential_count(pullback.point_from(H))
-        assert count == sum(closed) == dimension_ledger(n, m, kappa).codim_v, (n, m)
-        # negative case: an H moved off the pre-image yields no integral flag
-        H.set(1, 1, m, H[1, 1, m] + 1)
-        with pytest.raises(VerificationError):
-            build_integral_flag(psi, H)
+        check_character_routes(n, m)
     assert time.monotonic() - started < 10.0
+
+
+@pytest.mark.parametrize("n,m", [(7, 7), (8, 8)])
+def test_character_routes_agree_at_the_spot_cells(n, m):
+    check_character_routes(n, m)
 
 
 def test_criterion_7_gauss_map_scaling():

@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -439,6 +442,19 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         fresh.append(report_of(argv))
     assert shared == fresh
     assert [code for code, _ in shared] == [EXIT_INVALID, EXIT_PASS, EXIT_INVALID, EXIT_PASS]
+
+
+def test_import_does_not_load_numpy():
+    # only the numeric EMT backend needs numpy; a CLI start that never
+    # reaches it should not pay for importing it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gielab, gielab.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def test_help_still_exits_zero(capsys):

@@ -541,6 +541,32 @@ def test_expansion_fails_when_gauss_equation_violated():
         cartan_characters_by_expansion(ideal)
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 3)])
+def test_expansion_fails_on_the_cartan_residual(n, m):
+    # H^1_{1m} + 1 breaks the Cartan identity of a = 1 only; with R = G(H)
+    # the Gauss-type forms keep no pure-base term, so the first one is
+    # eta^Lambda in the phi-type form of a = 1, with the residual of a = 1
+    rng = random.Random(17 * n + m)
+    kappa = (n - 1) * (m - 1)
+    psi = random_normalized_psi(n, m, rng)
+    H = construct_preimage(psi, kappa)
+    H.set(1, 1, m, H[1, 1, m] + 1)
+    residual = cartan_identity_residual(H, psi)
+    assert residual[0] and not any(residual[1:])
+    ideal = gie_ideal(psi, gauss_map(H), kappa, H=H)
+    phi_type = n * (n - 1)  # the first phi-type generator
+    volume = tuple(range(1, m + 1))
+    assert ideal.generators[phi_type].coefficients[volume] == residual[0]
+    pure_base = [gi for gi, g in enumerate(ideal.generators)
+                 if any(k[-1] <= m for k in g.coefficients)]
+    assert pure_base == [phi_type]
+    want = (f"generator {phi_type} has pure-base term {volume} with coefficient "
+            f"{residual[0]};")
+    with pytest.raises(VerificationError) as err:
+        cartan_characters_by_expansion(ideal)
+    assert str(err.value).startswith(want)
+
+
 def test_characters_equal_polar_codimensions_n2m2():
     # oracle equivalence: expansion characters against raw polar spaces
     rng = random.Random(14)
@@ -597,6 +623,36 @@ def test_ideal_matches_monomial_sums(n, m):
             want = flag_reference.gie_ideal_generators(psi, R, kappa, H=adapted)
             assert [(g.dim, g.degree, list(g.coefficients.items())) for g in got] == \
                 [(g.dim, g.degree, list(g.coefficients.items())) for g in want], adapted is H
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in range(2, 5)])
+def test_adapted_ideal_off_the_gauss_equation_keeps_the_substitution_order(n, m):
+    # with R != G(H) the adapted Gauss-type forms keep pure-base terms; they
+    # must sit where substituting the adapted coframe puts them, since the
+    # expansion method names the first one
+    psi = random_normalized_psi(n, m, random.Random(3 * n + m))
+    kappa = (n - 1) * (m - 1)
+    rng = random.Random(n * m + 1)
+    sparse = construct_preimage(psi, kappa)
+    for _ in range(3):
+        sparse.set(rng.randint(1, kappa), rng.randint(1, n), rng.randint(1, m),
+                   Fraction(rng.randint(-2, 2)))
+    for H in (sparse, random_H(n, m, kappa, rng)):
+        G = gauss_map(H)
+        moved = CurvatureElement(n, m, {key: v + rng.randint(-1, 1)
+                                        for key, v in G.values.items()})
+        for R in (CurvatureElement(n, m), moved):
+            got = gie_ideal(psi, R, kappa, H=H).generators
+            want = flag_reference.gie_ideal_generators(psi, R, kappa, H=H)
+            assert [list(g.coefficients.items()) for g in got] == \
+                [list(g.coefficients.items()) for g in want]
+
+
+def test_adapted_ideal_rejects_an_H_of_another_shape():
+    psi = random_normalized_psi(3, 3, random.Random(8))
+    H = construct_preimage(psi, 4)
+    with pytest.raises(InputError, match="shapes disagree"):
+        gie_ideal(psi, CurvatureElement(3, 3), 5, H=H)
 
 
 def test_grassmann_count_uses_the_symbolic_gradient():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from gielab import cli, eds, exterior, gie, linalg
 from gielab.eds import IntegralElement
+from gielab.poly import Polynomial
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -43,10 +44,15 @@ def test_tracer_targets_resolve_and_record(tmp_path):
         ideal = gie.gie_ideal(psi, R, 2)
         eds.polar_space(IntegralElement(flag.basis[:1]), ideal)
         # no pipeline reaches Bareiss elimination, the generic integrality
-        # walk or evaluate any more; they are still traced targets
+        # walk, evaluate, substitute or Polynomial products any more (the
+        # adapted ideal and the Grassmann functions are written directly);
+        # they are still traced targets
         linalg.rank([H.vector(1, 1), H.vector(2, 1)])
         assert eds.is_integral_element(flag, ideal)
         assert exterior.evaluate(ideal.generators[-1], flag.basis) == 0
+        assert exterior.substitute(ideal.generators[-1], {}) == ideal.generators[-1]
+        x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        assert (x * y).terms == {((0, 1), (1, 1)): 1}
     for name, owner, attr, _, _ in tracer_mod.TARGETS:
         assert getattr(owner, attr) is originals[name], name
     stats, _ = tracer.summary()
