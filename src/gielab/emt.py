@@ -10,9 +10,13 @@ componentwise.  Two backends: an exact one over polynomial charts
 (restricted to charts whose metric determinant is a nonzero constant
 perfect rational square, so the inverse metric and the volume
 coefficient stay in the polynomial ring) and a numeric one using central
-finite differences and pointwise Cholesky factors of g.  numpy is
-imported inside the numeric functions only, so importing gielab does
-not load it.
+finite differences and Cholesky factors of g.  The numeric backend makes
+one array pass over the whole sample grid: each chart function of g and
+T is evaluated once over all the sample points and their stencil
+neighbours, every metric matrix is checked and factorised in one batch,
+and the sides are summed elementwise along the point axis, in the order
+and with the floats of the pointwise formulas.  numpy is imported inside
+the numeric functions only, so importing gielab does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import lru_cache
 
 from .errors import InputError, VerificationError, json_int
 from .exterior import VectorValuedForm, _minor_det
@@ -40,43 +44,79 @@ def target_dimension(m):
     return m + (m - 1) ** 2
 
 
-def _float_function(f):
-    """f as a function of a point of floats.
+def _called(f, rows, out):
+    """Write f at each point of `rows` in turn into the float array `out`,
+    and return (bad, exc): the index of the first point where calling f
+    raises (len(rows) when none does) and what it raises there.  The
+    exception is handed back, not raised, so that the caller can raise
+    the first failure in the order of the points; `out` from `bad` on is
+    left as it was."""
+    for r, row in enumerate(rows):
+        try:
+            out[r] = f(row)
+        except Exception as exc:  # re-raised by the caller, in point order
+            return r, exc
+    return len(rows), None
 
-    A Polynomial is summed from its terms with the coefficients converted
-    to floats once, which gives Polynomial.eval's floats bit for bit:
-    Fraction * float computes float(fraction) * float, and both sums start
-    from the integer 0.  A callable is returned as it is."""
+
+def _grid_function(f):
+    """f as a function of a grid of points: (X, rows, out) -> (bad, exc)
+    as `_called` gives them, with X the (N, m) float array of the points,
+    rows the same N points as lists and `out` the float array of N values
+    to write.
+
+    A callable is called at each row.  A Polynomial is summed term by term
+    over the whole array from its coefficients converted to floats once,
+    which gives Polynomial.eval's floats bit for bit: Fraction * float
+    computes float(fraction) * float, both sums start from 0, and
+    np.float_power is the C pow that Python's float ** int calls (np.power
+    is not).  Where Python's pow raises OverflowError numpy gives an
+    infinity, which no later sum or product makes finite, so the points
+    with a non-finite value are evaluated again by Polynomial.eval: the
+    first of them where it raises is `bad`.  A polynomial whose
+    coefficients do not fit a float, or whose variable count is not the
+    points', is evaluated by Polynomial.eval at each row, which raises
+    there."""
     if not isinstance(f, Polynomial):
-        return f
+        return lambda X, rows, out: _called(f, rows, out)
     try:
         terms = [(float(c), k) for k, c in f.terms.items()]
     except OverflowError:
-        return f.eval  # raises the OverflowError where Polynomial.eval does
-    nvars = f.nvars
+        return lambda X, rows, out: _called(f.eval, rows, out)
 
-    def at(point):
-        if len(point) != nvars:
-            return f.eval(point)  # raises the length error
-        total = 0
-        for c, k in terms:
-            for var, e in k:
-                c = c * point[var] ** e
-            total = total + c
-        return total
+    def at(X, rows, out):
+        import numpy as np
+        if X.shape[1] != f.nvars:
+            return _called(f.eval, rows, out)
+        out[:] = 0.0
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            for c, k in terms:
+                for var, e in k:
+                    c = c * np.float_power(X[:, var], e)
+                out += c
+        for r in np.flatnonzero(~np.isfinite(out)).tolist():
+            try:
+                f.eval(rows[r])
+            except OverflowError as exc:
+                return r, exc
+        return len(rows), None
     return at
 
 
-def _is_symmetric(rows):
-    """np.allclose(mat, mat.T, atol=1e-12) on a square list of floats:
-    each pair of mirrored entries is compared in both orientations, NaN
-    is close to nothing (also on the diagonal) and an infinity only to
+def _symmetric(mats):
+    """np.allclose(mat, mat.T, atol=1e-12) for each matrix of an (N, m, m)
+    stack: each pair of mirrored entries is compared in both orientations,
+    NaN is close to nothing (also on the diagonal) and an infinity only to
     itself."""
-    def close(a, b):
-        return a == b or (math.isfinite(b) and abs(a - b) <= 1e-12 + 1e-5 * abs(b))
-
-    return all(close(rows[i][j], rows[j][i]) and close(rows[j][i], rows[i][j])
-               for i in range(len(rows)) for j in range(i, len(rows)))
+    import numpy as np
+    n, m = len(mats), mats.shape[-1]
+    a = mats.reshape(n, m * m)
+    b = np.swapaxes(mats, -1, -2).reshape(n, m * m)
+    with np.errstate(invalid="ignore"):  # inf - inf; infinities are equal or not close
+        close = np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)
+    close &= np.isfinite(b)
+    close |= a == b
+    return close.all(axis=1)
 
 
 class MetricChart:
@@ -93,7 +133,7 @@ class MetricChart:
             raise InputError(f"metric must be an {m} x {m} array")
         self.m = m
         self.g = [list(row) for row in g]
-        self._float_g = [[_float_function(f) for f in row] for row in self.g]
+        self._grid_g = [[_grid_function(f) for f in row] for row in self.g]
         self.base_point = list(base_point) if base_point is not None else None
         try:
             self.box = [[float(lo), float(hi)] for lo, hi in box] if box else [[0.0, 1.0]] * m
@@ -113,26 +153,58 @@ class MetricChart:
                 for mu in range(m):
                     if self.g[lam][mu] != self.g[mu][lam]:
                         raise InputError("metric components are not symmetric")
+        if m < 1:  # no matrix to check
+            raise InputError(f"chart dimension m must be at least 1, got {m}")
         pt = self.base_point if self.base_point is not None else self.sample_points(1)[0]
         self.matrix_at(pt)  # positive-definiteness check
 
     def is_polynomial(self):
         return all(isinstance(e, Polynomial) for row in self.g for e in row)
 
-    def _factor_at(self, point):
-        """(g, L) at a point with g = L L^T: one evaluation and one
-        factorisation.  Raises InputError when g is not symmetric positive
-        definite there."""
+    def _factor_grid(self, X, rows):
+        """(mats, L, bad, exc) at the N points of X (an (N, m) float array;
+        rows are the same points as lists): the metric matrices, their
+        Cholesky factors (g = L L^T) at the points before `bad`, and the
+        first point `bad` where g fails, with the error `exc` to raise for
+        it (bad = N, exc None when g passes everywhere).
+
+        The failure is the one a walk over the points in order meets first:
+        at each point the entries are evaluated in row-major order, then g
+        is checked symmetric, then positive definite.  One batched
+        factorisation checks every point; only when it fails are the
+        points factored one by one to find the first that fails."""
         import numpy as np
-        rows = [[float(f(point)) for f in row] for row in self._float_g]
-        if not _is_symmetric(rows):
-            raise InputError(f"metric not symmetric at {point}")
-        mat = np.array(rows)
+        m, n = self.m, len(rows)
+        mats = np.empty((n, m, m))
+        bad, exc = n, None
+        for i, row in enumerate(self._grid_g):
+            for j, f in enumerate(row):
+                r, e = f(X, rows, mats[:, i, j])
+                if r < bad:
+                    bad, exc = r, e
+        symmetric = _symmetric(mats[:bad])
+        if not symmetric.all():
+            bad = int(symmetric.argmin())
+            exc = InputError(f"metric not symmetric at {rows[bad]}")
         try:
-            L = np.linalg.cholesky(mat)
+            return mats, np.linalg.cholesky(mats[:bad]), bad, exc
         except np.linalg.LinAlgError:
-            raise InputError(f"metric singular or indefinite at sample point {point}")
-        return mat, L
+            pass
+        for r in range(bad):
+            try:
+                np.linalg.cholesky(mats[r])
+            except np.linalg.LinAlgError:
+                break
+        exc = InputError(f"metric singular or indefinite at sample point {rows[r]}")
+        return mats, np.linalg.cholesky(mats[:r]), r, exc
+
+    def _factor_at(self, point):
+        """(g, L) at one point; raises the error `_factor_grid` gives."""
+        import numpy as np
+        mats, L, _, exc = self._factor_grid(np.array([point], dtype=float), [point])
+        if exc is not None:
+            raise exc
+        return mats[0], L[0]
 
     def matrix_at(self, point):
         """Metric matrix at a point; raises InputError when it is not
@@ -172,7 +244,7 @@ class EnergyMomentum:
             raise InputError(f"tensor must be an {m} x {m} array")
         self.m = m
         self.T = [list(row) for row in components]
-        self._float_T = [[_float_function(f) for f in row] for row in self.T]
+        self._grid_T = [[_grid_function(f) for f in row] for row in self.T]
 
     def is_polynomial(self):
         return all(isinstance(e, Polynomial) for row in self.T for e in row)
@@ -258,9 +330,15 @@ def _christoffel_from_inverse(g: MetricChart, ginv):
 
 
 def christoffel_at(g: MetricChart, point):
-    """Numeric Levi-Civita symbols at a point (central differences)."""
+    """Numeric Levi-Civita symbols at a point (central differences), the
+    one-point case of the numeric backend's grid."""
     import numpy as np
-    return np.array(_stencil_christoffel(_metric_stencil(g, point)))
+    X = _stencil(np.array([point], dtype=float))
+    mats, _, _, exc = g._factor_grid(X, X.tolist())
+    if exc is not None:
+        raise exc
+    with np.errstate(all="ignore"):
+        return _christoffel(mats.reshape(1, 2 * g.m + 1, g.m, g.m))[..., 0]
 
 
 def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
@@ -314,60 +392,44 @@ def covariant_exterior_derivative(tau: VectorValuedForm, gamma):
 
 
 # ---------------------------------------------------------------------------
-# numeric backend (pointwise)
+# numeric backend (one array pass over the sample grid)
 
 
-class _Stencil(NamedTuple):
-    """The point x, then x + h e_mu and x - h e_mu for mu = 1..m with
-    h = FD_STEP, with the metric matrix and sqrt(det g) at each."""
-    points: list
-    mats: list
-    sqrtg: list
-
-
-def _metric_stencil(g: MetricChart, point) -> _Stencil:
-    """The stencil of `point`.  The metric is evaluated, checked symmetric
-    positive definite and factorised once per stencil point, in the order
-    of `points`; every finite difference at x reads these values."""
+def _stencil(base):
+    """The stencils of the P points of `base` (a (P, m) array), as one
+    (P * (2m + 1), m) array: each point x, then x + h e_mu and x - h e_mu
+    for mu = 1..m with h = FD_STEP."""
     import numpy as np
-    points = [point]
-    for mu in range(g.m):
-        hi = list(point)
-        lo = list(point)
-        hi[mu] += FD_STEP
-        lo[mu] -= FD_STEP
-        points += [hi, lo]
-    mats, sqrtg = [], []
-    for pt in points:
-        mat, L = g._factor_at(pt)
-        mats.append(mat)
-        sqrtg.append(float(np.prod(np.diag(L))))
-    return _Stencil(points, mats, sqrtg)
+    P, m = base.shape
+    X = np.repeat(base[:, None, :], 2 * m + 1, axis=1)
+    for mu in range(m):
+        X[:, 2 * mu + 1, mu] += FD_STEP
+        X[:, 2 * mu + 2, mu] -= FD_STEP
+    return X.reshape(P * (2 * m + 1), m)
 
 
-def _stencil_christoffel(stencil: _Stencil):
-    """Gamma^lam_{mu nu} at the stencil's point as nested lists, from the
-    central differences of the stencil's metric matrices."""
+def _christoffel(G):
+    """Gamma^lam_{mu nu} at the centre of each stencil, as an (m, m, m, P)
+    array, from the metric matrices G (P, 2m + 1, m, m) over the stencils.
+    Every value is the float the per-point formula gives: the central
+    differences and the sum over rho are taken in its order, elementwise
+    along the point axis."""
     import numpy as np
-    mats = stencil.mats
-    m = len(mats[0])
-    ginv = np.linalg.inv(mats[0]).tolist()
-    dg = [((mats[2 * mu + 1] - mats[2 * mu + 2]) / (2 * FD_STEP)).tolist()
-          for mu in range(m)]
-    gamma = [[[0.0] * m for _ in range(m)] for _ in range(m)]
-    for lam in range(m):
-        for mu in range(m):
-            for nu in range(m):
-                s = 0.0
-                for rho in range(m):
-                    s += ginv[lam][rho] * (dg[mu][rho][nu] + dg[nu][rho][mu]
-                                           - dg[rho][mu][nu])
-                gamma[lam][mu][nu] = 0.5 * s
-    return gamma
+    m = G.shape[-1]
+    ginv = np.linalg.inv(G[:, 0]).transpose(1, 2, 0)
+    dg = np.stack([(G[:, 2 * mu + 1] - G[:, 2 * mu + 2]) / (2 * FD_STEP)
+                   for mu in range(m)]).transpose(0, 2, 3, 1)
+    # [rho, mu, nu]: dg[mu][rho][nu] + dg[nu][rho][mu] - dg[rho][mu][nu]
+    bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+    total = np.zeros((m, m, m, G.shape[0]))
+    for rho in range(m):
+        total = total + ginv[:, rho, None, None] * bracket[rho]
+    return 0.5 * total
 
 
 def _fold(terms):
-    """(sum, sum of magnitudes) of the terms, added left to right."""
+    """(sum, sum of magnitudes) of the terms, added left to right; the
+    terms are floats or arrays of them."""
     total = size = 0.0
     for t in terms:
         total += t
@@ -375,52 +437,89 @@ def _fold(terms):
     return total, size
 
 
-def _numeric_sides_at(T: EnergyMomentum, g: MetricChart, stencil: _Stencil):
-    """(lhs, rhs, size): coefficients of eta^Lambda at the stencil's point,
-    and for each lam the magnitude of the terms summed into the two sides.
+def _greatest(first, *rest):
+    """Python's max(first, *rest) elementwise: a later value replaces the
+    earlier only when it is greater, so a NaN never does."""
+    import numpy as np
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
+    """(lhs, rhs, size, sqrtg), one entry per sample point: the
+    coefficients of eta^Lambda there, for each lam the magnitude of the
+    terms summed into the two sides, and sqrt(det g).
 
     lhs^lam: coefficient of the volume monomial in d_grad tau^lam,
         sum_mu d_mu(T^{lam mu} sqrt(g)) + Gamma^lam_{rho mu} T^{rho mu} sqrt(g);
     rhs^lam: (grad_mu T^{lam mu}) sqrt(g).
-    Both use only pointwise data and finite differences over the
-    stencil, with step h = FD_STEP.  The
-    terms of a conserved T nearly cancel, so |lhs| and |rhs| can be far
-    below the rounding error of their terms; `size` is what that error
-    scales with.  The terms can themselves be rounding noise (on a det-1
-    chart d_mu sqrt(g) is), so size is floored where TOLERANCE * size
-    reaches 64 times the rounding error eps/h * sqrt(g) * sum_mu |T^{lam mu}|
-    of the difference quotients; like size, the floor is linear in T."""
-    m, h = g.m, FD_STEP
-    points, sqrtg_at = stencil.points, stencil.sqrtg
-    gamma = _stencil_christoffel(stencil)
-    sqrtg = sqrtg_at[0]
-    fns = T._float_T
-    Tval = [[float(f(points[0])) for f in row] for row in fns]
-    # T^{lam mu} at x + h e_mu and x - h e_mu, read by both difference quotients
-    Thi = [[fns[lam][mu](points[2 * mu + 1]) for mu in range(m)] for lam in range(m)]
-    Tlo = [[fns[lam][mu](points[2 * mu + 2]) for mu in range(m)] for lam in range(m)]
-    lhs, rhs, size = [], [], []
-    for lam in range(m):
-        a_terms = []
-        for mu in range(m):
-            a_terms.append((float(Thi[lam][mu]) * sqrtg_at[2 * mu + 1]
-                            - float(Tlo[lam][mu]) * sqrtg_at[2 * mu + 2]) / (2 * h))
+    Both use only pointwise data and finite differences over the stencil
+    of each point, with step h = FD_STEP.  The terms of a conserved T
+    nearly cancel, so |lhs| and |rhs| can be far below the rounding error
+    of their terms; `size` is what that error scales with.  The terms can
+    themselves be rounding noise (on a det-1 chart d_mu sqrt(g) is), so
+    size is floored where TOLERANCE * size reaches 64 times the rounding
+    error eps/h * sqrt(g) * sum_mu |T^{lam mu}| of the difference
+    quotients; like size, the floor is linear in T.
+
+    g is evaluated once over all the P (2m + 1) stencil points, checked
+    and factorised in one batch, and T^{lam mu} once over the sample
+    points and x +- h e_mu; every value is the float a walk over the
+    points would give, and a failure raises the error that walk meets
+    first: at each sample point, g over its stencil, then T."""
+    import numpy as np
+    m, h, P = g.m, FD_STEP, len(points)
+    S = 2 * m + 1
+    X = _stencil(np.array(points, dtype=float).reshape(P, m))
+    rows = X.tolist()
+    mats, L, bad, exc = g._factor_grid(X, rows)
+    done = bad // S  # T is read only at sample points whose stencil passed
+    grid = X.reshape(P, S, m)[:done]
+    # T^{lam mu} at x, then at x + h e_mu, then at x - h e_mu
+    tables, first, first_exc = [], done, None
+    for shift in (0, 1, 2):
+        table = np.empty((m, m, done))
+        for lam in range(m):
+            for mu in range(m):
+                k = 2 * mu + shift if shift else 0
+                r, e = T._grid_T[lam][mu](grid[:, k], rows[k:done * S:S],
+                                          table[lam, mu])
+                if r < first:
+                    first, first_exc = r, e
+        tables.append(table)
+    if first_exc is not None:
+        raise first_exc
+    if exc is not None:
+        raise exc
+    Tval, Thi, Tlo = tables
+    with np.errstate(all="ignore"):
+        gamma = _christoffel(mats.reshape(P, S, m, m))
+        # sqrt(det g): L's diagonal multiplied left to right, as np.prod does
+        diag = L.reshape(P, S, m, m)
+        sqrtg_at = diag[:, :, 0, 0]
+        for i in range(1, m):
+            sqrtg_at = sqrtg_at * diag[:, :, i, i]
+        sqrtg_at = sqrtg_at.T  # [k]: sqrt(det g) at stencil point k
+        sqrtg = sqrtg_at[0]
+        # each term below is an (m, P) array over lam
+        a_terms = [(Thi[:, mu] * sqrtg_at[2 * mu + 1]
+                    - Tlo[:, mu] * sqrtg_at[2 * mu + 2]) / (2 * h) for mu in range(m)]
         for rho in range(m):
             for mu in range(m):
-                a_terms.append(gamma[lam][rho][mu] * Tval[rho][mu] * sqrtg)
+                a_terms.append(gamma[:, rho, mu] * Tval[rho, mu] * sqrtg)
         b_terms = []
         for mu in range(m):
-            b_terms.append((Thi[lam][mu] - Tlo[lam][mu]) / (2 * h))
+            b_terms.append((Thi[:, mu] - Tlo[:, mu]) / (2 * h))
             for nu in range(m):
-                b_terms.append(Tval[lam][mu] * gamma[nu][nu][mu])
-                b_terms.append(Tval[mu][nu] * gamma[lam][nu][mu])
+                b_terms.append(Tval[:, mu] * gamma[nu, nu, mu])
+                b_terms.append(Tval[mu, nu] * gamma[:, nu, mu])
         a, a_size = _fold(a_terms)
         b, b_size = _fold(b_terms)
-        lhs.append(a)
-        rhs.append(b * sqrtg)
-        rounding = EPS / h * sqrtg * sum(abs(t) for t in Tval[lam])
-        size.append(max(a_size, b_size * sqrtg, 64 * rounding / TOLERANCE))
-    return lhs, rhs, size
+        rounding = EPS / h * sqrtg * sum(abs(Tval[:, mu]) for mu in range(m))
+        size = _greatest(a_size, b_size * sqrtg, 64 * rounding / TOLERANCE)
+        rhs = b * sqrtg
+    return a.T.tolist(), rhs.T.tolist(), size.T.tolist(), sqrtg.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +597,10 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
         raise InputError(f"unknown backend {backend!r}")
     worst_val, worst_point, max_div = 0.0, None, 0.0
     worst_rel, breach = TOLERANCE, None
-    for point in g.sample_points(count):
-        stencil = _metric_stencil(g, point)
-        lhs, rhs, size = _numeric_sides_at(T, g, stencil)
-        sqrtg = max(stencil.sqrtg[0], 1e-300)
+    points = g.sample_points(count)
+    sides = zip(points, *_numeric_sides(T, g, points))
+    for point, lhs, rhs, size, sqrtg in sides:
+        sqrtg = max(sqrtg, 1e-300)
         for lam in range(m):
             res = abs(lhs[lam] - rhs[lam])
             if res > worst_val:
@@ -547,12 +646,19 @@ def sphere_chart() -> MetricChart:
 
 
 def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
-    """T = g^{-1} as callables; covariantly constant, hence conserved."""
+    """T = g^{-1} as callables; covariantly constant, hence conserved.
+    The m^2 entries share one inversion per point: an audit reads every
+    entry at each sample point and each entry at two stencil neighbours,
+    so the most recent points' inverses are kept."""
     import numpy as np
     m = g.m
 
+    @lru_cache(maxsize=4096)
+    def inverse(point):
+        return np.linalg.inv(g.matrix_at(list(point))).tolist()
+
     def entry(i, j):
-        return lambda pt: float(np.linalg.inv(g.matrix_at(pt))[i][j])
+        return lambda pt: inverse(tuple(pt))[i][j]
 
     return EnergyMomentum(m, [[entry(i, j) for j in range(m)] for i in range(m)])
 

@@ -1,11 +1,12 @@
 """Per-call reference for the numeric EMT backend.
 
-The library evaluates the metric once per stencil point and reuses those
-values in every finite difference.  This module keeps the earlier
-formulation, which evaluates each chart function and factorises the
-metric afresh for every value it needs, through `Polynomial.eval`.  It
-performs the same floating-point operations in the same order, so the
-tests require its sides to equal the library's float for float.
+The library evaluates the metric and the tensor once over the whole grid
+of sample points and their stencil neighbours, as arrays.  This module
+keeps the pointwise formulation, which evaluates each chart function and
+factorises the metric afresh for every value it needs, one point at a
+time, through `Polynomial.eval`.  It performs the same floating-point
+operations in the same order, so the tests require its sides to equal
+the library's float for float.
 """
 
 import numpy as np
@@ -55,7 +56,7 @@ def christoffel_at(g, point, h=FD_STEP):
 
 
 def numeric_sides_at(T, g, point, h=FD_STEP, tolerance=TOLERANCE):
-    """(lhs, rhs, size) as `emt._numeric_sides_at` defines them."""
+    """(lhs, rhs, size) at one point, as `emt._numeric_sides` defines them."""
     m = g.m
     gamma = christoffel_at(g, point, h)
     sqrtg = volume_coefficient_at(g, point)
@@ -83,3 +84,11 @@ def numeric_sides_at(T, g, point, h=FD_STEP, tolerance=TOLERANCE):
         rounding = EPS / h * sqrtg * sum(abs(t) for t in Tval[lam])
         size.append(max(a_size, b_size * sqrtg, 64 * rounding / tolerance))
     return lhs, rhs, size
+
+
+def numeric_sides(T, g, points):
+    """(lhs, rhs, size, sqrtg), one entry per point, as `emt._numeric_sides`
+    returns them."""
+    sides = [numeric_sides_at(T, g, point) for point in points]
+    return ([s[0] for s in sides], [s[1] for s in sides], [s[2] for s in sides],
+            [volume_coefficient_at(g, point) for point in points])

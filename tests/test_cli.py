@@ -321,6 +321,24 @@ def test_emt_audit_zero_denominator_is_invalid(tmp_path, capsys):
     assert report["verdict"] == "invalid-input"
 
 
+def test_emt_audit_power_overflow_at_a_late_sample_is_invalid(tmp_path, capsys):
+    # g_11 = 1 + x_1^2 on [0, 2.4e154]: x_1^2 is finite at the first sample
+    # point and overflows at later ones, where Python's float pow raises
+    doc = _flat_chart_doc()
+    doc["g"][0][0] = [{"exponents": [0, 0], "coefficient": "1"},
+                      {"exponents": [2, 0], "coefficient": "1"}]
+    doc["box"], doc["margin"] = [[0, 2.4e154], [0, 1]], 0
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", "numeric"],
+                       capsys)
+    with pytest.raises(OverflowError) as python:
+        2.4e154 ** 2
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+    assert report["results"]["error"] == str(python.value)
+
+
 @pytest.mark.parametrize("value", [2.7, 2.0, False])
 def test_chart_dimension_must_be_a_json_integer(tmp_path, capsys, value):
     doc = _flat_chart_doc()
@@ -651,6 +669,9 @@ _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
 @example((_AUDIT, _chart_with(box=True)))
 @example((_AUDIT, _chart_with(T=_FRACTIONAL_T, box=[[-2, -1], [0, 1]])))
 @example((_AUDIT, _chart_with(T=_HUGE_T)))
+# an m = 0 chart was refused only because numpy saw no matrix in it
+@example((["emt-audit", "--input=chart.json", "--backend=exact"],
+          {"chart.json": {"m": 0, "g": [], "box": [], "margin": 0.05}}))
 # non-integer shapes were once truncated, and a negative margin sampled
 # outside the box
 @example((["verify-lemma", "--n=2", "--m=2", "--kappa=1", "--psi=psi.json"],

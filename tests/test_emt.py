@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emt_reference import numeric_sides_at as reference_sides_at
+from emt_reference import numeric_sides as reference_sides
 from gielab import InputError, VerificationError, emt
 from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
                         christoffel_at, covariant_divergence,
@@ -47,6 +47,12 @@ def test_indefinite_metric_rejected():
         MetricChart(2, g)
 
 
+def test_chart_without_dimensions_rejected():
+    # an empty grid has no matrix to find indefinite
+    with pytest.raises(InputError, match="at least 1"):
+        MetricChart(0, [])
+
+
 def test_asymmetric_metric_rejected():
     x1 = Polynomial.variable(0, 2)
     g = [[const(1), x1], [const(0), const(1)]]
@@ -71,8 +77,8 @@ NAN, INF = float("nan"), float("inf")
 ])
 def test_symmetry_check_matches_allclose(rows, symmetric):
     import numpy as np
-    assert emt._is_symmetric(rows) is symmetric
     mat = np.array(rows)
+    assert emt._symmetric(mat[None]).tolist() == [symmetric]
     assert bool(np.allclose(mat, mat.T, atol=1e-12)) is symmetric
 
 
@@ -82,11 +88,14 @@ _entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(
-    lambda m: st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=m, max_size=m)))
-def test_symmetry_check_is_allclose(rows):
+    lambda m: st.lists(st.lists(st.lists(_entries, min_size=m, max_size=m),
+                                min_size=m, max_size=m), min_size=1, max_size=4)))
+def test_symmetry_check_is_allclose(stack):
+    # a stack of matrices, each judged on its own
     import numpy as np
-    mat = np.array(rows)
-    assert emt._is_symmetric(rows) == bool(np.allclose(mat, mat.T, atol=1e-12))
+    mats = np.array(stack)
+    assert emt._symmetric(mats).tolist() == [
+        bool(np.allclose(mat, mat.T, atol=1e-12)) for mat in mats]
 
 
 def test_nan_metric_rejected():
@@ -301,13 +310,13 @@ def test_numeric_audit_catches_a_perturbed_side(factor, monkeypatch):
     chart = sphere_chart()
     T = _scaled(_random_tensor(20), factor)
     assert verify_equivalence(T, chart, backend="numeric").identity_holds
-    sides = emt._numeric_sides_at
+    sides = emt._numeric_sides
 
     def perturbed(*args):
-        lhs, rhs, size = sides(*args)
-        return lhs, [r * (1 + 1e-5) for r in rhs], size
+        lhs, rhs, size, sqrtg = sides(*args)
+        return lhs, [[r * (1 + 1e-5) for r in point] for point in rhs], size, sqrtg
 
-    monkeypatch.setattr(emt, "_numeric_sides_at", perturbed)
+    monkeypatch.setattr(emt, "_numeric_sides", perturbed)
     with pytest.raises(VerificationError, match="residual"):
         verify_equivalence(T, chart, backend="numeric")
 
@@ -346,18 +355,67 @@ def test_load_chart_roundtrip():
 # -- the numeric backend against its per-call reference ---------------------
 
 
+def _grid_values(f, points):
+    import numpy as np
+    values = np.zeros(len(points))
+    bad, exc = emt._grid_function(f)(np.array(points, dtype=float), points, values)
+    return values, bad, exc
+
+
 def test_float_chart_functions_match_polynomial_eval():
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
-    point = [0.3, -1.7]
+    points = [[0.3, -1.7], [0.0, 2.5], [-4.0, 1e-3]]
     for p in (const(0), const(Fraction(1, 3)),
               Fraction(2, 7) * x1 * x2 * x2 + Fraction(-5, 3) * x2 + Fraction(1, 3)):
         # a constant evaluates to its Fraction exactly, to its float here
-        assert emt._float_function(p)(point) == float(p.eval(point))
+        values, bad, exc = _grid_values(p, points)
+        assert values.tolist() == [float(p.eval(point)) for point in points]
+        assert (bad, exc) == (3, None)
     huge = Fraction(10) ** 400 * x1
-    with pytest.raises(OverflowError):
-        emt._float_function(huge)(point)
-    with pytest.raises(InputError, match="wrong length"):
-        emt._float_function(x1)([0.3])
+    _, bad, exc = _grid_values(huge, points)
+    assert bad == 0 and isinstance(exc, OverflowError)
+    _, bad, exc = _grid_values(x1, [[0.3], [0.5]])
+    assert bad == 0 and isinstance(exc, InputError) and "wrong length" in str(exc)
+
+
+_MAGNITUDES = [1e-200, 1e-40, 1e-3, 1.0, 1e3, 1e40, 1e60, 1e160]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_polynomial_is_polynomial_eval_bit_for_bit(seed):
+    # exponents 0..8 at points of every scale and sign: each value is
+    # Polynomial.eval's float to the bit (np.power is not), and the first
+    # point where eval raises OverflowError is the one the grid names, with
+    # the same error
+    rng = random.Random(seed)
+    for _ in range(25):
+        m = rng.randint(1, 3)
+        p = Polynomial(m, {tuple(rng.randint(0, 8) for _ in range(m)):
+                           Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                           for _ in range(rng.randint(1, 5))})
+        points = [[rng.uniform(-1, 1) * rng.choice(_MAGNITUDES) for _ in range(m)]
+                  for _ in range(40)]
+        values, bad, exc = _grid_values(p, points)
+        expected = []
+        for point in points:
+            try:
+                expected.append(float(p.eval(point)))
+            except OverflowError as error:
+                assert isinstance(exc, OverflowError)
+                assert (bad, str(exc)) == (len(expected), str(error))
+                break
+        else:
+            assert (bad, exc) == (len(points), None)
+        assert [v.hex() for v in values.tolist()[:bad]] == [v.hex() for v in expected]
+
+
+def test_greatest_is_python_max_elementwise():
+    # a NaN never replaces an earlier value and is kept when it comes first
+    import numpy as np
+    values = [NAN, -INF, -1.0, 0.0, 2.0, INF]
+    triples = [(a, b, c) for a in values for b in values for c in values]
+    got = emt._greatest(*(np.array(col) for col in zip(*triples)))
+    assert [v.hex() for v in got.tolist()] == [max(t).hex() for t in triples]
 
 
 _nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
@@ -393,7 +451,7 @@ def _sphere_audits(draw):
 
 def _outcome(T, chart):
     try:
-        return verify_equivalence(T, chart, backend="numeric", count=4).as_dict()
+        return verify_equivalence(T, chart, backend="numeric", count=5).as_dict()
     except VerificationError as exc:
         return str(exc)
 
@@ -401,14 +459,11 @@ def _outcome(T, chart):
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(_det1_charts(), _sphere_audits()))
 def test_numeric_backend_equals_per_call_reference(audit):
+    # the batched sides at every sample point of the audit, float for float
     chart, T = audit
-    for point in chart.sample_points(3):
-        stencil = emt._metric_stencil(chart, point)
-        assert emt._numeric_sides_at(T, chart, stencil) == reference_sides_at(T, chart, point)
-    reference = mock.patch.object(
-        emt, "_numeric_sides_at",
-        lambda T, g, stencil: reference_sides_at(T, g, stencil.points[0]))
-    with reference:
+    points = chart.sample_points(5)
+    assert emt._numeric_sides(T, chart, points) == reference_sides(T, chart, points)
+    with mock.patch.object(emt, "_numeric_sides", reference_sides):
         expected = _outcome(T, chart)
     assert _outcome(T, chart) == expected
 
@@ -423,3 +478,69 @@ def test_numeric_audit_checks_the_metric_at_every_stencil_point(mu, sign):
                             [lambda pt: 0.0, lambda pt: 1.0]])
     with pytest.raises(InputError, match=re.escape(f"indefinite at sample point {bad}")):
         verify_equivalence(tensor_const(2), chart, backend="numeric", count=1)
+
+
+@pytest.mark.parametrize("value,message", [(-1.0, "singular or indefinite at sample point"),
+                                           (NAN, "not symmetric at")],
+                         ids=["indefinite", "nan"])
+@pytest.mark.parametrize("mu,sign", [(0, 1), (0, -1), (1, 1), (1, -1)])
+def test_numeric_audit_names_the_failing_neighbour_of_a_later_sample(mu, sign, value,
+                                                                     message):
+    # one batched factorisation fails for the whole grid; the error must name
+    # the neighbour of the third of five sample points, not the grid
+    point = flat_chart(2).sample_points(3)[2]
+    bad = list(point)
+    bad[mu] += sign * emt.FD_STEP
+    chart = MetricChart(2, [[lambda pt: value if pt == bad else 1.0, lambda pt: 0.0],
+                            [lambda pt: 0.0, lambda pt: 1.0]])
+    with pytest.raises(InputError, match=re.escape(f"{message} {bad}")):
+        verify_equivalence(tensor_const(2), chart, backend="numeric", count=5)
+
+
+@pytest.mark.parametrize("t_sample,g_sample,raised", [
+    (1, 3, ZeroDivisionError), (3, 1, InputError), (2, 2, InputError)])
+def test_numeric_audit_raises_the_first_failure_of_the_per_point_walk(
+        t_sample, g_sample, raised):
+    # the walk reads g over a sample point's stencil and then T there, point
+    # by point; the batch evaluates all of g first, and must still raise what
+    # that walk meets first
+    points = flat_chart(2).sample_points(5)
+    g_bad = list(points[g_sample])
+    g_bad[1] -= emt.FD_STEP
+
+    def t(pt):
+        if pt == points[t_sample]:
+            raise ZeroDivisionError("T fails")
+        return 0.0
+
+    chart = MetricChart(2, [[lambda pt: 1.0, lambda pt: 0.0],
+                            [lambda pt: 0.0, lambda pt: -1.0 if pt == g_bad else 1.0]])
+    T = EnergyMomentum(2, [[const(1), const(0)], [t, const(1)]])
+    with pytest.raises(raised):
+        verify_equivalence(T, chart, backend="numeric", count=5)
+
+
+def test_power_overflow_at_a_late_sample_point_is_raised():
+    # x_1^2 overflows at the later sample points only: numpy gives inf there
+    # where Python's float pow raises, and an inf let through would make the
+    # audit pass with residual 0.0
+    x1 = Polynomial.variable(0, 2)
+    g = [[const(1) + x1 * x1, const(0)], [const(0), const(1)]]
+    chart = MetricChart(2, g, box=[[0, 2.4e154], [0, 1]], margin=0)
+    assert math.isfinite(chart.sample_points(1)[0][0] ** 2)
+    with pytest.raises(OverflowError) as python:
+        2.4e154 ** 2
+    with pytest.raises(OverflowError) as raised:
+        verify_equivalence(tensor_const(2), chart, backend="numeric")
+    assert str(raised.value) == str(python.value)
+    # the first point of a grid failing leaves no point to check further
+    with pytest.raises(OverflowError) as raised:
+        chart.matrix_at([2.3e154, 0.5])
+    assert str(raised.value) == str(python.value)
+
+
+def test_numeric_audit_of_no_sample_points_holds_vacuously():
+    report = verify_equivalence(tensor_const(2), sphere_chart(), backend="numeric",
+                                count=0)
+    assert report.identity_holds and report.conserved
+    assert (report.worst_point, report.max_divergence) == (None, 0.0)
