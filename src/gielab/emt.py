@@ -10,13 +10,16 @@ componentwise.  Two backends: an exact one over polynomial charts
 (restricted to charts whose metric determinant is a nonzero constant
 perfect rational square, so the inverse metric and the volume
 coefficient stay in the polynomial ring) and a numeric one using central
-finite differences and Cholesky factors of g.  The numeric backend makes
-one array pass over the whole sample grid: each chart function of g and
-T is evaluated once over all the sample points and their stencil
-neighbours, every metric matrix is checked and factorised in one batch,
-and the sides are summed elementwise along the point axis, in the order
-and with the floats of the pointwise formulas.  numpy is imported inside
-the numeric functions only, so importing gielab does not load it.
+finite differences and Cholesky factors of g.  The exact backend expands
+each minor of g once, takes each derivative of g and each Christoffel
+bracket once, and samples the divergence over the grid as the numeric
+backend evaluates polynomials.  The numeric backend makes one array pass
+over the whole sample grid: each chart function of g and T is evaluated
+once over all the sample points and their stencil neighbours, every
+metric matrix is checked and factorised in one batch, and the sides are
+summed elementwise along the point axis, in the order and with the
+floats of the pointwise formulas.  numpy is imported inside the
+functions that use it, so importing gielab does not load it.
 """
 
 from __future__ import annotations
@@ -261,13 +264,14 @@ def _require_exact(g: MetricChart, T: EnergyMomentum | None = None):
         raise InputError("exact backend needs polynomial tensor components")
 
 
-def _exact_volume(g: MetricChart):
-    """(det g, sqrt(det g)) as Fractions.
+def _exact_volume(g: MetricChart, minors=None):
+    """(det g, sqrt(det g)) as Fractions; `minors` is `_minor_det`'s dict
+    of sub-minors, to share with the adjugate.
 
     Restricted to det g a nonzero constant perfect rational square;
     otherwise the inverse and the volume coefficient leave the
     polynomial ring and the numeric backend must be used."""
-    det = _minor_det(g.g)
+    det = _minor_det(g.g, minors=minors)
     if not (isinstance(det, Polynomial) and det.is_constant()) and not isinstance(det, Fraction):
         raise InputError(
             "exact backend requires constant metric determinant; use the "
@@ -285,21 +289,29 @@ def _exact_volume(g: MetricChart):
 
 def _exact_volume_and_inverse(g: MetricChart):
     """(sqrt(det g) as a Fraction, polynomial inverse metric), under the
-    restrictions of `_exact_volume`."""
-    m = g.m
-    det_val, vol = _exact_volume(g)
-    # adjugate / det stays polynomial because det is constant
-    nv = g.g[0][0].nvars
+    restrictions of `_exact_volume`.
+
+    The inverse is the adjugate over the constant det g.  det g is
+    expanded along row 0 first, and its sub-minors are the cofactors of
+    that row; every cofactor shares them and the smaller sub-minors
+    through one dict, so each minor is expanded once.  g is symmetric, so
+    the adjugate is too: the cofactors on and above the diagonal are
+    computed and mirrored, and 1/det g scales each of them once, unless it
+    is 1."""
+    m, nv = g.m, g.g[0][0].nvars
+    minors = {}
+    det_val, vol = _exact_volume(g, minors)
+    scale = 1 / det_val
+    ids = tuple(range(m))
     inv = [[None] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
-            minor = [[g.g[r][c] for c in range(m) if c != j]
-                     for r in range(m) if r != i]
-            cof = _minor_det(minor) if m > 1 else Polynomial.constant(1, nv)
+        for j in range(i, m):
+            cof = _minor_det(g.g, ids[:i] + ids[i + 1:], ids[:j] + ids[j + 1:], minors)
             if not isinstance(cof, Polynomial):
                 cof = Polynomial.constant(cof, nv)
-            sign = 1 if (i + j) % 2 == 0 else -1
-            inv[j][i] = cof * Fraction(sign, 1) * (Fraction(1) / det_val)
+            if (i + j) % 2:
+                cof = -cof
+            inv[i][j] = inv[j][i] = cof if scale == 1 else cof * scale
     return vol, inv
 
 
@@ -312,20 +324,26 @@ def christoffel(g: MetricChart):
 
 
 def _christoffel_from_inverse(g: MetricChart, ginv):
-    """`christoffel` given the polynomial inverse metric."""
+    """`christoffel` given the polynomial inverse metric.
+
+    Each partial derivative d_mu g_{rho nu} is taken once, and so is each
+    bracket [rho, mu nu] = (d_mu g_{rho nu} + d_nu g_{rho mu}
+    - d_rho g_{mu nu}) / 2; Gamma^lam_{mu nu} = g^{lam rho} [rho, mu nu]
+    is formed for mu <= nu and mirrored."""
     m = g.m
     half = Fraction(1, 2)
+    dg = [[[g.g[rho][nu].partial(mu) for nu in range(m)] for rho in range(m)]
+          for mu in range(m)]
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for lam in range(m):
-        for mu in range(m):
-            for nu in range(m):
-                total = Polynomial.constant(0, g.g[0][0].nvars)
-                for rho in range(m):
-                    total = total + ginv[lam][rho] * (
-                        g.g[rho][nu].partial(mu)
-                        + g.g[rho][mu].partial(nu)
-                        - g.g[mu][nu].partial(rho))
-                gamma[lam][mu][nu] = half * total
+    for mu in range(m):
+        for nu in range(mu, m):
+            brackets = [(dg[mu][rho][nu] + dg[nu][rho][mu] - dg[rho][mu][nu]) * half
+                        for rho in range(m)]
+            for lam in range(m):
+                total = ginv[lam][0] * brackets[0]
+                for rho in range(1, m):
+                    total = total + ginv[lam][rho] * brackets[rho]
+                gamma[lam][mu][nu] = gamma[lam][nu][mu] = total
     return gamma
 
 
@@ -522,6 +540,25 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     return a.T.tolist(), rhs.T.tolist(), size.T.tolist(), sqrtg.tolist()
 
 
+def _max_abs(fs, points, m):
+    """max(0.0, |f(x)| for x in points for f in fs), taken in that order
+    over the floats Polynomial.eval gives, at points of m coordinates:
+    each f is evaluated over all the points at once by `_grid_function`,
+    and the first failure in that order is raised."""
+    import numpy as np
+    P = len(points)
+    X = np.array(points, dtype=float).reshape(P, m)
+    values = np.empty((len(fs), P))
+    bad, exc = P, None
+    for f, out in zip(fs, values):
+        r, e = _grid_function(f)(X, points, out)
+        if r < bad:
+            bad, exc = r, e
+    if exc is not None:
+        raise exc
+    return max([0.0, *np.abs(values.T).ravel().tolist()])
+
+
 # ---------------------------------------------------------------------------
 # verification report
 
@@ -583,11 +620,8 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                 raise VerificationError(
                     f"covariant derivative and divergence disagree as "
                     f"polynomials in component {lam + 1}")
-        max_div = 0.0
         conserved = all(not d for d in div)
-        for point in g.sample_points(count):
-            for d in div:
-                max_div = max(max_div, abs(float(d.eval(point))))
+        max_div = _max_abs(div, g.sample_points(count), m)
         return EquivalenceReport(backend="exact", identity_holds=True,
                                  max_identity_residual=0.0,
                                  worst_point=None, max_divergence=max_div,
@@ -663,16 +697,25 @@ def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
     return EnergyMomentum(m, [[entry(i, j) for j in range(m)] for i in range(m)])
 
 
+def _square(doc, field, m):
+    """doc[field] when it is an m x m array (a list of m lists of m
+    entries); an InputError naming the field otherwise, so that no row or
+    entry beyond m is dropped unread."""
+    rows = doc[field]
+    if not (isinstance(rows, list) and len(rows) == m
+            and all(isinstance(row, list) and len(row) == m for row in rows)):
+        raise InputError(f"field {field!r} must be {m} rows of {m} entries")
+    return rows
+
+
 def load_chart(doc):
     """(MetricChart, EnergyMomentum) from the JSON schema
     {"m", "g", "T", "box", "margin"} with polynomial entries given as
     lists of {"exponents", "coefficient"}."""
     try:
         m = json_int(doc, "m")
-        g = [[from_json_terms(doc["g"][i][j], m) for j in range(m)]
-             for i in range(m)]
-        T = [[from_json_terms(doc["T"][i][j], m) for j in range(m)]
-             for i in range(m)]
+        g = [[from_json_terms(e, m) for e in row] for row in _square(doc, "g", m)]
+        T = [[from_json_terms(e, m) for e in row] for row in _square(doc, "T", m)]
         box = doc.get("box")
         margin = doc.get("margin", DEFAULT_MARGIN)
     except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:

@@ -194,24 +194,40 @@ def contract(v, a: ExteriorForm) -> ExteriorForm:
     return out
 
 
-def _minor_det(rows):
-    """Determinant by expansion; entries are ring elements."""
-    n = len(rows)
+def _minor_det(rows, row_ids=None, col_ids=None, minors=None):
+    """Determinant of the minor of `rows` on the row indices `row_ids` and
+    the column indices `col_ids` (the whole square matrix by default), by
+    expansion along its first row; entries are ring elements.
+
+    Every sub-minor is kept in `minors` under (row indices, column
+    indices), so that the calls sharing one dict compute each sub-minor
+    once: the cofactors of a matrix and its determinant then expand the
+    same smaller minors only once between them."""
+    if row_ids is None:
+        row_ids = col_ids = tuple(range(len(rows)))
+    n = len(row_ids)
     if n == 0:
         return Fraction(1)
     if n == 1:
-        return rows[0][0]
+        return rows[row_ids[0]][col_ids[0]]
+    if minors is None:
+        minors = {}
+    key = (row_ids, col_ids)
+    det = minors.get(key)
+    if det is not None:
+        return det
+    top, rest = rows[row_ids[0]], row_ids[1:]
     total = None
-    for j in range(n):
-        head = rows[0][j]
+    for j, c in enumerate(col_ids):
+        head = top[c]
         if not head:
             continue
-        sub = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
-        term = head * _minor_det(sub)
+        term = head * _minor_det(rows, rest, col_ids[:j] + col_ids[j + 1:], minors)
         if j % 2:
             term = -term
         total = term if total is None else total + term
-    return total if total is not None else Fraction(0)
+    det = minors[key] = total if total is not None else Fraction(0)
+    return det
 
 
 def evaluate(a: ExteriorForm, vectors):

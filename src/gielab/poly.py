@@ -110,7 +110,8 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            nv = terms.get(k, Fraction(0)) + v
+            acc = terms.get(k)
+            nv = v if acc is None else acc + v
             if nv:
                 terms[k] = nv
             else:
@@ -138,7 +139,8 @@ class Polynomial:
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 k = _monomial_product(ka, kb)
-                nv = terms.get(k, Fraction(0)) + va * vb
+                acc = terms.get(k)
+                nv = va * vb if acc is None else acc + va * vb
                 if nv:
                     terms[k] = nv
                 else:
@@ -160,7 +162,8 @@ class Polynomial:
                     continue
                 rest = ((i, e - 1),) if e > 1 else ()
                 nk = k[:pos] + rest + k[pos + 1:]
-                nv = terms.get(nk, Fraction(0)) + v * e
+                acc = terms.get(nk)
+                nv = v * e if acc is None else acc + v * e
                 if nv:
                     terms[nk] = nv
                 else:

@@ -1,18 +1,65 @@
-"""Per-call reference for the numeric EMT backend.
+"""References for the EMT backends.
 
-The library evaluates the metric and the tensor once over the whole grid
-of sample points and their stencil neighbours, as arrays.  This module
-keeps the pointwise formulation, which evaluates each chart function and
-factorises the metric afresh for every value it needs, one point at a
-time, through `Polynomial.eval`.  It performs the same floating-point
-operations in the same order, so the tests require its sides to equal
-the library's float for float.
+Numeric: the library evaluates the metric and the tensor once over the
+whole grid of sample points and their stencil neighbours, as arrays.
+This module keeps the pointwise formulation, which evaluates each chart
+function and factorises the metric afresh for every value it needs, one
+point at a time, through `Polynomial.eval`.  It performs the same
+floating-point operations in the same order, so the tests require its
+sides to equal the library's float for float.
+
+Exact: the library expands each minor of g once and forms each
+Christoffel bracket once.  This module keeps the plain formulas: every
+cofactor as the determinant of its own minor matrix, and Gamma^lam_{mu nu}
+summed over rho for every index triple, with every partial derivative
+taken afresh.  The tests require equal polynomials.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from gielab.emt import EPS, FD_STEP, TOLERANCE, _fold
+from gielab.exterior import _minor_det
 from gielab.poly import Polynomial
+
+
+def inverse_metric(g):
+    """g^{-1} as polynomials: each cofactor from its own minor matrix,
+    over det g, which must be a nonzero constant."""
+    m, nv = g.m, g.g[0][0].nvars
+    det = _minor_det(g.g)
+    det = det.constant_value() if isinstance(det, Polynomial) else Fraction(det)
+    inv = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            minor = [[g.g[r][c] for c in range(m) if c != j]
+                     for r in range(m) if r != i]
+            cof = _minor_det(minor) if m > 1 else Polynomial.constant(1, nv)
+            if not isinstance(cof, Polynomial):
+                cof = Polynomial.constant(cof, nv)
+            sign = 1 if (i + j) % 2 == 0 else -1
+            inv[j][i] = cof * Fraction(sign, 1) * (Fraction(1) / det)
+    return inv
+
+
+def christoffel(g, ginv):
+    """Gamma^lam_{mu nu} = 1/2 g^{lam rho} (d_mu g_{rho nu} + d_nu g_{rho mu}
+    - d_rho g_{mu nu}) for every index triple."""
+    m = g.m
+    half = Fraction(1, 2)
+    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for lam in range(m):
+        for mu in range(m):
+            for nu in range(m):
+                total = Polynomial.constant(0, g.g[0][0].nvars)
+                for rho in range(m):
+                    total = total + ginv[lam][rho] * (
+                        g.g[rho][nu].partial(mu)
+                        + g.g[rho][mu].partial(nu)
+                        - g.g[mu][nu].partial(rho))
+                gamma[lam][mu][nu] = half * total
+    return gamma
 
 
 def _eval(f, point):

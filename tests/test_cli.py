@@ -361,6 +361,26 @@ def test_chart_margin_must_be_finite_and_non_negative(tmp_path, capsys, margin):
     assert "margin" in report["results"]["error"]
 
 
+@pytest.mark.parametrize("field,rows", [
+    ("g", [[[{"exponents": [0, 0], "coefficient": "1"}], []],
+           [[], [{"exponents": [0, 0], "coefficient": "1"}]], [[], []]]),
+    ("T", [[[], [], "junk"], [[], []]]),
+    ("T", [[[], []]]),
+    ("g", {"0": [], "1": []}),
+])
+def test_chart_arrays_must_be_m_by_m(tmp_path, capsys, field, rows):
+    # no row or entry beyond m is dropped unread
+    doc = _flat_chart_doc()
+    doc[field] = rows
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    for backend in ("exact", "numeric"):
+        code, report = run(["emt-audit", "--input", str(path), "--backend", backend],
+                           capsys)
+        assert code == EXIT_INVALID
+        assert f"field '{field}' must be 2 rows of 2 entries" in report["results"]["error"]
+
+
 def test_emt_audit_missing_file(capsys):
     code, report = run(["emt-audit", "--input", "/nonexistent.json"], capsys)
     assert code == EXIT_INVALID
@@ -382,6 +402,34 @@ def test_emt_audit_error_reports_echo_inputs(tmp_path, capsys):
                         "--backend", "numeric"], capsys)
     assert code == EXIT_INVALID
     assert report["inputs"] == {"input": "/nonexistent.json", "backend": "numeric"}
+
+
+def test_emt_audit_perturbed_christoffel_symbol_is_a_violation(tmp_path, capsys,
+                                                               monkeypatch):
+    # on the flat chart every Gamma vanishes; Gamma^2_{13} = 1 alone breaks
+    # the identity in component 2 when T^{13} != T^{31}
+    from gielab import emt
+    one = [{"exponents": [0, 0, 0], "coefficient": "1"}]
+    doc = {"m": 3, "g": [[one if i == j else [] for j in range(3)] for i in range(3)],
+           "T": [[[{"exponents": [0, 0, 0], "coefficient": str(3 * i + j + 1)}]
+                  for j in range(3)] for i in range(3)],
+           "box": [[0, 1]] * 3}
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    argv = ["emt-audit", "--input", str(path), "--backend", "exact"]
+    assert run(argv, capsys)[0] == EXIT_PASS
+    christoffel_from_inverse = emt._christoffel_from_inverse
+
+    def perturbed(*args):
+        gamma = christoffel_from_inverse(*args)
+        gamma[1][0][2] = gamma[1][0][2] + 1
+        return gamma
+
+    monkeypatch.setattr(emt, "_christoffel_from_inverse", perturbed)
+    code, report = run(argv, capsys)
+    assert code == EXIT_VIOLATION
+    assert report["verdict"] == "violation"
+    assert report["results"]["error"].endswith("disagree as polynomials in component 2")
 
 
 def test_output_file_option(tmp_path, capsys):
@@ -658,6 +706,11 @@ _FRACTIONAL_T = [[[{"exponents": [1.5, 0], "coefficient": "1"}], []], [[], []]]
 _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
 
 
+def _square(rows, m):
+    return (isinstance(rows, list) and len(rows) == m
+            and all(isinstance(row, list) and len(row) == m for row in rows))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(_invocations(), _psi_invocations()))
@@ -686,6 +739,11 @@ _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
           {"psi.json": {"n": 3, "m": 2, "psi": [["0", "1/2"], ["2", "1"], ["1", "0"]]}}))
 # a negative seed count once passed vacuously
 @example((["sweep", "--n-range=2..3", "--m-range=2..2", "--seeds=-1"], {}))
+# rows and entries beyond m were once dropped unread, and the audit passed
+@example((_AUDIT, _chart_with(
+    g=[[[{"exponents": [0, 0], "coefficient": "1"}], []],
+       [[], [{"exponents": [0, 0], "coefficient": "1"}]], [[], []]],
+    T=[[[{"exponents": [0, 0], "coefficient": "1"}], [], "junk"], [[], []]])))
 def test_every_accepted_invocation_ends_in_one_report(invocation):
     argv, files = invocation
     verifiable = _verifiable(argv, files)
@@ -713,11 +771,15 @@ def test_every_accepted_invocation_ends_in_one_report(invocation):
     if report["command"] == "sweep" and report["inputs"].get("seeds", 0) < 0:
         assert code == EXIT_INVALID
         assert "--seeds" in report["results"]["error"]
-    # a shape given as anything but a JSON integer, or a negative chart
-    # margin, is never truncated or sampled outside the box
+    # a shape given as anything but a JSON integer, a chart array of any
+    # other shape than m x m, or a negative chart margin, is never truncated
+    # or sampled outside the box
     for doc in files.values():
         if isinstance(doc, dict):
             if any(type(doc.get(key, 0)) is not int for key in ("n", "m")):
+                assert code == EXIT_INVALID
+            if report["command"] == "emt-audit" and not all(
+                    _square(doc.get(field), doc.get("m")) for field in ("g", "T")):
                 assert code == EXIT_INVALID
             margin = doc.get("margin")
             if type(margin) in (int, float) and margin < 0:

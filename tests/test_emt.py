@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emt_reference
 from emt_reference import numeric_sides as reference_sides
 from gielab import InputError, VerificationError, emt
 from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
@@ -185,6 +186,111 @@ def test_exact_backend_rejects_non_square_determinant():
     g = [[const(2), const(0)], [const(0), const(1)]]
     _rejected_by_every_exact_entry_point(MetricChart(2, g, box=[[0, 1], [0, 1]]),
                                          "requires det g to be a perfect rational square")
+
+
+# -- the exact backend against its reference --------------------------------
+
+
+def _seeded_chart(seed, m, det=1):
+    """The benchmark's det-1 chart shape, seeded, with det g = `det`:
+    g = A^T D A with A unit upper triangular, A_ij = a + b x_j, and
+    D = diag(det, 1, ..., 1); T^{lam mu} = c0 + c1 x_lam + c2 x_lam x_mu."""
+    rng = random.Random(seed)
+
+    def nonzero():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    x = [Polynomial.variable(i, m) for i in range(m)]
+    A = [[const(1 if i == j else 0, m) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            A[i][j] = nonzero() + nonzero() * x[j]
+    D = [det] + [1] * (m - 1)
+    g = [[sum((A[r][i] * A[r][j] * D[r] for r in range(m)), const(0, m))
+          for j in range(m)] for i in range(m)]
+    T = [[nonzero() + nonzero() * x[lam] + nonzero() * x[lam] * x[mu] for mu in range(m)]
+         for lam in range(m)]
+    return MetricChart(m, g, box=[[-1, 1]] * m), EnergyMomentum(m, T)
+
+
+@pytest.mark.parametrize("m,det", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 4)])
+def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
+    # det 4 takes the path that scales the adjugate by 1/det g
+    for seed in range(2):
+        chart, _ = _seeded_chart(seed, m, det)
+        vol, ginv = emt._exact_volume_and_inverse(chart)
+        assert vol ** 2 == det
+        assert ginv == emt_reference.inverse_metric(chart)
+        for i in range(m):
+            for j in range(m):
+                entry = sum((chart.g[i][k] * ginv[k][j] for k in range(m)), const(0, m))
+                assert entry == const(1 if i == j else 0, m)
+        assert christoffel(chart) == emt_reference.christoffel(chart, ginv)
+
+
+@pytest.mark.parametrize("m,det", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 4)])
+def test_exact_max_divergence_is_the_pointwise_maximum(m, det):
+    chart, T = _seeded_chart(3, m, det)
+    report = verify_equivalence(T, chart, backend="exact")
+    div = covariant_divergence(T, christoffel(chart))
+    expected = 0.0
+    for point in chart.sample_points(100):
+        for d in div:
+            expected = max(expected, abs(float(d.eval(point))))
+    assert report.max_divergence.hex() == expected.hex()
+    assert report.identity_holds and not report.conserved
+
+
+def test_exact_divergence_overflow_at_a_late_sample_point_is_raised():
+    # div^2 = 4 x_2^3 overflows in Python's float pow at the fourth sample
+    # point only (x_2 is 0.93 of the box there, at most 0.73 before)
+    chart = flat_chart(2, box=[[0, 1], [0, 7e102]])
+    x2 = Polynomial.variable(1, 2)
+    T = EnergyMomentum(2, [[const(0), const(0)], [const(0), x2 * x2 * x2 * x2]])
+    points = chart.sample_points(100)
+    div = covariant_divergence(T, christoffel(chart))
+    for point in points[:3]:
+        div[1].eval(point)
+    with pytest.raises(OverflowError) as python:
+        div[1].eval(points[3])
+    with pytest.raises(OverflowError) as raised:
+        verify_equivalence(T, chart, backend="exact")
+    assert str(raised.value) == str(python.value)
+
+
+def test_exact_backend_checks_constancy_before_squareness():
+    # det g = 2 (1 + x1^2) is neither constant nor a square
+    x1 = Polynomial.variable(0, 2)
+    g = [[const(2) + const(2) * x1 * x1, const(0)], [const(0), const(1)]]
+    _rejected_by_every_exact_entry_point(MetricChart(2, g, box=[[0, 1], [0, 1]]),
+                                         "requires constant metric determinant")
+
+
+def _asymmetric_tensor(m):
+    """Constant T^{lam mu} = m lam + mu + 1, so T^{mu nu} != T^{nu mu} off
+    the diagonal."""
+    return EnergyMomentum(m, [[const(m * lam + mu + 1, m) for mu in range(m)]
+                              for lam in range(m)])
+
+
+@pytest.mark.parametrize("lam,mu,nu", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+def test_exact_audit_catches_a_perturbed_christoffel_symbol(lam, mu, nu, monkeypatch):
+    # Gamma^lam_{mu nu} enters d_grad tau^lam as Gamma^lam_{mu nu} T^{mu nu}
+    # and the divergence as T^{nu mu} Gamma^lam_{mu nu}; with mu != lam it
+    # is not a trace Gamma^nu_{nu mu}, so only component lam changes
+    chart, T = _seeded_chart(1, 3)[0], _asymmetric_tensor(3)
+    assert verify_equivalence(T, chart, backend="exact").identity_holds
+    christoffel_from_inverse = emt._christoffel_from_inverse
+
+    def perturbed(*args):
+        gamma = christoffel_from_inverse(*args)
+        gamma[lam][mu][nu] = gamma[lam][mu][nu] + const(1, 3)
+        return gamma
+
+    monkeypatch.setattr(emt, "_christoffel_from_inverse", perturbed)
+    with pytest.raises(VerificationError,
+                       match=f"disagree as polynomials in component {lam + 1}$"):
+        verify_equivalence(T, chart, backend="exact")
 
 
 # -- tau and divergence ----------------------------------------------------
