@@ -11,11 +11,11 @@ from .bundle import (ConnectionForm, Curvature2Form, bianchi_residual,
                      curvature_from_connection, exterior_derivative,
                      generalized_torsion, poly_form)
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
-                  cartan_characters_by_expansion, cartan_test, extension_rank,
-                  is_integral_element, polar_space)
+                  cartan_characters_by_expansion, cartan_test, expansion_rows,
+                  extension_rank, is_integral_element, polar_space)
 from .gie import (CurvatureElement, DimensionLedger, PsiData,
                   RankCertificate, SecondFundamental, SigmaIndexMap,
-                  build_integral_flag, cartan_identity_residual,
+                  adapted_expansion_rows, build_integral_flag, cartan_identity_residual,
                   closed_form_characters, construct_preimage,
                   dimension_ledger, gauss_map, gie_cartan_report, gie_ideal,
                   grassmann_pullback, jacobian_rank_certificate, load_psi,

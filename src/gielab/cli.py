@@ -24,12 +24,13 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
-# Largest cell, in kappa*n*m, a command may ask for.  H and the flag store
-# only their non-zeros, but the ideal's kappa phi-type generators
-# omega^a_i ^ phi^i have up to kappa*n*m terms together, and the rank
-# certificate's fallback eliminates over that many coordinates of H.  The
-# (16, 16) frontier with kappa = 225 has 57,600; (32, 32) with kappa = 961
-# has 984,064.
+# Largest cell a command may ask for, in stored entries.  `verify-lemma` and
+# `sweep` measure a cell by kappa*n*m: the rank certificate's fallback
+# eliminates over that many coordinates of H (the (32, 32) cell with
+# kappa = 961 has 984,064).  `flag` measures it by `gie.flag_size_bound`,
+# H's columns and non-zeros plus the expansion rows it inserts, which it
+# stores instead of an ideal (the (79, 79) cell with kappa = 6,084 has
+# 982,684).
 MAX_H_ENTRIES = 10 ** 6
 
 
@@ -88,6 +89,17 @@ def _check_size(n, m, kappa):
         raise InputError(
             f"size kappa*n*m = {size} (n = {n}, m = {m}, kappa = {kappa}) "
             f"exceeds the limit {MAX_H_ENTRIES}")
+
+
+def _check_flag_size(n, m, kappa):
+    """Refuse a `flag` cell whose `gie.flag_size_bound` exceeds
+    MAX_H_ENTRIES before anything of that size is allocated.  The bound is
+    taken at kappa >= 1, where it also covers psi's n*m entries."""
+    size = gie.flag_size_bound(n, m, max(kappa, 1))
+    if size > MAX_H_ENTRIES:
+        raise InputError(
+            f"size of H plus its expansion rows = {size} (n = {n}, m = {m}, "
+            f"kappa = {kappa}) exceeds the limit {MAX_H_ENTRIES}")
 
 
 def _load_psi_arg(args):
@@ -153,7 +165,7 @@ def cmd_ledger(args, inputs, started):
 
 
 def cmd_flag(args, inputs, started):
-    _check_size(args.n, args.m, args.kappa)
+    _check_flag_size(args.n, args.m, args.kappa)
     psi = _load_psi_arg(args)
     H = gie.construct_preimage(psi, args.kappa)
     element = gie.build_integral_flag(psi, H)  # raises on a violated contract

@@ -3,7 +3,9 @@
 Everything here works at a single point: ideals have constant rational
 coefficients in an ambient coframe split into base covectors (the first
 `n_base` coordinates) and fiber covectors.  Integral elements, polar
-spaces, the extension rank, Cartan characters by the expansion method,
+spaces, the extension rank, Cartan characters by the expansion method
+(the split of an ideal into (sup J, row) pairs, and the one elimination
+that counts the characters from such pairs, however they were written),
 and the one-sided Cartan test.
 """
 
@@ -166,13 +168,15 @@ class CartanReport:
         return sum(self.characters)
 
 
-def _expansion_rows(ideal: AlgebraicIdeal):
+def expansion_rows(ideal: AlgebraicIdeal):
     """Split every generator into its single-fiber-factor expansion.
 
     Returns (sup_J, row) pairs sorted by sup_J, where row maps fiber
     coordinates to the coefficient of the pi covector in the 1-form pi_rho^J.
     Raises VerificationError if a generator has a nonzero pure-base term
-    (the expansion shape then fails at this point).
+    (the expansion shape then fails at this point).  The flag pipeline
+    writes the rows it needs straight from H (`gie.adapted_expansion_rows`);
+    the tests keep this split of the adapted ideal as its oracle.
     """
     n_base = ideal.coframe.n_base
     merged = {}  # (generator, J) -> (sup J, row)
@@ -195,11 +199,11 @@ def _expansion_rows(ideal: AlgebraicIdeal):
     return sorted(merged.values(), key=lambda t: t[0])
 
 
-def cartan_characters_by_expansion(ideal: AlgebraicIdeal) -> CartanReport:
+def cartan_characters_by_expansion(rows, m) -> CartanReport:
     """Characters C_0..C_{m-1} by incremental ranks of the pi_rho^J
-    systems collected level by level (sup J <= p)."""
-    m = ideal.coframe.n_base
-    rows = _expansion_rows(ideal)
+    systems collected level by level (sup J <= p).  `rows` are (sup J, row)
+    pairs sorted by sup J, as `expansion_rows` gives them; rows above
+    level m - 1 are never inserted."""
     ech = linalg.SparseEchelon()
     characters = []
     idx = 0

@@ -621,7 +621,14 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                     f"covariant derivative and divergence disagree as "
                     f"polynomials in component {lam + 1}")
         conserved = all(not d for d in div)
-        max_div = _max_abs(div, g.sample_points(count), m)
+        # each divergence summed in sorted term order, so that the float
+        # maximum depends on the chart, not on the order its JSON lists terms
+        canonical = []
+        for d in div:
+            c = Polynomial(d.nvars)
+            c.terms = dict(sorted(d.terms.items()))
+            canonical.append(c)
+        max_div = _max_abs(canonical, g.sample_points(count), m)
         return EquivalenceReport(backend="exact", identity_holds=True,
                                  max_identity_residual=0.0,
                                  worst_point=None, max_divergence=max_div,

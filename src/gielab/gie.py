@@ -6,7 +6,10 @@ satisfying the generalized Cartan identities with vanishing Gauss image,
 certifies that the Gauss-map differential has maximal rank, assembles
 the exterior ideal on the product space in the sigma-indexed coframe,
 builds the explicit integral flag, and counts Cartan characters both by
-the expansion method and through the Grassmannian pullback.
+the expansion method and through the Grassmannian pullback.  The
+expansion rows of the ideal adapted to H are written straight from psi
+and the non-zeros of H (`adapted_expansion_rows`), so the flag pipeline
+never builds the ideal; the polar-space route and the tests build it.
 
 Index conventions (all 1-based): i, j, k = 1..n fiber; lam, mu, nu =
 1..m base; a = 1..kappa normal directions.  psi[i][lam] stores the
@@ -413,6 +416,20 @@ def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
     return H
 
 
+def flag_size_bound(n, m, kappa):
+    """An upper bound, for every psi of shape (n, m), on what the flag
+    pipeline stores in proportion to its cell: the n*m columns of
+    `construct_preimage(psi, kappa)` and their at most (3n - 4)(m - 1)
+    non-zeros (H_{i lam} = e_{(i, lam)} for i < n, lam < m, (n - 1)(m - 1)
+    entries in H_{p m} and m - 1 in each other H_{k m}, k < n), plus the
+    entries of its `adapted_expansion_rows`: n(n - 1)/2 unit rows, each of
+    the (n - 1)(m - 1) non-zeros H^a_{k mu}, mu < m, once in each of the
+    n - 1 Gauss-type rows of a pair with k, and at most n per phi-type
+    row.  Computed before anything is allocated."""
+    return (n * m + (3 * n - 4) * (m - 1) + n * (n - 1) // 2
+            + (n - 1) ** 2 * (m - 1) + kappa * n)
+
+
 # ---------------------------------------------------------------------------
 # sigma indexing and dimension ledger
 
@@ -627,6 +644,26 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
     return AlgebraicIdeal(coframe, gens)
 
 
+def _flag_values(psi: PsiData, H: SecondFundamental, R: CurvatureElement | None):
+    """(generator, pure-base key, value) for each pure-base coefficient of
+    `gie_ideal(psi, R, kappa, H=H)` that can be non-zero, zeros included,
+    in the ideal's order: (G(H) - R)_{ij; lam mu} at (lam, mu) for the
+    Gauss-type form of (i, j), none when R = None (then R = G(H)), and the
+    Cartan residual of a at eta^Lambda for the phi-type form of a.  These
+    are also the generators' values on the flag of H."""
+    residuals = cartan_identity_residual(H, psi)  # InputError before any value
+    n, m = H.n, H.m
+    sigma = SigmaIndexMap(n, H.kappa)
+    pairs = n * (n - 1) // 2
+    if R is not None:
+        G = gauss_map(H).values
+        for key in sorted(G.keys() | R.values.keys()):
+            yield pairs + sigma.pair(*key[:2]) - 1, key[2:], G.get(key, _ZERO) - R[key]
+    volume = tuple(range(1, m + 1))
+    for a, r in enumerate(residuals):
+        yield 2 * pairs + a, volume, r
+
+
 def build_integral_flag(psi: PsiData, H: SecondFundamental,
                         R: CurvatureElement | None = None) -> IntegralElement:
     """The explicit m-dimensional integral element e_lam = X_lam +
@@ -648,14 +685,7 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
                 v[m + sigma.normal(n + a, i)] = h
         basis.append(v)
     element = IntegralElement(basis)
-    pairs = n * (n - 1) // 2
-    values = []  # (generator, value), in the ideal's order
-    if R is not None:
-        G = gauss_map(H).values
-        values = [(pairs + sigma.pair(*key[:2]) - 1, G.get(key, _ZERO) - R[key])
-                  for key in sorted(G.keys() | R.values.keys())]
-    values += [(2 * pairs + a, r) for a, r in enumerate(cartan_identity_residual(H, psi))]
-    for generator, value in values:
+    for generator, _, value in _flag_values(psi, H, R):
         if value:
             raise VerificationError(
                 f"generator {generator} evaluates to {value} on the flag; "
@@ -663,15 +693,67 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
     return element
 
 
+def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
+                           R: CurvatureElement | None = None):
+    """The (sup J, row) pairs of `eds.expansion_rows(gie_ideal(psi, R,
+    kappa, H=H))` at the levels sup J <= m - 1, the ones the character
+    count inserts, written from psi and the non-zeros of H without
+    building the ideal (R = None means R = G(H)).  In the order of the
+    ideal's generators:
+
+    - the covector omega^i_j - eta^i_j gives {m + sigma(i, j): 1} at level 0;
+    - the Gauss-type form of (i, j) gives, per mu <= m - 1, the row
+      {sigma(a, i): H^a_{j mu}, sigma(a, j): -H^a_{i mu}} at level mu;
+    - the phi-type form of a gives {sigma(a, i): psi^i_{Lambda minus m}}
+      at level m - 1,
+
+    with sigma(a, i) standing for the coordinate m + sigma(n + a, i) and
+    empty rows left out.  The pure-base terms are checked first, as
+    `eds.expansion_rows` does: (G(H) - R)_{ij; lam mu} for the Gauss-type
+    forms, skipped when R = None since it is then 0, and the Cartan
+    residual of a for the phi-type form of a.  VerificationError names the
+    first generator with a non-zero one (the phi-type message is the
+    oracle's byte for byte); InputError when the shapes disagree.
+    """
+    n, m, kappa = psi.n, psi.m, H.kappa
+    if (H.n, H.m) != (n, m) or (R is not None and (R.n, R.m) != (n, m)):
+        raise InputError("H, psi and R shapes disagree")
+    for generator, key, value in _flag_values(psi, H, R):
+        if value:
+            raise VerificationError(
+                f"generator {generator} has pure-base term {key} with coefficient "
+                f"{value}; the expansion shape does not apply")
+    sigma = SigmaIndexMap(n, kappa)
+
+    def coord(a, i):
+        return m + sigma.normal(n + a, i)
+
+    one = Fraction(1)
+    rows = [(0, {m + sigma.pair(i, j): one})
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for mu in range(1, m):
+        for i in range(1, n + 1):
+            column_i = H.columns[i, mu]
+            for j in range(i + 1, n + 1):
+                row = {coord(a, i): h for a, h in H.columns[j, mu].items()}
+                for a, h in column_i.items():
+                    row[coord(a, j)] = -h
+                if row:
+                    rows.append((mu, row))
+    last = [(i, psi[i, m]) for i in range(1, n + 1) if psi[i, m]]
+    if last:
+        rows.extend((m - 1, {coord(a, i): v for i, v in last})
+                    for a in range(1, kappa + 1))
+    return rows
+
+
 def gie_cartan_report(psi: PsiData, H: SecondFundamental,
                       R: CurvatureElement | None = None) -> CartanReport:
-    """Characters of the constructed flag by the expansion method,
-    tested against the codimension formula."""
-    if R is None:
-        R = gauss_map(H)
+    """Characters of the constructed flag by the expansion method, from
+    the rows `adapted_expansion_rows` writes, tested against the
+    codimension formula (R = None means R = G(H))."""
     ledger = dimension_ledger(psi.n, psi.m, H.kappa)
-    ideal = gie_ideal(psi, R, H.kappa, H=H)
-    report = cartan_characters_by_expansion(ideal)
+    report = cartan_characters_by_expansion(adapted_expansion_rows(psi, H, R), psi.m)
     return cartan_test(report, ledger.codim_v)
 
 

@@ -210,11 +210,13 @@ class Polynomial:
             else:
                 positions = enumerate(k) if zero is None else [(zero, k[zero])]
                 for pos, (var, e) in positions:
-                    d = c * e
+                    d = c if e == 1 else c * e
                     for q, (w, ew) in enumerate(k):
                         if q == pos:
                             ew -= 1
-                        if ew:
+                        if ew == 1:
+                            d = d * values[q]
+                        elif ew:
                             d = d * values[q] ** ew
                     grad[var] = grad.get(var, 0) + d
         return {v: d for v, d in grad.items() if d}

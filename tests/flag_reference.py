@@ -10,14 +10,24 @@ substitution by repeated `wedge` and addition, and every subset
 evaluated by cofactor expansion on dense vectors, independent of
 contraction.  The tests require the library to agree with them exactly,
 including the order of the coefficient dicts, which fixes the first
-witness a failure report names.
+witness a failure report names.  The characters by expansion are also
+kept from a materialized ideal, split into rows by `eds.expansion_rows`,
+where the library writes the rows straight from H.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from gielab.eds import cartan_characters_by_expansion, expansion_rows
 from gielab.exterior import ExteriorForm, _minor_det, wedge
 from gielab.gie import SigmaIndexMap, gie_coframe
+
+
+def expansion_characters(ideal):
+    """The CartanReport of the characters by expansion of a materialized
+    ideal: the rows `eds.expansion_rows` splits off it, through the one
+    elimination `gie.gie_cartan_report` runs on the rows it writes."""
+    return cartan_characters_by_expansion(expansion_rows(ideal), ideal.coframe.n_base)
 
 
 def substitute(a, images, new_dim=None):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gielab.cli import (EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES,
                         build_parser, main)
+from gielab.gie import closed_form_characters, dimension_ledger, flag_size_bound
 
 
 def run(argv, capsys):
@@ -533,17 +534,44 @@ def test_help_still_exits_zero(capsys):
 @pytest.mark.parametrize("argv,size", [
     (["verify-lemma", "--n", "9999", "--m", "9999", "--kappa", "1",
       "--random-psi", "1"], 9999 * 9999),
-    (["flag", "--n", "9999", "--m", "9999", "--kappa", "99960004",
+    (["verify-lemma", "--n", "9999", "--m", "9999", "--kappa", "99960004",
       "--random-psi", "1"], 99960004 * 9999 * 9999),
-    (["flag", "--n", "2", "--m", "2", "--kappa", str(10 ** 30),
+    (["verify-lemma", "--n", "2", "--m", "2", "--kappa", str(10 ** 30),
       "--random-psi", "1"], 4 * 10 ** 30),
     (["sweep", "--n-range", "2..9999", "--m-range", "2..3"], 9998 * 2 * 9999 * 3),
 ])
 def test_sizes_beyond_the_limit_are_invalid(capsys, argv, size):
+    # `flag` is measured by its own bound instead, in the test below
     code, report = run(argv, capsys)
     assert code == EXIT_INVALID
     error = report["results"]["error"]
     assert f"kappa*n*m = {size}" in error and f"limit {MAX_H_ENTRIES}" in error
+
+
+@pytest.mark.parametrize("n,m,kappa", [
+    (9999, 9999, 99960004), (2, 2, 10 ** 30), (80, 80, 6241),
+    (10 ** 4, 10 ** 4, -10 ** 12)])
+def test_flag_sizes_beyond_the_bound_are_invalid(capsys, n, m, kappa):
+    # the bound is taken at kappa >= 1, so a negative kappa cannot let
+    # a large psi through
+    size = flag_size_bound(n, m, max(kappa, 1))
+    assert size > MAX_H_ENTRIES
+    code, report = run(["flag", "--n", str(n), "--m", str(m), "--kappa", str(kappa),
+                        "--random-psi", "1"], capsys)
+    assert code == EXIT_INVALID
+    error = report["results"]["error"]
+    assert (f"size of H plus its expansion rows = {size}" in error
+            and f"limit {MAX_H_ENTRIES}" in error)
+
+
+def test_flag_admits_a_cell_beyond_kappa_n_m_within_its_bound(capsys):
+    # kappa*n*m = 1,000,100 is above the limit; H and the rows take 101,120
+    assert 10001 * 10 * 10 > MAX_H_ENTRIES >= flag_size_bound(10, 10, 10001)
+    code, report = run(["flag", "--n", "10", "--m", "10", "--kappa", "10001",
+                        "--random-psi", "1"], capsys)
+    assert code == EXIT_PASS
+    assert report["results"]["characters"] == closed_form_characters(10, 10, 10001)
+    assert report["results"]["character_sum"] == dimension_ledger(10, 10, 10001).codim_v
 
 
 def test_reports_are_deterministic(capsys):

@@ -11,7 +11,8 @@ from dense_vectors import dense, sparse
 from gielab import InputError, VerificationError, linalg
 from gielab.eds import (AlgebraicIdeal, CartanReport, IntegralElement,
                         SigmaCoframe, cartan_characters_by_expansion,
-                        cartan_test, extension_rank, first_nonvanishing,
+                        cartan_test, expansion_rows, extension_rank,
+                        first_nonvanishing,
                         is_integral_element, polar_space)
 from gielab.exterior import ExteriorForm
 
@@ -108,9 +109,16 @@ def test_extension_rank():
 
 def test_expansion_characters_on_contact_ideal():
     ideal = contact_like_ideal()
-    report = cartan_characters_by_expansion(ideal)
+    report = flag_reference.expansion_characters(ideal)
     # C_0 counts pi1; C_1 adds the pi2 row from pi2 ^ eta1
     assert report.characters == [1, 2]
+
+
+def test_expansion_characters_from_rows():
+    # a dependent row adds nothing, and a row above level m - 1 is not read
+    rows = [(0, {3: 1}), (1, {4: Fraction(1, 2)}), (1, {3: 2, 4: 1}), (2, {5: 1})]
+    assert cartan_characters_by_expansion(rows, 2).characters == [1, 2]
+    assert cartan_characters_by_expansion(rows, 3).characters == [1, 2, 3]
 
 
 def test_expansion_rejects_pure_base_terms():
@@ -118,14 +126,14 @@ def test_expansion_rejects_pure_base_terms():
     stray = ExteriorForm.monomial(4, (1, 2))  # eta^12: no fiber factor
     ideal = AlgebraicIdeal(cof, [stray])
     with pytest.raises(VerificationError):
-        cartan_characters_by_expansion(ideal)
+        expansion_rows(ideal)
 
 
 def test_quadratic_fiber_terms_are_remainder():
     cof = simple_coframe()
     ideal = AlgebraicIdeal(cof, [ExteriorForm.monomial(4, (3, 4)),
                                  ExteriorForm.covector(4, 3)])
-    report = cartan_characters_by_expansion(ideal)
+    report = flag_reference.expansion_characters(ideal)
     assert report.characters == [1, 1]
 
 

@@ -1,5 +1,6 @@
 """Metric charts, Christoffel symbols, and the divergence identity."""
 
+import json
 import math
 import random
 import re
@@ -232,7 +233,10 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
 def test_exact_max_divergence_is_the_pointwise_maximum(m, det):
     chart, T = _seeded_chart(3, m, det)
     report = verify_equivalence(T, chart, backend="exact")
-    div = covariant_divergence(T, christoffel(chart))
+    # each divergence is evaluated in sorted term order
+    div = [Polynomial(m) for _ in range(m)]
+    for d, exact in zip(div, covariant_divergence(T, christoffel(chart))):
+        d.terms = dict(sorted(exact.terms.items()))
     expected = 0.0
     for point in chart.sample_points(100):
         for d in div:
@@ -650,3 +654,25 @@ def test_numeric_audit_of_no_sample_points_holds_vacuously():
                                 count=0)
     assert report.identity_holds and report.conserved
     assert (report.worst_point, report.max_divergence) == (None, 0.0)
+
+
+def _chart_json(chart, T):
+    def terms(f):
+        return [{"exponents": [dict(k).get(v, 0) for v in range(f.nvars)],
+                 "coefficient": str(c)} for k, c in f.terms.items()]
+    return {"m": chart.m, "g": [[terms(e) for e in row] for row in chart.g],
+            "T": [[terms(e) for e in row] for row in T.T],
+            "box": chart.box}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_exact_report_does_not_depend_on_the_term_order(m):
+    # the same chart with every term list of g and of T reversed; the float
+    # max_divergence used to follow the input's order in its last digits
+    for seed in range(8):
+        doc = _chart_json(*_seeded_chart(100 + seed, m))
+        reversed_doc = dict(doc, **{key: [[list(reversed(e)) for e in row] for row in doc[key]]
+                                    for key in ("g", "T")})
+        reports = [json.dumps(verify_equivalence(T, chart, backend="exact").as_dict())
+                   for chart, T in (load_chart(doc), load_chart(reversed_doc))]
+        assert reports[0] == reports[1], (m, seed)

@@ -1,6 +1,7 @@
 """Gauss map, identities, pre-image, rank certificates, flags, ledger."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 import flag_reference
 from dg_reference import dg_columns, dg_matrix
 from gielab import InputError, VerificationError, linalg
-from gielab.eds import (IntegralElement, cartan_characters_by_expansion,
-                        first_nonvanishing, is_integral_element, polar_space)
+from gielab.eds import (IntegralElement, expansion_rows, first_nonvanishing,
+                        is_integral_element, polar_space)
 from gielab.gie import (CurvatureElement, PsiData, SecondFundamental,
-                        SigmaIndexMap, _flag_levels, build_integral_flag,
-                        cartan_identity_residual, closed_form_characters,
-                        construct_preimage, curvature_rows,
-                        dependent_coefficient, dimension_ledger, gauss_map,
+                        SigmaIndexMap, _flag_levels, adapted_expansion_rows,
+                        build_integral_flag, cartan_identity_residual,
+                        closed_form_characters, construct_preimage,
+                        curvature_rows, dependent_coefficient,
+                        dimension_ledger, flag_size_bound, gauss_map,
                         gie_cartan_report, gie_ideal, grassmann_pullback,
                         jacobian_rank_certificate, load_psi,
                         random_normalized_psi)
@@ -537,8 +539,11 @@ def test_expansion_fails_when_gauss_equation_violated():
     H = construct_preimage(psi, 1)
     R = CurvatureElement(2, 2, {(1, 2, 1, 2): Fraction(1)})
     ideal = gie_ideal(psi, R, 1, H=H)
-    with pytest.raises(VerificationError):
-        cartan_characters_by_expansion(ideal)
+    with pytest.raises(VerificationError) as oracle:
+        expansion_rows(ideal)
+    with pytest.raises(VerificationError) as written:
+        gie_cartan_report(psi, H, R)
+    assert str(written.value) == str(oracle.value)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 3)])
@@ -563,8 +568,14 @@ def test_expansion_fails_on_the_cartan_residual(n, m):
     want = (f"generator {phi_type} has pure-base term {volume} with coefficient "
             f"{residual[0]};")
     with pytest.raises(VerificationError) as err:
-        cartan_characters_by_expansion(ideal)
+        expansion_rows(ideal)
     assert str(err.value).startswith(want)
+    # the rows written from H fail with the same message, byte for byte,
+    # with R = G(H) given and with R = None
+    for R in (gauss_map(H), None):
+        with pytest.raises(VerificationError) as written:
+            gie_cartan_report(psi, H, R)
+        assert str(written.value) == str(err.value)
 
 
 def test_characters_equal_polar_codimensions_n2m2():
@@ -576,12 +587,109 @@ def test_characters_equal_polar_codimensions_n2m2():
         R = gauss_map(H)
         raw = gie_ideal(psi, R, 1)
         adapted = gie_ideal(psi, R, 1, H=H)
-        chars = cartan_characters_by_expansion(adapted).characters
+        chars = flag_reference.expansion_characters(adapted).characters
         flag = build_integral_flag(psi, H)
         for p in range(2):
             element = IntegralElement(flag.basis[:p])
             codim = raw.dim - len(polar_space(element, raw))
             assert chars[p] == codim
+
+
+def integer_psi(n, m, rng):
+    """A random integer psi as given (entries -9..9) with a pivot, and
+    det psi != 0 at n = m = 2, so that the pre-image exists."""
+    while True:
+        psi = PsiData(n, m, [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)])
+        if any(psi[i, m] for i in range(1, n)) and (n * m > 4 or psi.det2()):
+            return psi
+
+
+# psi^i_{Lambda minus lam} = (i lam + 2) mod 7 - 3, the non-normalizable
+# (8, 8) psi the CI runs: no rational orthogonal fiber change normalizes it
+PSI_8 = PsiData(8, 8, [[(i * lam + 2) % 7 - 3 for lam in range(1, 9)] for i in range(1, 9)])
+
+
+def row_multiset(rows):
+    return sorted((level, sorted(row.items())) for level, row in rows)
+
+
+def test_adapted_expansion_rows_equal_the_ideals_rows():
+    # the rows written from psi and H are the adapted ideal's rows at the
+    # levels sup J <= m - 1, with R = G(H) given and with R = None
+    rng = random.Random(31)
+    cases = [(integer_psi(n, m, rng), rng.randint(0, 1))
+             for n in range(2, 6) for m in range(2, 6) for _ in range(2)]
+    for psi, extra in cases + [(PSI_8, 0)]:
+        n, m = psi.n, psi.m
+        kappa = (n - 1) * (m - 1) + extra
+        H = construct_preimage(psi, kappa)
+        R = gauss_map(H)
+        oracle = [(level, row) for level, row in expansion_rows(gie_ideal(psi, R, kappa, H=H))
+                  if level <= m - 1]
+        for given in (R, None):
+            rows = adapted_expansion_rows(psi, H, given)
+            assert row_multiset(rows) == row_multiset(oracle), (n, m)
+            assert [level for level, _ in rows] == sorted(level for level, _ in rows)
+        assert gie_cartan_report(psi, H).characters == closed_form_characters(n, m, kappa)
+    # an H or an R of another shape is refused
+    H = construct_preimage(PSI_8, 49)
+    with pytest.raises(InputError):
+        adapted_expansion_rows(integer_psi(8, 7, rng), H)
+    with pytest.raises(InputError):
+        adapted_expansion_rows(PSI_8, H, CurvatureElement(8, 7))
+
+
+def failing_generator(call):
+    with pytest.raises(VerificationError) as err:
+        call()
+    return int(re.match(r"generator (\d+) has pure-base term", str(err.value)).group(1)), \
+        str(err.value)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
+def test_cartan_report_fails_on_the_ideal_routes_generator(n, m):
+    rng = random.Random(37 * n + m)
+    for _ in range(3):
+        psi = integer_psi(n, m, rng)
+        kappa = (n - 1) * (m - 1)
+        H = construct_preimage(psi, kappa)
+        # R != G(H): one unit added to one curvature component
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        lam, mu = sorted(rng.sample(range(1, m + 1), 2))
+        R = CurvatureElement(n, m, {(i, j, lam, mu): 1})
+        ideal = gie_ideal(psi, R, kappa, H=H)
+        assert (failing_generator(lambda: gie_cartan_report(psi, H, R))[0]
+                == failing_generator(lambda: expansion_rows(ideal))[0])
+        # H^1_{pm} + 1 (p the pivot) breaks the Cartan identity of a = 1: the
+        # phi-type message is the oracle's byte for byte; against R = 0, the
+        # curvature of the pre-image, G(H) - R may fail first as well
+        p = next(k for k in range(1, n) if psi[k, m])
+        H.set(1, p, m, H[1, p, m] + 1)
+        zero = CurvatureElement(n, m)
+        for given, oracle_R in ((None, gauss_map(H)), (zero, zero)):
+            ideal = gie_ideal(psi, oracle_R, kappa, H=H)
+            written = failing_generator(lambda: gie_cartan_report(psi, H, given))
+            oracle = failing_generator(lambda: expansion_rows(ideal))
+            assert written[0] == oracle[0]
+            if given is None:
+                assert written == oracle
+                assert written[0] == n * (n - 1)  # the phi-type form of a = 1
+
+
+def test_flag_size_bound_covers_the_preimage_and_its_rows():
+    # the bound holds for every psi and is reached when psi is dense
+    rng = random.Random(41)
+    for n in range(2, 7):
+        for m in range(2, 7):
+            dense = PsiData(n, m, [[i * m + lam for lam in range(1, m + 1)]
+                                   for i in range(n)])
+            for psi in (integer_psi(n, m, rng), dense):
+                kappa = (n - 1) * (m - 1) + rng.randint(0, 2)
+                H = construct_preimage(psi, kappa)
+                stored = (n * m + sum(len(column) for column in H.columns.values())
+                          + sum(len(row) for _, row in adapted_expansion_rows(psi, H)))
+                assert stored <= flag_size_bound(n, m, kappa), (n, m)
+            assert stored == flag_size_bound(n, m, kappa), (n, m)
 
 
 # -- Grassmannian pullback ------------------------------------------------
