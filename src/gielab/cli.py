@@ -169,7 +169,7 @@ def cmd_flag(args, inputs, started):
     psi = _load_psi_arg(args)
     H = gie.construct_preimage(psi, args.kappa)
     element = gie.build_integral_flag(psi, H)  # raises on a violated contract
-    report = gie.gie_cartan_report(psi, H)
+    report = gie.gie_cartan_report(psi, H, _flag_checked=True)
     results = {
         "flag_dimension": element.dimension,
         "integral": True,

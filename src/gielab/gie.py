@@ -715,7 +715,7 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
     first generator with a non-zero one (the phi-type message is the
     oracle's byte for byte); InputError when the shapes disagree.
     """
-    n, m, kappa = psi.n, psi.m, H.kappa
+    n, m = psi.n, psi.m
     if (H.n, H.m) != (n, m) or (R is not None and (R.n, R.m) != (n, m)):
         raise InputError("H, psi and R shapes disagree")
     for generator, key, value in _flag_values(psi, H, R):
@@ -723,37 +723,52 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
             raise VerificationError(
                 f"generator {generator} has pure-base term {key} with coefficient "
                 f"{value}; the expansion shape does not apply")
-    sigma = SigmaIndexMap(n, kappa)
+    return _expansion_rows(psi, H)
 
-    def coord(a, i):
-        return m + sigma.normal(n + a, i)
 
+def _expansion_rows(psi: PsiData, H: SecondFundamental):
+    """The rows of `adapted_expansion_rows`, without its checks.
+
+    sigma(a, i) = m + n(n-1)/2 + (a - 1) n + i, so a column H_{j mu} is
+    turned into the offsets {m + n(n-1)/2 + (a - 1) n: H^a_{j mu}} once,
+    negated once, and each row of a pair (i, j) adds i or j to them."""
+    n, m, kappa = psi.n, psi.m, H.kappa
+    pairs = n * (n - 1) // 2
+    start = m + pairs  # sigma(a, i) = start + (a - 1) n + i
     one = Fraction(1)
-    rows = [(0, {m + sigma.pair(i, j): one})
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs i < j
+    rows = [(0, {m + c: one}) for c in range(1, pairs + 1)]
     for mu in range(1, m):
+        shifted = [[(start + (a - 1) * n, h) for a, h in H.columns[i, mu].items()]
+                   for i in range(1, n + 1)]
+        negated = [[(c, -h) for c, h in column] for column in shifted]
         for i in range(1, n + 1):
-            column_i = H.columns[i, mu]
             for j in range(i + 1, n + 1):
-                row = {coord(a, i): h for a, h in H.columns[j, mu].items()}
-                for a, h in column_i.items():
-                    row[coord(a, j)] = -h
+                row = {c + i: h for c, h in shifted[j - 1]}
+                row.update((c + j, h) for c, h in negated[i - 1])
                 if row:
                     rows.append((mu, row))
     last = [(i, psi[i, m]) for i in range(1, n + 1) if psi[i, m]]
     if last:
-        rows.extend((m - 1, {coord(a, i): v for i, v in last})
-                    for a in range(1, kappa + 1))
+        rows.extend((m - 1, {start + a * n + i: v for i, v in last})
+                    for a in range(kappa))
     return rows
 
 
 def gie_cartan_report(psi: PsiData, H: SecondFundamental,
-                      R: CurvatureElement | None = None) -> CartanReport:
+                      R: CurvatureElement | None = None, *,
+                      _flag_checked=False) -> CartanReport:
     """Characters of the constructed flag by the expansion method, from
     the rows `adapted_expansion_rows` writes, tested against the
-    codimension formula (R = None means R = G(H))."""
+    codimension formula (R = None means R = G(H)).
+
+    `_flag_checked` is for a caller that has just had `build_integral_flag
+    (psi, H, R)` accept H: that checked the same pure-base values, so the
+    rows are written without checking them again."""
     ledger = dimension_ledger(psi.n, psi.m, H.kappa)
-    report = cartan_characters_by_expansion(adapted_expansion_rows(psi, H, R), psi.m)
+    rows = (_expansion_rows(psi, H) if _flag_checked
+            else adapted_expansion_rows(psi, H, R))
+    report = cartan_characters_by_expansion(rows, psi.m)
     return cartan_test(report, ledger.codim_v)
 
 
@@ -763,20 +778,24 @@ def gie_cartan_report(psi: PsiData, H: SecondFundamental,
 
 class GrassmannPullback:
     """Pulled-back generator coefficients as polynomial functions of the
-    Grassmannian chart coordinates P^A_lam."""
+    Grassmannian chart coordinates P^A_lam, the variable (A - 1) m + lam - 1.
+
+    The linear and quadratic functions have coefficients +-1, stored as
+    ints; the constant of a quadratic function is -R, and the phi-type
+    functions keep psi's coefficients, both as Fractions."""
 
     def __init__(self, psi: PsiData, R: CurvatureElement, kappa):
         from .poly import Polynomial
         n, m = psi.n, psi.m
         self.psi = psi
         self.kappa = kappa
-        sigma = SigmaIndexMap(n, kappa)
-        self.sigma = sigma
-        s = sigma.size
-        self.nvars = s * m
-
-        def x(A, lam):  # the chart coordinate P^A_lam, 0-based
-            return (A - 1) * m + (lam - 1)
+        self.sigma = SigmaIndexMap(n, kappa)
+        self.nvars = self.sigma.size * m
+        pairs = n * (n - 1) // 2
+        # bases[i][a - 1] = (sigma(n + a, i) - 1) m, the variable of P^{(a, i)}_1
+        bases = {i: [(pairs + a * n + i - 1) * m for a in range(kappa)]
+                 for i in range(1, n + 1)}
+        self._bases = bases
 
         def polynomial(terms):
             # terms are written in poly's sorted sparse monomials
@@ -784,31 +803,32 @@ class GrassmannPullback:
             f.terms = terms
             return f
 
-        one = Fraction(1)
-        linear = [polynomial({((x(sigma.pair(i, j), lam), 1),): one})
-                  for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                  for lam in range(1, m + 1)]
+        # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs
+        # i < j, so P^{sigma(i, j)}_lam are the first n(n-1)m/2 variables
+        linear = [polynomial({((v, 1),): 1}) for v in range(pairs * m)]
         quadratic = []
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                for lam in range(1, m + 1):
-                    for mu in range(lam + 1, m + 1):
-                        r = R.values.get((i, j, lam, mu))
+                # sigma(a, i) < sigma(a, j), so P^{Ai} precedes P^{Aj}
+                chart = list(zip(bases[i], bases[j]))
+                for lam in range(m):
+                    for mu in range(lam + 1, m):
+                        r = R.values.get((i, j, lam + 1, mu + 1))
                         terms = {(): -r} if r else {}
-                        # sigma(a, i) < sigma(a, j), so P^{Ai} precedes P^{Aj}
-                        for a in range(n + 1, n + kappa + 1):
-                            Ai, Aj = sigma.normal(a, i), sigma.normal(a, j)
-                            terms[(x(Ai, lam), 1), (x(Aj, mu), 1)] = one
-                            terms[(x(Ai, mu), 1), (x(Aj, lam), 1)] = -one
+                        for bi, bj in chart:
+                            terms[(bi + lam, 1), (bj + mu, 1)] = 1
+                            terms[(bi + mu, 1), (bj + lam, 1)] = -1
                         quadratic.append(polynomial(terms))
+        # (lam - 1, Psi'_{i lam}) with Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}
+        signed = [(bases[i], [(lam - 1, psi[i, lam] if lam % 2 else -psi[i, lam])
+                              for lam in range(1, m + 1) if psi[i, lam]])
+                  for i in range(1, n + 1)]
         phi_type = []
-        for a in range(n + 1, n + kappa + 1):
+        for a in range(kappa):
             terms = {}
-            for i in range(1, n + 1):
-                for lam in range(1, m + 1):
-                    c = psi[i, lam] if lam % 2 else -psi[i, lam]
-                    if c:
-                        terms[((x(sigma.normal(a, i), lam), 1),)] = c
+            for base, row in signed:
+                for lam, c in row:
+                    terms[((base[a] + lam, 1),)] = c
             phi_type.append(polynomial(terms))
         self.linear = linear
         self.quadratic = quadratic
@@ -819,22 +839,48 @@ class GrassmannPullback:
         return self.linear + self.quadratic + self.phi_type
 
     def point_from(self, H: SecondFundamental):
-        """Chart coordinates of the plane spanned by the H-flag."""
-        point = [Fraction(0)] * self.nvars
+        """Chart coordinates of the plane spanned by the H-flag:
+        P^{sigma(a, i)}_lam = H^a_{i lam}, read off the non-zeros of H.
+        InputError when H is not of shape (n, m, kappa)."""
         n, m = self.psi.n, self.psi.m
-        for a in range(n + 1, n + self.kappa + 1):
-            for i in range(1, n + 1):
-                A = self.sigma.normal(a, i)
-                for lam in range(1, m + 1):
-                    point[(A - 1) * m + (lam - 1)] = H[a - n, i, lam]
+        if (H.n, H.m, H.kappa) != (n, m, self.kappa):
+            raise InputError(f"H of shape (n, m, kappa) = {(H.n, H.m, H.kappa)} does not "
+                             f"fit the pullback's {(n, m, self.kappa)}")
+        point = [0] * self.nvars
+        for (i, lam), column in H.columns.items():
+            base = self._bases[i]
+            for a, v in column.items():
+                point[base[a - 1] + lam - 1] = v
         return point
 
     def independent_differential_count(self, point) -> int:
-        """Rank of the Jacobian of all pulled-back functions at `point`;
-        this is the observed codimension of the integral-element variety."""
+        """Rank of the Jacobian of all pulled-back functions at the rational
+        `point`; this is the observed codimension of the integral-element
+        variety.
+
+        The gradients are taken at the integer point D*P, D the lcm of the
+        denominators of P (1 when P has none).  Each function is a constant
+        plus a form of degree d = 1 or 2, so its gradient at D*P is D^(d-1)
+        times its gradient at P: every row of the Jacobian is only scaled by
+        a non-zero factor, and the rank is that at P."""
+        D = lcm(*(x.denominator for x in point))
+        point = [x.numerator * (D // x.denominator) for x in point]
+        rows = [row for row in (f.gradient_at(point) for f in self.functions) if row]
+        # The rank does not depend on the order, but the fill-in does.  Rows
+        # go in by decreasing leading column (ties last function first).
+        # Reducing a row only moves its lead to a larger column, so in this
+        # order the pivot a row meets at its own lead is an unreduced
+        # gradient, and only rows already reduced once meet filled pivots.
+        # In function order the dense rows of the pairs (p, j), which read
+        # the (n-1)(m-1) non-zeros of H_{pm}, became pivots first and their
+        # fill reached the later rows: at a (10,10) pre-image the pivots
+        # held 167,317 entries of up to 205 bits, against 77,925 entries of
+        # up to 147 bits in this order, from 26,046 gradient entries.
+        rows.reverse()
+        rows.sort(key=min, reverse=True)
         ech = linalg.SparseEchelon()
-        for f in self.functions:
-            ech.insert(f.gradient_at(point))
+        for row in rows:
+            ech.insert(row)
         return ech.rank
 
 

@@ -2,11 +2,18 @@
 
 These serve as chart functions: exterior derivatives of polynomial
 coefficient functions stay in the ring, so all chart-level calculus is
-exact.  Terms are stored sparsely as {monomial: Fraction}, and each
+exact.  Terms are stored sparsely as {monomial: coefficient}, and each
 monomial is itself sparse: the sorted tuple of (variable, exponent)
 pairs with exponent > 0, with () for the constant monomial.  A product
 of a few variables out of hundreds therefore costs a few pairs, not a
 dense exponent tuple as long as the variable count.
+
+A coefficient is an int or a Fraction.  Ints are exact rationals too, and
+an int and the equal Fraction agree under str, == and hash, so two
+polynomials compare, hash and print alike whichever type their
+coefficients have.  The constructor stores Fractions; writers that know
+their coefficients are integers (the Grassmann pullback's +-1) store ints,
+which keeps arithmetic at an integer point in ints.
 """
 
 from __future__ import annotations

@@ -193,6 +193,8 @@ def test_character_routes_agree_on_the_whole_grid():
 
 @pytest.mark.parametrize("n,m", [(7, 7), (8, 8)])
 def test_character_routes_agree_at_the_spot_cells(n, m):
+    # codim V = m n(n-1)/2 + n(n-1)m(m-1)/4 + kappa, which all four routes reach
+    assert dimension_ledger(n, m, (n - 1) * (m - 1)).codim_v == {(7, 7): 624, (8, 8): 1057}[n, m]
     check_character_routes(n, m)
 
 

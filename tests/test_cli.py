@@ -215,6 +215,26 @@ def test_flag_command(capsys):
     assert report["results"]["volume_form_value"] == "1"
 
 
+@pytest.mark.parametrize("n,m,kappa", [(2, 2, 1), (3, 4, 7), (5, 3, 9)])
+def test_flag_evaluates_the_cartan_residuals_once(capsys, monkeypatch, n, m, kappa):
+    # build_integral_flag checks the residuals, and the character count
+    # that follows writes its rows without checking them again
+    from gielab import gie
+    calls = []
+    residual = gie.cartan_identity_residual
+
+    def counted(H, psi):
+        calls.append((H.n, H.m, H.kappa))
+        return residual(H, psi)
+
+    monkeypatch.setattr(gie, "cartan_identity_residual", counted)
+    code, report = run(["flag", "--n", str(n), "--m", str(m), "--kappa", str(kappa),
+                        "--random-psi", "3"], capsys)
+    assert code == EXIT_PASS
+    assert report["results"]["characters"] == closed_form_characters(n, m, kappa)
+    assert calls == [(n, m, kappa)]
+
+
 def test_sweep_small_grid(capsys):
     code, report = run(["sweep", "--n-range", "2..3", "--m-range", "2..3",
                         "--seeds", "3"], capsys)

@@ -1,5 +1,6 @@
 """Gauss map, identities, pre-image, rank certificates, flags, ledger."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -630,7 +631,9 @@ def test_adapted_expansion_rows_equal_the_ideals_rows():
             rows = adapted_expansion_rows(psi, H, given)
             assert row_multiset(rows) == row_multiset(oracle), (n, m)
             assert [level for level, _ in rows] == sorted(level for level, _ in rows)
-        assert gie_cartan_report(psi, H).characters == closed_form_characters(n, m, kappa)
+        report = gie_cartan_report(psi, H)
+        assert report.characters == closed_form_characters(n, m, kappa)
+        assert gie_cartan_report(psi, H, _flag_checked=True) == report
     # an H or an R of another shape is refused
     H = construct_preimage(PSI_8, 49)
     with pytest.raises(InputError):
@@ -773,3 +776,71 @@ def test_grassmann_count_uses_the_symbolic_gradient():
     for f in pullback.functions:
         expected = {v: f.partial(v).eval(point) for v in range(pullback.nvars)}
         assert f.gradient_at(point) == {v: d for v, d in expected.items() if d}
+
+
+def test_grassmann_point_from_refuses_an_H_of_another_shape():
+    psi = random_normalized_psi(3, 3, random.Random(7))
+    pullback = grassmann_pullback(psi, CurvatureElement(3, 3), 4)
+    H = construct_preimage(psi, 4)
+    # a larger kappa used to be cut to the pullback's 4 normal directions,
+    # and the count then read 22 = codim V for an H it never saw whole
+    with pytest.raises(InputError, match="does not fit"):
+        pullback.point_from(construct_preimage(psi, 5))
+    # a smaller kappa, or another (n, m), is refused as well
+    with pytest.raises(InputError, match="does not fit"):
+        grassmann_pullback(psi, CurvatureElement(3, 3), 5).point_from(H)
+    with pytest.raises(InputError, match="does not fit"):
+        pullback.point_from(SecondFundamental(3, 4, 4))
+    point = pullback.point_from(H)
+    assert {v: x for v, x in enumerate(point) if x} == {
+        (SigmaIndexMap(3, 4).normal(3 + a, i) - 1) * 3 + lam - 1: H[a, i, lam]
+        for a in range(1, 5) for i in range(1, 4) for lam in range(1, 4) if H[a, i, lam]}
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 4), (3, 5), (5, 2)])
+def test_grassmann_count_falls_short_at_the_chart_origin(n, m):
+    # negative case: at P = 0 (all denominators 1, so D = 1) every quadratic
+    # gradient vanishes, and only the n(n-1)m/2 linear and kappa phi-type
+    # rows are left, short of codim V.  A corrupted H (H_21 := H_11) is no
+    # negative case for this count: the Jacobian has full row rank there too,
+    # so the count still reads codim V
+    kappa = (n - 1) * (m - 1)
+    psi = random_normalized_psi(n, m, random.Random(n * m))
+    H = construct_preimage(psi, kappa)
+    codim_v = dimension_ledger(n, m, kappa).codim_v
+    for R in (gauss_map(H), gauss_map(random_H(n, m, kappa, random.Random(m)))):
+        pullback = grassmann_pullback(psi, R, kappa)
+        origin = [0] * pullback.nvars
+        assert all(not f.gradient_at(origin) for f in pullback.quadratic)
+        count = pullback.independent_differential_count(origin)
+        assert count == n * (n - 1) * m // 2 + kappa < codim_v
+    for a in range(1, kappa + 1):
+        H.set(a, 2, 1, H[a, 1, 1])
+    pullback = grassmann_pullback(psi, gauss_map(H), kappa)
+    assert pullback.independent_differential_count(pullback.point_from(H)) == codim_v
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(2, 6)])
+def test_grassmann_gradient_scales_at_the_integer_point(n, m):
+    # at a rational point P off the flag, with R != 0, each function's
+    # gradient at D*P is D^(deg - 1) times its gradient at P, so the count
+    # at D*P (by decreasing leading column) is the rank of the Jacobian at P
+    # (in function order)
+    rng = random.Random(100 * n + m)
+    kappa = (n - 1) * (m - 1)
+    psi = integer_psi(n, m, rng)
+    R = gauss_map(random_H(n, m, kappa, rng))
+    assert not R.is_zero()
+    pullback = grassmann_pullback(psi, R, kappa)
+    point = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.3 else 0
+             for _ in range(pullback.nvars)]
+    D = math.lcm(*(x.denominator for x in point))
+    assert D > 1
+    scaled = [x * D for x in point]
+    ech = linalg.SparseEchelon()
+    for f in pullback.functions:
+        gradient = f.gradient_at(point)
+        factor = D ** (f.degree() - 1)
+        assert f.gradient_at(scaled) == {v: factor * d for v, d in gradient.items()}
+        ech.insert(gradient)
+    assert pullback.independent_differential_count(point) == ech.rank
