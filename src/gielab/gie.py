@@ -7,9 +7,10 @@ certifies that the Gauss-map differential has maximal rank, assembles
 the exterior ideal on the product space in the sigma-indexed coframe,
 builds the explicit integral flag, and counts Cartan characters both by
 the expansion method and through the Grassmannian pullback.  The
-expansion rows of the ideal adapted to H are written straight from psi
-and the non-zeros of H (`adapted_expansion_rows`), so the flag pipeline
-never builds the ideal; the polar-space route and the tests build it.
+expansion rows of the ideal in the coframe adapted to H are written
+straight from psi and the non-zeros of H (`adapted_expansion_rows`), so
+no pipeline builds the adapted ideal; `gie_ideal` writes the raw one,
+which the polar-space route reads.
 
 Index conventions (all 1-based): i, j, k = 1..n fiber; lam, mu, nu =
 1..m base; a = 1..kappa normal directions.  psi[i][lam] stores the
@@ -26,7 +27,7 @@ from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test)
 from .errors import InputError, VerificationError, json_int
-from .exterior import ExteriorForm, _accumulate
+from .exterior import ExteriorForm
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,13 @@ class CurvatureElement:
     def __eq__(self, other):
         return (isinstance(other, CurvatureElement) and self.n == other.n
                 and self.m == other.m and self.values == other.values)
+
+
+def _require_curvature_shape(R: CurvatureElement, n, m):
+    """InputError unless R is of shape (n, m): a component of another
+    shape would be dropped or read at an index the problem does not have."""
+    if (R.n, R.m) != (n, m):
+        raise InputError(f"R of shape (n, m) = {(R.n, R.m)} does not fit psi's {(n, m)}")
 
 
 # ---------------------------------------------------------------------------
@@ -530,42 +538,18 @@ def gie_coframe(n, m, kappa) -> SigmaCoframe:
                         fiber_labels=tuple(fiber))
 
 
-def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
-              H: SecondFundamental | None = None) -> AlgebraicIdeal:
+def gie_ideal(psi: PsiData, R: CurvatureElement, kappa) -> AlgebraicIdeal:
     """The exterior ideal on the product space in the sigma coframe.
 
     Generators: the coframe covectors omega^i_j - eta^i_j, the Gauss-type
     2-forms sum_a omega^a_i ^ omega^a_j - Omega^i_j, and the phi-type
-    m-forms omega^a_i ^ phi^i.  Given H, the normal covectors are
-    rewritten as pi^a_i + H^a_{i lam} eta^lam, the coframe adapted to
-    the integral flag of H (required for the expansion-method character
-    count).
-
-    The adapted generators are written from the non-zeros of H, grouped
-    into rows {lam: H^a_{i lam}} per (a, i).  The Gauss-type form of (i, j)
-    keeps pi^a_i ^ pi^a_j and gains -H^a_{j mu} at (mu, sigma(a, i)),
-    H^a_{i lam} at (lam, sigma(a, j)) and the pure-base sum over a of
-    H^a_{i lam} H^a_{j mu} - H^a_{i mu} H^a_{j lam}, which with -R is
-    (G(H) - R)_{ij; lam mu}.  The phi-type form of a keeps its terms and
-    gains the pure-base term eta^Lambda with the Cartan residual of a.
-    Terms are added in the order, and with the cancellations, of
-    substituting the adapted coframe monomial by monomial.  InputError
-    when H is not of shape (n, m, kappa).
+    m-forms omega^a_i ^ phi^i.  InputError when R is not of shape (n, m).
     """
     n, m = psi.n, psi.m
+    _require_curvature_shape(R, n, m)
     sigma = SigmaIndexMap(n, kappa)
     coframe = gie_coframe(n, m, kappa)
     N = coframe.dim
-    # rows[i][a] = {lam: H^a_{i lam}} over the non-zeros of H, lam ascending
-    rows = {i: {} for i in range(1, n + 1)}
-    if H is not None:
-        if (H.n, H.m, H.kappa) != (n, m, kappa):
-            raise InputError("H, psi and kappa shapes disagree")
-        for (i, lam), column in H.columns.items():
-            for a, v in column.items():
-                rows[i].setdefault(a, {})[lam] = v
-    negated = {i: {a: {lam: -v for lam, v in row.items()} for a, row in by_a.items()}
-               for i, by_a in rows.items()}
     # coords[i][a - 1] = m + sigma(a, i), the coordinate of omega^a_i
     coords = {i: [m + sigma.normal(n + a, i) for a in range(1, kappa + 1)]
               for i in range(1, n + 1)}
@@ -584,75 +568,43 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa,
             gens.append(form(1, {(m + sigma.pair(i, j),): one}))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            g = {}
-            rows_i, rows_j, negated_j = rows[i], rows[j], negated[j]
-            for a, ci, cj in zip(range(1, kappa + 1), coords[i], coords[j]):
-                g[ci, cj] = one
-                if a in negated_j:
-                    for mu, v in negated_j[a].items():
-                        g[mu, ci] = v
-                row_i = rows_i.get(a)
-                if row_i is None:
-                    continue
-                row_j = rows_j.get(a, {})
-                # the pure-base part of a, each (lam, mu) summed on its own
-                # and then added where substitution first reaches it
-                gauss = {}
-                for lam, h in row_i.items():
-                    for mu, k in row_j.items():
-                        if lam < mu:
-                            _accumulate(gauss, (lam, mu), h * k)
-                        elif lam > mu:
-                            _accumulate(gauss, (mu, lam), -(h * k))
-                for lam, h in row_i.items():
-                    g[lam, cj] = h
-                    for mu in row_j:
-                        key = (lam, mu) if lam < mu else (mu, lam)
-                        v = gauss.pop(key, None)
-                        if v is not None:
-                            _accumulate(g, key, v)
+            g = {key: one for key in zip(coords[i], coords[j])}
             for lam in range(1, m + 1):
                 for mu in range(lam + 1, m + 1):
                     v = R.values.get((i, j, lam, mu))
                     if v:
-                        _accumulate(g, (lam, mu), -v)
+                        g[lam, mu] = -v
             gens.append(form(2, g))
     # omega^a_i ^ eta^(Lambda minus lam): moving the fiber index to the
-    # end, past m - 1 base indices, gives the sign (-1)^(m-1); the adapted
-    # H^a_{i lam} eta^lam ^ eta^(Lambda minus lam) is (-1)^(lam+1) eta^Lambda
+    # end, past m - 1 base indices, gives the sign (-1)^(m-1)
     sign = -1 if (m - 1) % 2 else 1
     base = tuple(range(1, m + 1))
-    phi = []  # (i, [(Lambda minus lam, lam, coefficient, residual sign * psi)])
-    for i in range(1, n + 1):
-        terms = []
-        for lam in base:
-            v = psi[i, lam]
-            if v:
-                terms.append((base[:lam - 1] + base[lam:], lam, sign * v,
-                              v if lam % 2 else -v))
-        phi.append((i, terms))
-    for a in range(1, kappa + 1):
+    phi = [(coords[i], [(base[:lam - 1] + base[lam:], sign * psi[i, lam])
+                        for lam in base if psi[i, lam]])
+           for i in range(1, n + 1)]
+    for a in range(kappa):
         g = {}
-        for i, terms in phi:
-            fiber = (coords[i][a - 1],)
-            row = rows[i].get(a)
-            for complement, lam, v, residual_term in terms:
+        for coords_i, terms in phi:
+            fiber = (coords_i[a],)
+            for complement, v in terms:
                 g[complement + fiber] = v
-                if row and lam in row:
-                    _accumulate(g, base, residual_term * row[lam])
         gens.append(form(m, g))
     return AlgebraicIdeal(coframe, gens)
 
 
 def _flag_values(psi: PsiData, H: SecondFundamental, R: CurvatureElement | None):
     """(generator, pure-base key, value) for each pure-base coefficient of
-    `gie_ideal(psi, R, kappa, H=H)` that can be non-zero, zeros included,
+    `gie_ideal(psi, R, kappa)` in the coframe adapted to H (omega^a_i =
+    pi^a_i + H^a_{i lam} eta^lam) that can be non-zero, zeros included,
     in the ideal's order: (G(H) - R)_{ij; lam mu} at (lam, mu) for the
     Gauss-type form of (i, j), none when R = None (then R = G(H)), and the
     Cartan residual of a at eta^Lambda for the phi-type form of a.  These
-    are also the generators' values on the flag of H."""
+    are also the generators' values on the flag of H.  InputError when
+    H or R is not of psi's shape."""
     residuals = cartan_identity_residual(H, psi)  # InputError before any value
     n, m = H.n, H.m
+    if R is not None:
+        _require_curvature_shape(R, n, m)
     sigma = SigmaIndexMap(n, H.kappa)
     pairs = n * (n - 1) // 2
     if R is not None:
@@ -695,11 +647,12 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
 
 def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
                            R: CurvatureElement | None = None):
-    """The (sup J, row) pairs of `eds.expansion_rows(gie_ideal(psi, R,
-    kappa, H=H))` at the levels sup J <= m - 1, the ones the character
-    count inserts, written from psi and the non-zeros of H without
-    building the ideal (R = None means R = G(H)).  In the order of the
-    ideal's generators:
+    """The (sup J, row) pairs that `eds.expansion_rows` splits off
+    `gie_ideal(psi, R, kappa)` in the coframe adapted to H (omega^a_i =
+    pi^a_i + H^a_{i lam} eta^lam) at the levels sup J <= m - 1, the ones
+    the character count inserts, written from psi and the non-zeros of H
+    without building the ideal (R = None means R = G(H)).  In the order
+    of the ideal's generators:
 
     - the covector omega^i_j - eta^i_j gives {m + sigma(i, j): 1} at level 0;
     - the Gauss-type form of (i, j) gives, per mu <= m - 1, the row
@@ -715,9 +668,6 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
     first generator with a non-zero one (the phi-type message is the
     oracle's byte for byte); InputError when the shapes disagree.
     """
-    n, m = psi.n, psi.m
-    if (H.n, H.m) != (n, m) or (R is not None and (R.n, R.m) != (n, m)):
-        raise InputError("H, psi and R shapes disagree")
     for generator, key, value in _flag_values(psi, H, R):
         if value:
             raise VerificationError(
@@ -782,11 +732,13 @@ class GrassmannPullback:
 
     The linear and quadratic functions have coefficients +-1, stored as
     ints; the constant of a quadratic function is -R, and the phi-type
-    functions keep psi's coefficients, both as Fractions."""
+    functions keep psi's coefficients, both as Fractions.  InputError when
+    R is not of psi's shape."""
 
     def __init__(self, psi: PsiData, R: CurvatureElement, kappa):
         from .poly import Polynomial
         n, m = psi.n, psi.m
+        _require_curvature_shape(R, n, m)
         self.psi = psi
         self.kappa = kappa
         self.sigma = SigmaIndexMap(n, kappa)

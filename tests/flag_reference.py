@@ -1,24 +1,25 @@
 """Term-by-term references for the flag pipeline's exterior kernels.
 
-The library writes the GIE ideal's generators, raw or in the coframe
-adapted to H, straight into coefficient dicts from the non-zeros of H,
-substitutes a change of coframe in one multilinear pass, and finds a
-generator's first non-zero value on the flag by shared-prefix
-contraction.  This module keeps the earlier formulations: generators
-summed from `ExteriorForm.monomial`, the adapted ones by substitution,
-substitution by repeated `wedge` and addition, and every subset
-evaluated by cofactor expansion on dense vectors, independent of
-contraction.  The tests require the library to agree with them exactly,
-including the order of the coefficient dicts, which fixes the first
-witness a failure report names.  The characters by expansion are also
-kept from a materialized ideal, split into rows by `eds.expansion_rows`,
-where the library writes the rows straight from H.
+The library writes the raw GIE ideal's generators straight into
+coefficient dicts, substitutes a change of coframe in one multilinear
+pass, and finds a generator's first non-zero value on the flag by
+shared-prefix contraction.  This module keeps the earlier formulations:
+generators summed from `ExteriorForm.monomial`, substitution by repeated
+`wedge` and addition, and every subset evaluated by cofactor expansion
+on dense vectors, independent of contraction.  The tests require the
+library to agree with them exactly, including the order of the
+coefficient dicts, which fixes the first witness a failure report names.
+
+The ideal in the coframe adapted to H exists only here (`adapted_ideal`,
+by substitution): the library writes its expansion rows straight from H
+(`gie.adapted_expansion_rows`), and the characters by expansion are kept
+from it, split into rows by `eds.expansion_rows`.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from gielab.eds import cartan_characters_by_expansion, expansion_rows
+from gielab.eds import AlgebraicIdeal, cartan_characters_by_expansion, expansion_rows
 from gielab.exterior import ExteriorForm, _minor_det, wedge
 from gielab.gie import SigmaIndexMap, gie_coframe
 
@@ -74,7 +75,8 @@ def first_nonvanishing(g, vectors):
 
 def gie_ideal_generators(psi, R, kappa, H=None):
     """The generators of `gie.gie_ideal`, summed monomial by monomial;
-    in the coframe adapted to H when H is given."""
+    in the coframe adapted to H (omega^a_i = pi^a_i + H^a_{i lam} eta^lam)
+    when H is given."""
     n, m = psi.n, psi.m
     sigma = SigmaIndexMap(n, kappa)
     N = gie_coframe(n, m, kappa).dim
@@ -117,3 +119,10 @@ def gie_ideal_generators(psi, R, kappa, H=None):
                 images[coord] = img
         gens = [substitute(g, images, new_dim=N) for g in gens]
     return gens
+
+
+def adapted_ideal(psi, R, kappa, H):
+    """The ideal of `gie.gie_ideal(psi, R, kappa)` in the coframe adapted
+    to H, the one whose rows `gie.adapted_expansion_rows` writes."""
+    return AlgebraicIdeal(gie_coframe(psi.n, psi.m, kappa),
+                          gie_ideal_generators(psi, R, kappa, H=H))

@@ -149,7 +149,7 @@ def test_criterion_6_expansion_equals_polar_codimensions():
         H = construct_preimage(psi, 1)
         R = gauss_map(H)
         raw = gie_ideal(psi, R, 1)
-        adapted = gie_ideal(psi, R, 1, H=H)
+        adapted = flag_reference.adapted_ideal(psi, R, 1, H)
         characters = flag_reference.expansion_characters(adapted).characters
         flag = build_integral_flag(psi, H, R)
         for p in range(2):
@@ -166,7 +166,7 @@ def check_character_routes(n, m):
     H = construct_preimage(psi, kappa)
     R = gauss_map(H)
     closed = closed_form_characters(n, m, kappa)
-    adapted = gie_ideal(psi, R, kappa, H=H)
+    adapted = flag_reference.adapted_ideal(psi, R, kappa, H)
     assert flag_reference.expansion_characters(adapted).characters == closed, (n, m)
     assert gie_cartan_report(psi, H, R).characters == closed, (n, m)
     raw = gie_ideal(psi, R, kappa)

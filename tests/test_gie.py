@@ -539,7 +539,7 @@ def test_expansion_fails_when_gauss_equation_violated():
     psi = random_normalized_psi(2, 2, rng)
     H = construct_preimage(psi, 1)
     R = CurvatureElement(2, 2, {(1, 2, 1, 2): Fraction(1)})
-    ideal = gie_ideal(psi, R, 1, H=H)
+    ideal = flag_reference.adapted_ideal(psi, R, 1, H)
     with pytest.raises(VerificationError) as oracle:
         expansion_rows(ideal)
     with pytest.raises(VerificationError) as written:
@@ -559,7 +559,7 @@ def test_expansion_fails_on_the_cartan_residual(n, m):
     H.set(1, 1, m, H[1, 1, m] + 1)
     residual = cartan_identity_residual(H, psi)
     assert residual[0] and not any(residual[1:])
-    ideal = gie_ideal(psi, gauss_map(H), kappa, H=H)
+    ideal = flag_reference.adapted_ideal(psi, gauss_map(H), kappa, H)
     phi_type = n * (n - 1)  # the first phi-type generator
     volume = tuple(range(1, m + 1))
     assert ideal.generators[phi_type].coefficients[volume] == residual[0]
@@ -587,7 +587,7 @@ def test_characters_equal_polar_codimensions_n2m2():
         H = construct_preimage(psi, 1)
         R = gauss_map(H)
         raw = gie_ideal(psi, R, 1)
-        adapted = gie_ideal(psi, R, 1, H=H)
+        adapted = flag_reference.adapted_ideal(psi, R, 1, H)
         chars = flag_reference.expansion_characters(adapted).characters
         flag = build_integral_flag(psi, H)
         for p in range(2):
@@ -625,7 +625,8 @@ def test_adapted_expansion_rows_equal_the_ideals_rows():
         kappa = (n - 1) * (m - 1) + extra
         H = construct_preimage(psi, kappa)
         R = gauss_map(H)
-        oracle = [(level, row) for level, row in expansion_rows(gie_ideal(psi, R, kappa, H=H))
+        oracle = [(level, row) for level, row
+                  in expansion_rows(flag_reference.adapted_ideal(psi, R, kappa, H))
                   if level <= m - 1]
         for given in (R, None):
             rows = adapted_expansion_rows(psi, H, given)
@@ -640,6 +641,43 @@ def test_adapted_expansion_rows_equal_the_ideals_rows():
         adapted_expansion_rows(integer_psi(8, 7, rng), H)
     with pytest.raises(InputError):
         adapted_expansion_rows(PSI_8, H, CurvatureElement(8, 7))
+
+
+def curved_point(psi, kappa, rng):
+    """A random rational H with every Cartan identity closed through
+    H^a_{pm} (p the pivot), and R := G(H), non-zero in general."""
+    n, m = psi.n, psi.m
+    H = random_H(n, m, kappa, rng)
+    p = next(k for k in range(1, n) if psi[k, m])
+    for a in range(1, kappa + 1):
+        H.set(a, p, m, dependent_coefficient(H, psi, a))
+    return H, gauss_map(H)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in range(2, 5)])
+def test_flag_routes_agree_at_curved_points(n, m):
+    # the rows written from H are the adapted ideal's; the raw ideal, whose
+    # -R terms are non-zero here and cancel G(H), vanishes on the flag, and
+    # the characters by expansion are its polar codimensions.  The closed
+    # form is not asserted: a curved flag is ordinary only off a
+    # hypersurface of H
+    rng = random.Random(43 * n + m)
+    kappa = (n - 1) * (m - 1)
+    for _ in range(3):
+        psi = integer_psi(n, m, rng)
+        H, R = curved_point(psi, kappa, rng)
+        assert not R.is_zero()
+        oracle = [(level, row) for level, row
+                  in expansion_rows(flag_reference.adapted_ideal(psi, R, kappa, H))
+                  if level <= m - 1]
+        for given in (R, None):
+            assert row_multiset(adapted_expansion_rows(psi, H, given)) == row_multiset(oracle)
+        raw = gie_ideal(psi, R, kappa)
+        flag = build_integral_flag(psi, H, R)
+        assert is_integral_element(flag, raw)
+        polar = [raw.dim - len(polar_space(IntegralElement(flag.basis[:p]), raw))
+                 for p in range(m)]
+        assert gie_cartan_report(psi, H, R).characters == polar
 
 
 def failing_generator(call):
@@ -660,7 +698,7 @@ def test_cartan_report_fails_on_the_ideal_routes_generator(n, m):
         i, j = sorted(rng.sample(range(1, n + 1), 2))
         lam, mu = sorted(rng.sample(range(1, m + 1), 2))
         R = CurvatureElement(n, m, {(i, j, lam, mu): 1})
-        ideal = gie_ideal(psi, R, kappa, H=H)
+        ideal = flag_reference.adapted_ideal(psi, R, kappa, H)
         assert (failing_generator(lambda: gie_cartan_report(psi, H, R))[0]
                 == failing_generator(lambda: expansion_rows(ideal))[0])
         # H^1_{pm} + 1 (p the pivot) breaks the Cartan identity of a = 1: the
@@ -670,7 +708,7 @@ def test_cartan_report_fails_on_the_ideal_routes_generator(n, m):
         H.set(1, p, m, H[1, p, m] + 1)
         zero = CurvatureElement(n, m)
         for given, oracle_R in ((None, gauss_map(H)), (zero, zero)):
-            ideal = gie_ideal(psi, oracle_R, kappa, H=H)
+            ideal = flag_reference.adapted_ideal(psi, oracle_R, kappa, H)
             written = failing_generator(lambda: gie_cartan_report(psi, H, given))
             oracle = failing_generator(lambda: expansion_rows(ideal))
             assert written[0] == oracle[0]
@@ -721,26 +759,26 @@ def test_grassmann_functions_vanish_at_flag_point():
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(2, 6)])
 def test_ideal_matches_monomial_sums(n, m):
-    # raw and adapted, at the pre-image (R = 0) and with the curvature of
-    # an H off it (R != 0, so the -R terms are written too); compared in
-    # dict order, which fixes the first term an error report names
+    # at the pre-image (R = 0) and with the curvature of an H off it (R !=
+    # 0, so the -R terms are written too); compared in dict order, which
+    # fixes the first term an error report names
     psi = random_normalized_psi(n, m, random.Random(n * m))
     kappa = (n - 1) * (m - 1)
     preimage = construct_preimage(psi, kappa)
     for H in (preimage, random_H(n, m, kappa, random.Random(n + m))):
         R = gauss_map(H)
-        for adapted in (None, H):
-            got = gie_ideal(psi, R, kappa, H=adapted).generators
-            want = flag_reference.gie_ideal_generators(psi, R, kappa, H=adapted)
-            assert [(g.dim, g.degree, list(g.coefficients.items())) for g in got] == \
-                [(g.dim, g.degree, list(g.coefficients.items())) for g in want], adapted is H
+        got = gie_ideal(psi, R, kappa).generators
+        want = flag_reference.gie_ideal_generators(psi, R, kappa)
+        assert [(g.dim, g.degree, list(g.coefficients.items())) for g in got] == \
+            [(g.dim, g.degree, list(g.coefficients.items())) for g in want]
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 5) for m in range(2, 5)])
 def test_adapted_ideal_off_the_gauss_equation_keeps_the_substitution_order(n, m):
-    # with R != G(H) the adapted Gauss-type forms keep pure-base terms; they
-    # must sit where substituting the adapted coframe puts them, since the
-    # expansion method names the first one
+    # with R != G(H) the adapted Gauss-type forms keep pure-base terms, and
+    # the expansion method names the first generator that has one, in the
+    # order substituting the adapted coframe puts them; the rows written
+    # from H must be refused at that generator
     psi = random_normalized_psi(n, m, random.Random(3 * n + m))
     kappa = (n - 1) * (m - 1)
     rng = random.Random(n * m + 1)
@@ -753,17 +791,25 @@ def test_adapted_ideal_off_the_gauss_equation_keeps_the_substitution_order(n, m)
         moved = CurvatureElement(n, m, {key: v + rng.randint(-1, 1)
                                         for key, v in G.values.items()})
         for R in (CurvatureElement(n, m), moved):
-            got = gie_ideal(psi, R, kappa, H=H).generators
-            want = flag_reference.gie_ideal_generators(psi, R, kappa, H=H)
-            assert [list(g.coefficients.items()) for g in got] == \
-                [list(g.coefficients.items()) for g in want]
+            ideal = flag_reference.adapted_ideal(psi, R, kappa, H)
+            assert (failing_generator(lambda: adapted_expansion_rows(psi, H, R))[0]
+                    == failing_generator(lambda: expansion_rows(ideal))[0])
 
 
-def test_adapted_ideal_rejects_an_H_of_another_shape():
-    psi = random_normalized_psi(3, 3, random.Random(8))
-    H = construct_preimage(psi, 4)
-    with pytest.raises(InputError, match="shapes disagree"):
-        gie_ideal(psi, CurvatureElement(3, 3), 5, H=H)
+def test_an_R_of_another_shape_is_refused():
+    # a (2, 2) problem has no lam = 3: the components of R at it must
+    # neither be dropped nor read as a violation of the flag
+    psi = random_normalized_psi(2, 2, random.Random(8))
+    H = construct_preimage(psi, 1)
+    wide = CurvatureElement(2, 3, {(1, 2, 1, 3): 7})
+    for R in (CurvatureElement(3, 3, {(1, 2, 1, 2): 1, (2, 3, 1, 3): 1}), wide):
+        with pytest.raises(InputError, match="does not fit"):
+            gie_ideal(psi, R, 1)
+        with pytest.raises(InputError, match="does not fit"):
+            grassmann_pullback(psi, R, 1)
+        for call in (build_integral_flag, adapted_expansion_rows, gie_cartan_report):
+            with pytest.raises(InputError, match="does not fit"):
+                call(psi, H, R)
 
 
 def test_grassmann_count_uses_the_symbolic_gradient():

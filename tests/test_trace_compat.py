@@ -44,9 +44,9 @@ def test_tracer_targets_resolve_and_record(tmp_path):
         ideal = gie.gie_ideal(psi, R, 2)
         eds.polar_space(IntegralElement(flag.basis[:1]), ideal)
         # no pipeline reaches Bareiss elimination, the generic integrality
-        # walk, evaluate, substitute or Polynomial products any more (the
-        # adapted ideal and the Grassmann functions are written directly);
-        # they are still traced targets
+        # walk, evaluate, substitute or Polynomial products any more (only
+        # the adapted ideal's expansion rows are written, and the Grassmann
+        # functions are written directly); they are still traced targets
         linalg.rank([H.vector(1, 1), H.vector(2, 1)])
         assert eds.is_integral_element(flag, ideal)
         assert exterior.evaluate(ideal.generators[-1], flag.basis) == 0
