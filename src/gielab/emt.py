@@ -10,15 +10,21 @@ componentwise.  Two backends: an exact one over polynomial charts
 (restricted to charts whose metric determinant is a nonzero constant
 perfect rational square, so the inverse metric and the volume
 coefficient stay in the polynomial ring) and a numeric one using central
-finite differences and Cholesky factors of g.  The exact backend expands
-each minor of g once, takes each derivative of g and each Christoffel
-bracket once, and samples the divergence over the grid as the numeric
-backend evaluates polynomials.  The numeric backend makes one array pass
-over the whole sample grid: each chart function of g and T is evaluated
-once over all the sample points and their stencil neighbours, every
-metric matrix is checked and factorised in one batch, and the sides are
-summed elementwise along the point axis, in the order and with the
-floats of the pointwise formulas.  numpy is imported inside the
+finite differences and Cholesky factors of g.  The exact backend works in
+integers: it scales g by the lcm D of its coefficient denominators to the
+int-coefficient G = D g, expands each minor of G once, takes each
+derivative of G and each doubled Christoffel bracket once, and divides
+the integer numerators adj(G) 2[rho, mu nu] by the one denominator
+2 det G, which gives Gamma with one Fraction per term; it samples the
+divergence over the grid as the numeric backend evaluates polynomials.
+The numeric backend makes one array pass over the whole sample grid:
+each chart function of g and T is evaluated once over all the sample
+points and their stencil neighbours, every metric matrix is checked and
+factorised in one batch, and the sides are summed elementwise along the
+point axis, in the order and with the floats of the pointwise formulas.
+The conserved T = g^-1 of `inverse_metric_tensor` (the sphere's audit)
+is read over the grid the same way: its m^2 entries share one batched
+inversion of g per stencil offset.  numpy is imported inside the
 functions that use it, so importing gielab does not load it.
 """
 
@@ -28,7 +34,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError, VerificationError, json_int
 from .exterior import VectorValuedForm, _minor_det
@@ -264,87 +269,86 @@ def _require_exact(g: MetricChart, T: EnergyMomentum | None = None):
         raise InputError("exact backend needs polynomial tensor components")
 
 
-def _exact_volume(g: MetricChart, minors=None):
-    """(det g, sqrt(det g)) as Fractions; `minors` is `_minor_det`'s dict
-    of sub-minors, to share with the adjugate.
+def _polynomial(terms, nvars):
+    """The polynomial with the given {monomial: coefficient} terms, none
+    zero, written directly."""
+    out = Polynomial(nvars)
+    out.terms = terms
+    return out
+
+
+def _exact_connection(g: MetricChart):
+    """(sqrt(det g) as a Fraction, Levi-Civita symbols Gamma^lam_{mu nu}
+    as polynomials), computed in integers.
 
     Restricted to det g a nonzero constant perfect rational square;
     otherwise the inverse and the volume coefficient leave the
-    polynomial ring and the numeric backend must be used."""
-    det = _minor_det(g.g, minors=minors)
+    polynomial ring and the numeric backend must be used.
+
+    g is scaled by the lcm D of its coefficient denominators to the
+    int-coefficient G = D g, and everything up to the last division is
+    formed over the integers.  det G is expanded along row 0 first, and
+    its sub-minors are the cofactors of that row; every cofactor of the
+    symmetric adjugate shares them and the smaller sub-minors through one
+    dict, so each minor is expanded once, and the cofactors on and above
+    the diagonal are computed and mirrored.  Each partial derivative
+    d_mu G_{rho nu} is taken once, and so is each doubled bracket
+    2[rho, mu nu] = d_mu G_{rho nu} + d_nu G_{rho mu} - d_rho G_{mu nu};
+    the numerators N^lam_{mu nu} = adj(G)^{lam rho} 2[rho, mu nu] are
+    summed over the non-zero brackets for mu <= nu and mirrored, and
+    Gamma = N / (2 det G) takes one Fraction per term.  The scaling
+    cancels: adj(G) = D^(m-1) adj(g), the brackets scale by D and
+    det G = D^m det g."""
+    m, nv = g.m, g.g[0][0].nvars
+    D = math.lcm(*(c.denominator for row in g.g for e in row for c in e.terms.values()))
+    G = [[_polynomial({k: c.numerator * (D // c.denominator)
+                       for k, c in e.terms.items()}, nv) for e in row]
+         for row in g.g]
+    minors = {}
+    det = _minor_det(G, minors=minors)
     if not (isinstance(det, Polynomial) and det.is_constant()) and not isinstance(det, Fraction):
         raise InputError(
             "exact backend requires constant metric determinant; use the "
             "numeric backend for this chart")
-    det_val = det.constant_value() if isinstance(det, Polynomial) else det
-    if det_val <= 0:
+    det = int(det.constant_value() if isinstance(det, Polynomial) else det)
+    if det <= 0:
         raise InputError("metric determinant must be positive")
-    vol = frac_sqrt(det_val)
+    vol = frac_sqrt(Fraction(det, D ** m))
     if vol is None:
         raise InputError(
             "exact backend requires det g to be a perfect rational square; "
             "use the numeric backend for this chart")
-    return det_val, vol
-
-
-def _exact_volume_and_inverse(g: MetricChart):
-    """(sqrt(det g) as a Fraction, polynomial inverse metric), under the
-    restrictions of `_exact_volume`.
-
-    The inverse is the adjugate over the constant det g.  det g is
-    expanded along row 0 first, and its sub-minors are the cofactors of
-    that row; every cofactor shares them and the smaller sub-minors
-    through one dict, so each minor is expanded once.  g is symmetric, so
-    the adjugate is too: the cofactors on and above the diagonal are
-    computed and mirrored, and 1/det g scales each of them once, unless it
-    is 1."""
-    m, nv = g.m, g.g[0][0].nvars
-    minors = {}
-    det_val, vol = _exact_volume(g, minors)
-    scale = 1 / det_val
     ids = tuple(range(m))
-    inv = [[None] * m for _ in range(m)]
+    adj = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            cof = _minor_det(g.g, ids[:i] + ids[i + 1:], ids[:j] + ids[j + 1:], minors)
-            if not isinstance(cof, Polynomial):
-                cof = Polynomial.constant(cof, nv)
-            if (i + j) % 2:
-                cof = -cof
-            inv[i][j] = inv[j][i] = cof if scale == 1 else cof * scale
-    return vol, inv
+            cof = _minor_det(G, ids[:i] + ids[i + 1:], ids[:j] + ids[j + 1:], minors)
+            if not isinstance(cof, Polynomial):  # the empty minor at m = 1, or a zero one
+                cof = _polynomial({(): int(cof)} if cof else {}, nv)
+            adj[i][j] = adj[j][i] = -cof if (i + j) % 2 else cof
+    dG = [[[G[rho][nu].partial(mu) for nu in range(m)] for rho in range(m)]
+          for mu in range(m)]
+    den = 2 * det
+    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
+    for mu in range(m):
+        for nu in range(mu, m):
+            brackets = [(rho, dG[mu][rho][nu] + dG[nu][rho][mu] - dG[rho][mu][nu])
+                        for rho in range(m)]
+            brackets = [(rho, b) for rho, b in brackets if b]
+            for lam in range(m):
+                total = Polynomial(nv)
+                for rho, b in brackets:
+                    total = total + adj[lam][rho] * b
+                gamma[lam][mu][nu] = gamma[lam][nu][mu] = _polynomial(
+                    {k: Fraction(c, den) for k, c in total.terms.items()}, nv)
+    return vol, gamma
 
 
 def christoffel(g: MetricChart):
     """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials (exact
     backend).  Symmetric in the lower indices by construction."""
     _require_exact(g)
-    _, ginv = _exact_volume_and_inverse(g)
-    return _christoffel_from_inverse(g, ginv)
-
-
-def _christoffel_from_inverse(g: MetricChart, ginv):
-    """`christoffel` given the polynomial inverse metric.
-
-    Each partial derivative d_mu g_{rho nu} is taken once, and so is each
-    bracket [rho, mu nu] = (d_mu g_{rho nu} + d_nu g_{rho mu}
-    - d_rho g_{mu nu}) / 2; Gamma^lam_{mu nu} = g^{lam rho} [rho, mu nu]
-    is formed for mu <= nu and mirrored."""
-    m = g.m
-    half = Fraction(1, 2)
-    dg = [[[g.g[rho][nu].partial(mu) for nu in range(m)] for rho in range(m)]
-          for mu in range(m)]
-    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for mu in range(m):
-        for nu in range(mu, m):
-            brackets = [(dg[mu][rho][nu] + dg[nu][rho][mu] - dg[rho][mu][nu]) * half
-                        for rho in range(m)]
-            for lam in range(m):
-                total = ginv[lam][0] * brackets[0]
-                for rho in range(1, m):
-                    total = total + ginv[lam][rho] * brackets[rho]
-                gamma[lam][mu][nu] = gamma[lam][nu][mu] = total
-    return gamma
+    return _exact_connection(g)[1]
 
 
 def christoffel_at(g: MetricChart, point):
@@ -363,8 +367,7 @@ def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
     """tau^lam = T^{lam mu} (xi_mu -| vol) with vol = sqrt(det g) eta^Lambda
     (exact backend).  xi_mu -| eta^Lambda = (-1)^(mu+1) eta^{Lambda minus mu}."""
     _require_exact(g, T)
-    _, vol = _exact_volume(g)
-    return _tau(T, g, vol)
+    return _tau(T, g, _exact_connection(g)[0])
 
 
 def _tau(T: EnergyMomentum, g: MetricChart, vol):
@@ -608,8 +611,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     tdim = target_dimension(m)
     if backend == "exact":
         _require_exact(g, T)
-        vol, ginv = _exact_volume_and_inverse(g)
-        gamma = _christoffel_from_inverse(g, ginv)
+        vol, gamma = _exact_connection(g)
         lhs = covariant_exterior_derivative(_tau(T, g, vol), gamma)
         div = covariant_divergence(T, gamma)
         vol_key = tuple(range(1, m + 1))
@@ -687,21 +689,46 @@ def sphere_chart() -> MetricChart:
 
 
 def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
-    """T = g^{-1} as callables; covariantly constant, hence conserved.
-    The m^2 entries share one inversion per point: an audit reads every
-    entry at each sample point and each entry at two stencil neighbours,
-    so the most recent points' inverses are kept."""
+    """T = g^{-1}; covariantly constant, hence conserved.
+
+    T.T holds callables that invert g at one point.  Over a grid the m^2
+    entries share one batched inversion of `_factor_grid`'s matrices: an
+    audit reads T over the sample points and over each of their 2m
+    stencil offsets, so this tensor keeps the inverses of the 2m + 1 point
+    arrays it saw last, and a failure is (bad, exc) as `_called` gives it,
+    from g's own check or from the inversion."""
     import numpy as np
     m = g.m
+    inverses = {}
 
-    @lru_cache(maxsize=4096)
-    def inverse(point):
-        return np.linalg.inv(g.matrix_at(list(point))).tolist()
+    def inverse(X, rows):
+        key = (X.shape, X.tobytes())
+        found = inverses.get(key)
+        if found is None:
+            mats, _, bad, exc = g._factor_grid(X, rows)
+            try:
+                inv = np.linalg.inv(mats[:bad])
+            except np.linalg.LinAlgError:  # find the first singular matrix
+                inv = np.empty((bad, m, m))
+                bad, exc = _called(np.linalg.inv, mats[:bad], inv)
+            if len(inverses) > 2 * m:
+                inverses.clear()
+            found = inverses[key] = inv, bad, exc
+        return found
 
     def entry(i, j):
-        return lambda pt: inverse(tuple(pt))[i][j]
+        return lambda pt: float(np.linalg.inv(g.matrix_at(list(pt)))[i, j])
 
-    return EnergyMomentum(m, [[entry(i, j) for j in range(m)] for i in range(m)])
+    def grid_entry(i, j):
+        def at(X, rows, out):
+            inv, bad, exc = inverse(X, rows)
+            out[:bad] = inv[:bad, i, j]
+            return bad, exc
+        return at
+
+    T = EnergyMomentum(m, [[entry(i, j) for j in range(m)] for i in range(m)])
+    T._grid_T = [[grid_entry(i, j) for j in range(m)] for i in range(m)]
+    return T
 
 
 def _square(doc, field, m):

@@ -8,9 +8,11 @@ point at a time, through `Polynomial.eval`.  It performs the same
 floating-point operations in the same order, so the tests require its
 sides to equal the library's float for float.
 
-Exact: the library expands each minor of g once and forms each
-Christoffel bracket once.  This module keeps the plain formulas: every
-cofactor as the determinant of its own minor matrix, and Gamma^lam_{mu nu}
+Exact: the library works on the integer G = D g (D the lcm of g's
+coefficient denominators), expands each minor of G once, forms each
+Christoffel bracket once and divides by the one denominator 2 det G.
+This module keeps the plain Fraction formulas: every cofactor of g as the
+determinant of its own minor matrix, over det g, and Gamma^lam_{mu nu}
 summed over rho for every index triple, with every partial derivative
 taken afresh.  The tests require equal polynomials.
 """

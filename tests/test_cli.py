@@ -439,14 +439,14 @@ def test_emt_audit_perturbed_christoffel_symbol_is_a_violation(tmp_path, capsys,
     path.write_text(json.dumps(doc))
     argv = ["emt-audit", "--input", str(path), "--backend", "exact"]
     assert run(argv, capsys)[0] == EXIT_PASS
-    christoffel_from_inverse = emt._christoffel_from_inverse
+    exact_connection = emt._exact_connection
 
     def perturbed(*args):
-        gamma = christoffel_from_inverse(*args)
+        vol, gamma = exact_connection(*args)
         gamma[1][0][2] = gamma[1][0][2] + 1
-        return gamma
+        return vol, gamma
 
-    monkeypatch.setattr(emt, "_christoffel_from_inverse", perturbed)
+    monkeypatch.setattr(emt, "_exact_connection", perturbed)
     code, report = run(argv, capsys)
     assert code == EXIT_VIOLATION
     assert report["verdict"] == "violation"

@@ -7,13 +7,14 @@ import re
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emt_reference
 from emt_reference import numeric_sides as reference_sides
-from gielab import InputError, VerificationError, emt
+from gielab import InputError, VerificationError, cli, emt
 from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
                         christoffel_at, covariant_divergence,
                         covariant_exterior_derivative, flat_chart,
@@ -78,7 +79,6 @@ NAN, INF = float("nan"), float("inf")
     ([[1.0, 0.0], [5e-12, 1.0]], False),
 ])
 def test_symmetry_check_matches_allclose(rows, symmetric):
-    import numpy as np
     mat = np.array(rows)
     assert emt._symmetric(mat[None]).tolist() == [symmetric]
     assert bool(np.allclose(mat, mat.T, atol=1e-12)) is symmetric
@@ -94,7 +94,6 @@ _entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                                 min_size=m, max_size=m), min_size=1, max_size=4)))
 def test_symmetry_check_is_allclose(stack):
     # a stack of matrices, each judged on its own
-    import numpy as np
     mats = np.array(stack)
     assert emt._symmetric(mats).tolist() == [
         bool(np.allclose(mat, mat.T, atol=1e-12)) for mat in mats]
@@ -169,9 +168,10 @@ def test_conformal_christoffel_oracle():
 
 
 def _rejected_by_every_exact_entry_point(chart, message):
+    T = tensor_const(chart.m)
     for call in (lambda: christoffel(chart),
-                 lambda: tensor_to_mform(tensor_const(2), chart),
-                 lambda: verify_equivalence(tensor_const(2), chart, backend="exact")):
+                 lambda: tensor_to_mform(T, chart),
+                 lambda: verify_equivalence(T, chart, backend="exact")):
         with pytest.raises(InputError, match=message):
             call()
 
@@ -214,19 +214,37 @@ def _seeded_chart(seed, m, det=1):
     return MetricChart(m, g, box=[[-1, 1]] * m), EnergyMomentum(m, T)
 
 
-@pytest.mark.parametrize("m,det", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 4)])
+@pytest.mark.parametrize("m,det", [(m, det) for det in (1, 4) for m in range(1, 6)]
+                         + [(m, "9/4") for m in range(1, 4)])
 def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
-    # det 4 takes the path that scales the adjugate by 1/det g
+    # the integer kernel's volume and Gamma against the Fraction formulas;
+    # at det g = 9/4 the denominators of det g = det G / D^m sit in D^m
+    det = Fraction(det)
     for seed in range(2):
         chart, _ = _seeded_chart(seed, m, det)
-        vol, ginv = emt._exact_volume_and_inverse(chart)
-        assert vol ** 2 == det
-        assert ginv == emt_reference.inverse_metric(chart)
+        vol, gamma = emt._exact_connection(chart)
+        assert vol > 0 and vol ** 2 == det
+        ginv = emt_reference.inverse_metric(chart)
         for i in range(m):
             for j in range(m):
                 entry = sum((chart.g[i][k] * ginv[k][j] for k in range(m)), const(0, m))
                 assert entry == const(1 if i == j else 0, m)
-        assert christoffel(chart) == emt_reference.christoffel(chart, ginv)
+        assert gamma == emt_reference.christoffel(chart, ginv)
+        assert christoffel(chart) == gamma
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exact_backend_rejects_a_non_square_rational_determinant(m, tmp_path):
+    # det g = 8/9: det G / D^m is positive and constant but not a square
+    chart, T = _seeded_chart(0, m, Fraction(8, 9))
+    _rejected_by_every_exact_entry_point(chart, "perfect rational square")
+    path, out = tmp_path / "chart.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_chart_json(chart, T)))
+    code = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
+                     "--backend", "exact"])
+    report = json.loads(out.read_text())
+    assert (code, report["verdict"]) == (2, "invalid-input")
+    assert "perfect rational square" in report["results"]["error"]
 
 
 @pytest.mark.parametrize("m,det", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 4)])
@@ -284,14 +302,14 @@ def test_exact_audit_catches_a_perturbed_christoffel_symbol(lam, mu, nu, monkeyp
     # is not a trace Gamma^nu_{nu mu}, so only component lam changes
     chart, T = _seeded_chart(1, 3)[0], _asymmetric_tensor(3)
     assert verify_equivalence(T, chart, backend="exact").identity_holds
-    christoffel_from_inverse = emt._christoffel_from_inverse
+    exact_connection = emt._exact_connection
 
     def perturbed(*args):
-        gamma = christoffel_from_inverse(*args)
+        vol, gamma = exact_connection(*args)
         gamma[lam][mu][nu] = gamma[lam][mu][nu] + const(1, 3)
-        return gamma
+        return vol, gamma
 
-    monkeypatch.setattr(emt, "_christoffel_from_inverse", perturbed)
+    monkeypatch.setattr(emt, "_exact_connection", perturbed)
     with pytest.raises(VerificationError,
                        match=f"disagree as polynomials in component {lam + 1}$"):
         verify_equivalence(T, chart, backend="exact")
@@ -466,7 +484,6 @@ def test_load_chart_roundtrip():
 
 
 def _grid_values(f, points):
-    import numpy as np
     values = np.zeros(len(points))
     bad, exc = emt._grid_function(f)(np.array(points, dtype=float), points, values)
     return values, bad, exc
@@ -521,7 +538,6 @@ def test_grid_polynomial_is_polynomial_eval_bit_for_bit(seed):
 
 def test_greatest_is_python_max_elementwise():
     # a NaN never replaces an earlier value and is kept when it comes first
-    import numpy as np
     values = [NAN, -INF, -1.0, 0.0, 2.0, INF]
     triples = [(a, b, c) for a in values for b in values for c in values]
     got = emt._greatest(*(np.array(col) for col in zip(*triples)))
@@ -556,7 +572,9 @@ def _sphere_audits(draw):
     chart, k = sphere_chart(), draw(st.integers(-9, 6))
     T = draw(st.sampled_from([inverse_metric_tensor(chart), _random_tensor(20),
                               _random_tensor(21)]))
-    return chart, _scaled(T, 10.0 ** k)
+    # unscaled, T = g^-1 is read through its batched inverses; scaled, through
+    # the pointwise callables
+    return chart, draw(st.sampled_from([T, _scaled(T, 10.0 ** k)]))
 
 
 def _outcome(T, chart):
@@ -576,6 +594,57 @@ def test_numeric_backend_equals_per_call_reference(audit):
     with mock.patch.object(emt, "_numeric_sides", reference_sides):
         expected = _outcome(T, chart)
     assert _outcome(T, chart) == expected
+
+
+@pytest.mark.parametrize("chart", [sphere_chart(), _seeded_chart(4, 3)[0]],
+                         ids=["sphere", "polynomial"])
+def test_inverse_metric_tensor_inverts_once_per_stencil_offset(chart):
+    # g over the P (2m + 1) stencil points, then T = g^-1 once over the sample
+    # points and once over each offset x +- h e_mu, shared by the m^2 entries;
+    # the sides are the pointwise callables' float for float
+    T, m = inverse_metric_tensor(chart), chart.m
+    points = chart.sample_points(5)
+    factor, calls = chart._factor_grid, []
+
+    def counted(X, rows):
+        calls.append(len(rows))
+        return factor(X, rows)
+
+    with mock.patch.object(chart, "_factor_grid", counted):
+        sides = emt._numeric_sides(T, chart, points)
+    assert calls == [5 * (2 * m + 1)] + [5] * (2 * m + 1)
+    assert sides == reference_sides(T, chart, points)
+
+
+# positive definite, but LU meets an exact zero pivot: np.linalg.inv raises
+# where np.linalg.cholesky does not
+_SINGULAR = [[1.5140605674521708, 0.28183784439970383],
+             [0.28183784439970383, 0.05246327144596278]]
+
+
+@pytest.mark.parametrize("entries,raised,message", [
+    ([[-1.0, 0.0], [0.0, 1.0]], InputError, "metric singular or indefinite at sample point {}"),
+    ([[NAN, 0.0], [0.0, 1.0]], InputError, "metric not symmetric at {}"),
+    (_SINGULAR, np.linalg.LinAlgError, "Singular matrix")],
+    ids=["indefinite", "nan", "singular"])
+@pytest.mark.parametrize("mu,sign", [(0, 1), (1, -1)])
+def test_batched_inverse_metric_fails_as_the_pointwise_walk(mu, sign, entries, raised,
+                                                            message):
+    # T = g^-1 of a chart that fails only at a stencil neighbour of the third
+    # of five sample points, audited on the flat chart: the batched inverses
+    # must raise what the pointwise callables raise there
+    points = flat_chart(2).sample_points(5)
+    bad = list(points[2])
+    bad[mu] += sign * emt.FD_STEP
+    np.linalg.cholesky(np.array(_SINGULAR))  # g passes its own check there
+    chart = MetricChart(2, [[lambda pt, e=e, i=i, j=j: e if pt == bad else float(i == j)
+                             for j, e in enumerate(row)] for i, row in enumerate(entries)])
+    T = inverse_metric_tensor(chart)
+    with pytest.raises(raised) as pointwise:
+        reference_sides(T, flat_chart(2), points)
+    with pytest.raises(raised) as batched:
+        verify_equivalence(T, flat_chart(2), backend="numeric", count=5)
+    assert str(batched.value) == str(pointwise.value) == message.format(bad)
 
 
 @pytest.mark.parametrize("mu,sign", [(0, 1), (0, -1), (1, 1), (1, -1)])
