@@ -9,10 +9,9 @@ expansions d_grad phi = d phi^i + eta^i_j ^ phi^j.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
-from .exterior import ExteriorForm, VectorValuedForm, wedge
+from .exterior import (ExteriorForm, VectorValuedForm, _accumulate, sort_with_sign,
+                       wedge)
 from .poly import Polynomial
 
 
@@ -30,18 +29,23 @@ def poly_form(dim, degree, coefficients=None):
 
 def exterior_derivative(form: ExteriorForm) -> ExteriorForm:
     """d on forms with polynomial coefficients.  d(f eta^K) expands as
-    sum_l (df/dx_l) eta^l ^ eta^K."""
-    dim = form.dim
-    out = ExteriorForm.zero(dim, form.degree + 1)
+    sum_l (df/dx_l) eta^l ^ eta^K; each eta^l ^ eta^K is sorted by
+    `sort_with_sign`, df/dx_l is taken only where that product is not zero
+    and negated where its sign is -1, and all are summed into one
+    coefficient dict."""
+    coeffs = {}
     for key, coeff in form.coefficients.items():
         if not isinstance(coeff, Polynomial):
             continue  # constant rational coefficient: derivative is zero
-        for l in range(dim):
+        for l in range(form.dim):
+            target, sign = sort_with_sign((l + 1,) + key)
+            if not sign:
+                continue  # l is in K: eta^l ^ eta^K = 0
             dc = coeff.partial(l)
-            if not dc:
-                continue
-            mono = ExteriorForm.monomial(dim, (l + 1,) + key, Fraction(1))
-            out = out + mono.scale(dc)
+            if dc:
+                _accumulate(coeffs, target, dc if sign > 0 else -dc)
+    out = ExteriorForm.zero(form.dim, form.degree + 1)
+    out.coefficients = coeffs
     return out
 
 

@@ -19,7 +19,9 @@ the integer numerators adj(G) 2[rho, mu nu] by the one denominator
 divergence over the grid as the numeric backend evaluates polynomials.
 The numeric backend makes one array pass over the whole sample grid:
 each chart function of g and T is evaluated once over all the sample
-points and their stencil neighbours, every metric matrix is checked and
+points and their stencil neighbours, each power x_v^e once per grid for
+all the functions evaluated there (a first power is the column itself,
+as pow(x, 1) = x), every metric matrix is checked and
 factorised in one batch, and the sides are summed elementwise along the
 point axis, in the order and with the floats of the pointwise formulas.
 The conserved T = g^-1 of `inverse_metric_tensor` (the sphere's audit)
@@ -68,17 +70,22 @@ def _called(f, rows, out):
 
 
 def _grid_function(f):
-    """f as a function of a grid of points: (X, rows, out) -> (bad, exc)
-    as `_called` gives them, with X the (N, m) float array of the points,
-    rows the same N points as lists and `out` the float array of N values
-    to write.
+    """f as a function of a grid of points: (X, rows, out, powers) ->
+    (bad, exc) as `_called` gives them, with X the (N, m) float array of
+    the points, rows the same N points as lists, `out` the float array of
+    N values to write and `powers` a dict {(v, e): X[:, v] ** e} that the
+    caller shares between every function it evaluates on this X, and
+    drops with X.
 
     A callable is called at each row.  A Polynomial is summed term by term
     over the whole array from its coefficients converted to floats once,
     which gives Polynomial.eval's floats bit for bit: Fraction * float
     computes float(fraction) * float, both sums start from 0, and
     np.float_power is the C pow that Python's float ** int calls (np.power
-    is not).  Where Python's pow raises OverflowError numpy gives an
+    is not).  Each power is computed once per grid, into `powers`, and
+    each term is still the product of its coefficient and its factors
+    taken in order; x ** 1 is x in C's pow, so a first power is the column
+    of X itself.  Where Python's pow raises OverflowError numpy gives an
     infinity, which no later sum or product makes finite, so the points
     with a non-finite value are evaluated again by Polynomial.eval: the
     first of them where it raises is `bad`.  A polynomial whose
@@ -86,21 +93,25 @@ def _grid_function(f):
     points', is evaluated by Polynomial.eval at each row, which raises
     there."""
     if not isinstance(f, Polynomial):
-        return lambda X, rows, out: _called(f, rows, out)
+        return lambda X, rows, out, powers: _called(f, rows, out)
     try:
         terms = [(float(c), k) for k, c in f.terms.items()]
     except OverflowError:
-        return lambda X, rows, out: _called(f.eval, rows, out)
+        return lambda X, rows, out, powers: _called(f.eval, rows, out)
 
-    def at(X, rows, out):
+    def at(X, rows, out, powers):
         import numpy as np
         if X.shape[1] != f.nvars:
             return _called(f.eval, rows, out)
         out[:] = 0.0
         with np.errstate(all="ignore"):  # Python floats overflow silently too
             for c, k in terms:
-                for var, e in k:
-                    c = c * np.float_power(X[:, var], e)
+                for ve in k:
+                    p = powers.get(ve)
+                    if p is None:
+                        var, e = ve
+                        p = powers[ve] = X[:, var] if e == 1 else np.float_power(X[:, var], e)
+                    c = c * p
                 out += c
         for r in np.flatnonzero(~np.isfinite(out)).tolist():
             try:
@@ -185,9 +196,10 @@ class MetricChart:
         m, n = self.m, len(rows)
         mats = np.empty((n, m, m))
         bad, exc = n, None
+        powers = {}
         for i, row in enumerate(self._grid_g):
             for j, f in enumerate(row):
-                r, e = f(X, rows, mats[:, i, j])
+                r, e = f(X, rows, mats[:, i, j], powers)
                 if r < bad:
                     bad, exc = r, e
         symmetric = _symmetric(mats[:bad])
@@ -499,13 +511,14 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     grid = X.reshape(P, S, m)[:done]
     # T^{lam mu} at x, then at x + h e_mu, then at x - h e_mu
     tables, first, first_exc = [], done, None
+    powers = [{} for _ in range(S)]  # per stencil column k
     for shift in (0, 1, 2):
         table = np.empty((m, m, done))
         for lam in range(m):
             for mu in range(m):
                 k = 2 * mu + shift if shift else 0
                 r, e = T._grid_T[lam][mu](grid[:, k], rows[k:done * S:S],
-                                          table[lam, mu])
+                                          table[lam, mu], powers[k])
                 if r < first:
                     first, first_exc = r, e
         tables.append(table)
@@ -552,9 +565,9 @@ def _max_abs(fs, points, m):
     P = len(points)
     X = np.array(points, dtype=float).reshape(P, m)
     values = np.empty((len(fs), P))
-    bad, exc = P, None
+    bad, exc, powers = P, None, {}
     for f, out in zip(fs, values):
-        r, e = _grid_function(f)(X, points, out)
+        r, e = _grid_function(f)(X, points, out, powers)
         if r < bad:
             bad, exc = r, e
     if exc is not None:
@@ -720,7 +733,7 @@ def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
         return lambda pt: float(np.linalg.inv(g.matrix_at(list(pt)))[i, j])
 
     def grid_entry(i, j):
-        def at(X, rows, out):
+        def at(X, rows, out, powers):
             inv, bad, exc = inverse(X, rows)
             out[:bad] = inv[:bad, i, j]
             return bad, exc

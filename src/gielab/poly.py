@@ -35,6 +35,12 @@ def _monomial_product(ka, kb):
     return tuple(sorted(exps.items()))
 
 
+def _bad_exponent(e):
+    """True unless e is a non-negative int; a bool is refused, as JSON's
+    true would otherwise be read as the exponent 1."""
+    return isinstance(e, bool) or not isinstance(e, int) or e < 0
+
+
 class Polynomial:
     """Polynomial in `nvars` variables x1..x_nvars.
 
@@ -50,8 +56,7 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars or any(not isinstance(e, int) or e < 0
-                                             for e in exps):
+                if len(exps) != nvars or any(map(_bad_exponent, exps)):
                     raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
                 coeff = Fraction(coeff)
                 if coeff:
@@ -241,11 +246,58 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+def _coefficient(c):
+    """Fraction(str(c)), with a JSON int and a plain ASCII "n", "-n", "p/q"
+    or "-p/q" (q not zero) read by int(), which skips Fraction's regex;
+    every other spelling goes through Fraction(str(c)), with its errors."""
+    if type(c) is int:
+        return Fraction(c)
+    if type(c) is str and c.isascii():
+        num, slash, den = c.partition("/")
+        sign = -1 if num[:1] == "-" else 1
+        digits = num[1:] if sign < 0 else num
+        if digits.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            p = sign * int(digits)
+            return Fraction(p, int(den)) if slash else Fraction(p)
+    return Fraction(str(c))
+
+
 def from_json_terms(items, nvars):
-    """Build a polynomial from [{"exponents": [...], "coefficient": "p/q"}]."""
+    """Build a polynomial from [{"exponents": [...], "coefficient": "p/q"}].
+
+    The sparse terms are written directly when every item's exponents are
+    a list of `nvars` non-negative ints; the coefficients of items with
+    equal exponents are summed and zero sums dropped, in the order the
+    exponents first appear.  Any other item sends the whole list through
+    `_checked_json_terms`, which raises what the constructor raises."""
     terms = {}
+    for item in items:
+        exps = item["exponents"]
+        if not (type(exps) is list and len(exps) == nvars
+                and all(type(e) is int and e >= 0 for e in exps)):
+            return _checked_json_terms(items, nvars)
+        coeff = _coefficient(item["coefficient"])
+        key = tuple((v, e) for v, e in enumerate(exps) if e)
+        acc = terms.get(key)
+        terms[key] = coeff if acc is None else acc + coeff
+    out = Polynomial(nvars)
+    out.terms = {k: c for k, c in terms.items() if c}
+    return out
+
+
+def _checked_json_terms(items, nvars):
+    """`from_json_terms` through the constructor, which checks each
+    exponent tuple.  Items are summed by their exponent tuples, under which
+    (True, 0) and (1.0, 0) equal (1, 0); a tuple merged into an accepted
+    one like that is refused after the constructor has run."""
+    terms, merged = {}, None
     for item in items:
         exps = tuple(item["exponents"])
         coeff = Fraction(str(item["coefficient"]))
+        if merged is None and any(map(_bad_exponent, exps)):
+            merged = exps
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return Polynomial(nvars, terms)
+    out = Polynomial(nvars, terms)
+    if merged is not None:
+        raise InputError(f"bad exponent tuple {merged} for {nvars} variables")
+    return out

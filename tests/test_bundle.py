@@ -27,6 +27,61 @@ def poly_one_forms(dim):
         lambda cs: poly_form(dim, 1, {(k + 1,): c for k, c in enumerate(cs)}))
 
 
+def reference_d(form):
+    """d as a sum of forms: each (df/dx_l) eta^l ^ eta^K added as a scaled
+    monomial form."""
+    dim = form.dim
+    out = ExteriorForm.zero(dim, form.degree + 1)
+    for key, coeff in form.coefficients.items():
+        if not isinstance(coeff, Polynomial):
+            continue
+        for l in range(dim):
+            dc = coeff.partial(l)
+            if not dc:
+                continue
+            mono = ExteriorForm.monomial(dim, (l + 1,) + key, Fraction(1))
+            out = out + mono.scale(dc)
+    return out
+
+
+def _written(form):
+    """The form's coefficients and each one's terms, in their dict order."""
+    return [(key, list(c.terms.items()) if isinstance(c, Polynomial) else c)
+            for key, c in form.coefficients.items()]
+
+
+@st.composite
+def poly_forms(draw, dim):
+    degree = draw(st.integers(0, dim))
+    keys = st.lists(st.integers(1, dim), min_size=degree, max_size=degree, unique=True).map(
+        lambda k: tuple(sorted(k)))
+    coeffs = draw(st.dictionaries(keys, small_polys(dim) | fractions, max_size=4))
+    return poly_form(dim, degree, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(poly_forms))
+def test_d_equals_the_sum_of_scaled_monomials(form):
+    assert _written(exterior_derivative(form)) == _written(reference_d(form))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.integers(1, 3), st.lists(poly_one_forms(dim), min_size=3, max_size=3))))
+def test_curvature_equals_the_reference_d(case):
+    n, forms = case
+    upper = {(i, j): forms[k] for k, (i, j) in enumerate(
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))}
+    eta = ConnectionForm.from_upper(n, forms[0].dim, upper)
+    omega = curvature_from_connection(eta)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            expected = reference_d(eta[i, j])
+            for k in range(1, n + 1):
+                expected = expected + wedge(eta[i, k], eta[k, j])
+            assert _written(omega[i, j]) == _written(expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(poly_one_forms(3))
 def test_d_squared_is_zero(form):

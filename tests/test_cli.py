@@ -342,6 +342,22 @@ def test_emt_audit_zero_denominator_is_invalid(tmp_path, capsys):
     assert report["verdict"] == "invalid-input"
 
 
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+@pytest.mark.parametrize("entry", [[{"exponents": [True, 0], "coefficient": "1"}],
+                                   [{"exponents": [1, 0], "coefficient": "1"},
+                                    {"exponents": [True, 0], "coefficient": "1"}]])
+def test_emt_audit_boolean_exponent_is_invalid(tmp_path, capsys, entry, backend):
+    # [true, 0] used to be read as x_1, and T^11 = x_1 passed the numeric audit
+    doc = _flat_chart_doc()
+    doc["T"][0][0] = entry
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", backend], capsys)
+    assert code == EXIT_INVALID
+    assert report["verdict"] == "invalid-input"
+    assert "bad exponent tuple (True, 0) for 2 variables" in report["results"]["error"]
+
+
 def test_emt_audit_power_overflow_at_a_late_sample_is_invalid(tmp_path, capsys):
     # g_11 = 1 + x_1^2 on [0, 2.4e154]: x_1^2 is finite at the first sample
     # point and overflows at later ones, where Python's float pow raises

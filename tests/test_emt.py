@@ -485,7 +485,7 @@ def test_load_chart_roundtrip():
 
 def _grid_values(f, points):
     values = np.zeros(len(points))
-    bad, exc = emt._grid_function(f)(np.array(points, dtype=float), points, values)
+    bad, exc = emt._grid_function(f)(np.array(points, dtype=float), points, values, {})
     return values, bad, exc
 
 
@@ -503,6 +503,72 @@ def test_float_chart_functions_match_polynomial_eval():
     assert bad == 0 and isinstance(exc, OverflowError)
     _, bad, exc = _grid_values(x1, [[0.3], [0.5]])
     assert bad == 0 and isinstance(exc, InputError) and "wrong length" in str(exc)
+
+
+def _eval_walk(f, points):
+    """(values, bad, exc) of f called point by point, Polynomial.eval for a
+    polynomial, stopping at the first point where it raises."""
+    values = []
+    for r, point in enumerate(points):
+        try:
+            values.append(float(f.eval(point)) if isinstance(f, Polynomial) else f(point))
+        except Exception as exc:
+            return values, r, exc
+    return values, len(points), None
+
+
+def _shared_grid_values(fs, points):
+    """Each f of fs over one grid, sharing one powers dict as the callers
+    do; (values, bad, exc) per f, the dict, and the np.float_power calls."""
+    X, powers, results = np.array(points, dtype=float), {}, []
+    with mock.patch.object(np, "float_power", wraps=np.float_power) as pow_calls:
+        for f in fs:
+            values = np.zeros(len(points))
+            bad, exc = emt._grid_function(f)(X, points, values, powers)
+            results.append((values.tolist()[:bad], bad, exc))
+    return results, powers, X, pow_calls.call_count
+
+
+def _same_as_eval_walk(fs, points, results):
+    for f, (values, bad, exc) in zip(fs, results):
+        want_values, want_bad, want_exc = _eval_walk(f, points)
+        assert [v.hex() for v in values] == [v.hex() for v in want_values]
+        assert bad == want_bad
+        assert (type(exc), str(exc)) == (type(want_exc), str(want_exc))
+
+
+def test_grid_functions_share_each_power_once_per_grid():
+    # x_v, x_v^2 and x_v^3 spread over different functions, a polynomial of
+    # three variables on two-variable points and a callable: every value and
+    # every failure is Polynomial.eval's, and each power x_v^e with e > 1 is
+    # computed once, x_v itself not at all
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    fs = [x1 * x2 + 3, x1 * x1 + Fraction(2, 7) * x2 * x2 * x2,
+          Fraction(1, 3) * x2 * x1 * x1 * x1 - x1, x2 * x2 * x1,
+          Polynomial.variable(0, 3), lambda pt: pt[0] - pt[1], 1 + x1 * x1 * x1]
+    points = [[0.3, -1.7], [-4.0, 1e-3], [1e100, 2.5], [-0.0, 1e-200]]
+    results, powers, X, calls = _shared_grid_values(fs, points)
+    _same_as_eval_walk(fs, points, results)
+    assert sorted(powers) == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
+    assert calls == 4
+    assert all(np.shares_memory(powers[v, 1], X) for v in (0, 1))
+    _, bad, exc = results[4]
+    assert bad == 0 and "wrong length" in str(exc)
+
+
+def test_grid_functions_share_powers_on_the_late_overflow_chart():
+    # g_11 = 1 + x_1^2 on [0, 2.4e154], margin 0: x_1^2 is finite at the
+    # first sample point and overflows later; a function that reads x_1^2
+    # after the overflow, and one read before it, still fail where eval does
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    chart = MetricChart(2, [[const(1) + x1 * x1, const(0)], [const(0), const(1)]],
+                        box=[[0, 2.4e154], [0, 1]], margin=0)
+    points = chart.sample_points(20)
+    fs = [x2 * x1, chart.g[0][0], x1 * x1 * x2 + x2, const(1), Fraction(1, 10 ** 200) * x1 * x1]
+    results, powers, _, calls = _shared_grid_values(fs, points)
+    _same_as_eval_walk(fs, points, results)
+    assert results[1][1] < len(points) and isinstance(results[1][2], OverflowError)
+    assert calls == 1 and sorted(powers) == [(0, 1), (0, 2), (1, 1)]
 
 
 _MAGNITUDES = [1e-200, 1e-40, 1e-3, 1.0, 1e3, 1e40, 1e60, 1e160]

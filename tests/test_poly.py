@@ -77,6 +77,61 @@ def test_from_json_terms():
     assert p == Fraction(2, 3) * Polynomial.variable(0, 2) - 1
 
 
+def _outcome(build):
+    """The polynomial's terms with their types, or the exception's type and
+    text."""
+    try:
+        p = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.nvars, list(p.terms.items()), [type(c) for c in p.terms.values()]
+
+
+# spellings read by int(), then every other one Fraction(str(...)) reads or
+# refuses
+_FAST_SPELLINGS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(lambda sign, zeros, p, q: f"{sign}{'0' * zeros}{p}" + ("" if q is None else f"/{q}"),
+              st.sampled_from(["", "-"]), st.integers(0, 2), st.integers(0, 10 ** 20),
+              st.none() | st.integers(1, 10 ** 6).map(str) | st.integers(1, 99).map(lambda q: f"00{q}")))
+_FALLBACK_SPELLINGS = st.one_of(
+    st.sampled_from(["1.5", "1e3", " 2/3", "1_000", "3/0", "-3/00", None, "0.5", "1e-1",
+                     "+3", "3/-4", "1/", "-", "", "1/2/3", "\u0663", "2/3 ", True, [1]]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4))
+_GOOD_EXPONENTS = st.lists(st.integers(0, 2), min_size=2, max_size=2)
+# one item in four with bad exponents, which send the whole list through the
+# constructor
+_EXPONENTS = st.one_of(_GOOD_EXPONENTS, _GOOD_EXPONENTS, _GOOD_EXPONENTS,
+                       st.sampled_from([[-1, 0], [0], [1, 0, 0], ["x", 1], [1.5, 0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EXPONENTS, _FAST_SPELLINGS | _FALLBACK_SPELLINGS), max_size=6))
+@example([([1, 0], "2/3"), ([1, 0], "-2/3"), ([0, 1], "3")])  # a sum of zero is dropped
+@example([([1, 0], "3/0"), ([-1, 0], "1")])  # the coefficient fails before the exponents
+def test_from_json_terms_is_the_constructor(items):
+    doc = [{"exponents": exps, "coefficient": c} for exps, c in items]
+
+    def reference():
+        terms = {}
+        for exps, c in items:
+            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + Fraction(str(c))
+        return Polynomial(2, terms)
+    assert _outcome(lambda: from_json_terms(doc, 2)) == _outcome(reference)
+
+
+@pytest.mark.parametrize("exponents", [[[True, 0]], [[0, False]], [[1, 0], [True, 0]],
+                                       [[1, 0], [1.0, 0]]])
+def test_boolean_and_float_exponents_are_refused(exponents):
+    # JSON's true equals 1 and hashes like it, so [true, 0] after [1, 0] would
+    # be summed into x_1 unseen
+    doc = [{"exponents": exps, "coefficient": "1"} for exps in exponents]
+    with pytest.raises(InputError, match="bad exponent tuple"):
+        from_json_terms(doc, 2)
+    with pytest.raises(InputError, match="bad exponent tuple"):
+        Polynomial(2, {tuple(exponents[-1]): 1})
+
+
 # -- sparse monomials against a dense-tuple reference ----------------------
 
 NVARS = 4
