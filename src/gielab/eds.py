@@ -23,22 +23,9 @@ from .exterior import contract
 
 @dataclass(frozen=True)
 class SigmaCoframe:
-    """Labels for a split coframe: base labels then fiber labels."""
-    base_labels: tuple
-    fiber_labels: tuple
-
-    def __post_init__(self):
-        labels = self.base_labels + self.fiber_labels
-        if len(set(labels)) != len(labels):
-            raise InputError("coframe labels are not distinct")
-
-    @property
-    def n_base(self):
-        return len(self.base_labels)
-
-    @property
-    def n_fiber(self):
-        return len(self.fiber_labels)
+    """A split coframe: n_base base covectors, then n_fiber fiber ones."""
+    n_base: int
+    n_fiber: int
 
     @property
     def dim(self):

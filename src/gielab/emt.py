@@ -239,20 +239,17 @@ class MetricChart:
     def sample_points(self, count=100):
         """Deterministic low-discrepancy grid in the margined box
         (additive Kronecker sequence with square-root-of-prime steps)."""
+        if count < 1:
+            return []
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        alphas = [math.sqrt(primes[d % len(primes)]) for d in range(self.m)]
-        pts = []
-        for k in range(1, count + 1):
-            pt = []
-            for d in range(self.m):
-                lo, hi = self.box[d]
-                lo, hi = lo + self.margin, hi - self.margin
-                if not lo < hi:
-                    raise InputError("margin swallows the chart box")
-                frac = (k * alphas[d]) % 1.0
-                pt.append(lo + frac * (hi - lo))
-            pts.append(pt)
-        return pts
+        axes = []  # (alpha, lo, hi - lo) per dimension, in the margined box
+        for d, (lo, hi) in enumerate(self.box):
+            lo, hi = lo + self.margin, hi - self.margin
+            if not lo < hi:
+                raise InputError("margin swallows the chart box")
+            axes.append((math.sqrt(primes[d % len(primes)]), lo, hi - lo))
+        return [[lo + (k * alpha) % 1.0 * width for alpha, lo, width in axes]
+                for k in range(1, count + 1)]
 
 
 class EnergyMomentum:
@@ -402,13 +399,16 @@ def covariant_divergence(T: EnergyMomentum, gamma):
     """grad_mu T^{lam mu} = xi_mu(T^{lam mu}) + T^{lam mu} Gamma^nu_{nu mu}
     + T^{mu nu} Gamma^lam_{nu mu}, one polynomial per lam (exact backend)."""
     m = T.m
+    zero = Polynomial.constant(0, T.T[0][0].nvars)
+    # trace[mu] = Gamma^nu_{nu mu}, summed over nu once for every lam
+    trace = [sum((gamma[nu][nu][mu] for nu in range(m)), zero) for mu in range(m)]
     out = []
     for lam in range(m):
-        total = Polynomial.constant(0, T.T[0][0].nvars)
+        total = zero
         for mu in range(m):
             total = total + T.T[lam][mu].partial(mu)
+            total = total + T.T[lam][mu] * trace[mu]
             for nu in range(m):
-                total = total + T.T[lam][mu] * gamma[nu][nu][mu]
                 total = total + T.T[mu][nu] * gamma[lam][nu][mu]
         out.append(total)
     return out

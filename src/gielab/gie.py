@@ -463,6 +463,13 @@ class SigmaIndexMap:
             raise InputError(f"sigma(a,i) arguments out of range: {(a, i)}")
         return n * (n - 1) // 2 + (a - n - 1) * n + i
 
+    def normals(self, i):
+        """sigma(n + a, i) for a = 1..kappa, as a range: entry a - 1 is
+        `normal(n + a, i)`, without its range check."""
+        n = self.n
+        start = n * (n - 1) // 2 + i
+        return range(start, start + self.kappa * n, n)
+
     @property
     def size(self):
         return self.n * (self.n - 1) // 2 + self.n * self.kappa
@@ -526,16 +533,7 @@ def dimension_ledger(n, m, kappa) -> DimensionLedger:
 
 
 def gie_coframe(n, m, kappa) -> SigmaCoframe:
-    sigma = SigmaIndexMap(n, kappa)
-    fiber = [None] * sigma.size
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            fiber[sigma.pair(i, j) - 1] = f"w({i},{j})"
-    for a in range(n + 1, n + kappa + 1):
-        for i in range(1, n + 1):
-            fiber[sigma.normal(a, i) - 1] = f"w({a},{i})"
-    return SigmaCoframe(base_labels=tuple(f"eta{l}" for l in range(1, m + 1)),
-                        fiber_labels=tuple(fiber))
+    return SigmaCoframe(m, SigmaIndexMap(n, kappa).size)
 
 
 def gie_ideal(psi: PsiData, R: CurvatureElement, kappa) -> AlgebraicIdeal:
@@ -551,8 +549,7 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa) -> AlgebraicIdeal:
     coframe = gie_coframe(n, m, kappa)
     N = coframe.dim
     # coords[i][a - 1] = m + sigma(a, i), the coordinate of omega^a_i
-    coords = {i: [m + sigma.normal(n + a, i) for a in range(1, kappa + 1)]
-              for i in range(1, n + 1)}
+    coords = {i: [m + c for c in sigma.normals(i)] for i in range(1, n + 1)}
 
     def form(degree, coefficients):
         # keys are written sorted: base indices 1..m precede fiber ones,
@@ -633,8 +630,9 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
     for lam in range(1, m + 1):
         v = {lam: Fraction(1)}
         for i in range(1, n + 1):
+            normals = sigma.normals(i)
             for a, h in H.columns[i, lam].items():
-                v[m + sigma.normal(n + a, i)] = h
+                v[m + normals[a - 1]] = h
         basis.append(v)
     element = IntegralElement(basis)
     for generator, _, value in _flag_values(psi, H, R):
@@ -664,61 +662,56 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
     empty rows left out.  The pure-base terms are checked first, as
     `eds.expansion_rows` does: (G(H) - R)_{ij; lam mu} for the Gauss-type
     forms, skipped when R = None since it is then 0, and the Cartan
-    residual of a for the phi-type form of a.  VerificationError names the
-    first generator with a non-zero one (the phi-type message is the
-    oracle's byte for byte); InputError when the shapes disagree.
+    residual of a for the phi-type form of a.  These are the generators'
+    values on the flag of H, so rows returned prove that flag integral.
+    VerificationError names the first generator with a non-zero one (the
+    phi-type message is the oracle's byte for byte); InputError when the
+    shapes disagree.
     """
     for generator, key, value in _flag_values(psi, H, R):
         if value:
             raise VerificationError(
                 f"generator {generator} has pure-base term {key} with coefficient "
                 f"{value}; the expansion shape does not apply")
-    return _expansion_rows(psi, H)
-
-
-def _expansion_rows(psi: PsiData, H: SecondFundamental):
-    """The rows of `adapted_expansion_rows`, without its checks.
-
-    sigma(a, i) = m + n(n-1)/2 + (a - 1) n + i, so a column H_{j mu} is
-    turned into the offsets {m + n(n-1)/2 + (a - 1) n: H^a_{j mu}} once,
-    negated once, and each row of a pair (i, j) adds i or j to them."""
-    n, m, kappa = psi.n, psi.m, H.kappa
-    pairs = n * (n - 1) // 2
-    start = m + pairs  # sigma(a, i) = start + (a - 1) n + i
+    n, m = psi.n, psi.m
+    sigma = SigmaIndexMap(n, H.kappa)
+    # normals[i - 1][a - 1] = sigma(n + a, i), kept as ranges, and each row
+    # filled by plain loops: lists of the kappa*n ints, or a comprehension
+    # per row, measured slower at the (79, 79) frontier
+    normals = [sigma.normals(i) for i in range(1, n + 1)]
     one = Fraction(1)
     # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs i < j
-    rows = [(0, {m + c: one}) for c in range(1, pairs + 1)]
+    rows = [(0, {m + c: one}) for c in range(1, n * (n - 1) // 2 + 1)]
     for mu in range(1, m):
-        shifted = [[(start + (a - 1) * n, h) for a, h in H.columns[i, mu].items()]
+        # (a - 1, H^a_{i mu}) per non-zero, and the same negated, per i
+        columns = [[(a - 1, h) for a, h in H.columns[i, mu].items()]
                    for i in range(1, n + 1)]
-        negated = [[(c, -h) for c, h in column] for column in shifted]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                row = {c + i: h for c, h in shifted[j - 1]}
-                row.update((c + j, h) for c, h in negated[i - 1])
+        negated = [[(a, -h) for a, h in column] for column in columns]
+        for i in range(n):
+            normals_i = normals[i]
+            for j in range(i + 1, n):
+                normals_j = normals[j]
+                row = {}
+                for a, h in columns[j]:
+                    row[m + normals_i[a]] = h
+                for a, h in negated[i]:
+                    row[m + normals_j[a]] = h
                 if row:
                     rows.append((mu, row))
-    last = [(i, psi[i, m]) for i in range(1, n + 1) if psi[i, m]]
+    last = [(normals_i, psi[i, m]) for i, normals_i in enumerate(normals, 1) if psi[i, m]]
     if last:
-        rows.extend((m - 1, {start + a * n + i: v for i, v in last})
-                    for a in range(kappa))
+        rows.extend((m - 1, {m + normals_i[a]: v for normals_i, v in last})
+                    for a in range(H.kappa))
     return rows
 
 
 def gie_cartan_report(psi: PsiData, H: SecondFundamental,
-                      R: CurvatureElement | None = None, *,
-                      _flag_checked=False) -> CartanReport:
+                      R: CurvatureElement | None = None) -> CartanReport:
     """Characters of the constructed flag by the expansion method, from
     the rows `adapted_expansion_rows` writes, tested against the
-    codimension formula (R = None means R = G(H)).
-
-    `_flag_checked` is for a caller that has just had `build_integral_flag
-    (psi, H, R)` accept H: that checked the same pure-base values, so the
-    rows are written without checking them again."""
+    codimension formula (R = None means R = G(H))."""
     ledger = dimension_ledger(psi.n, psi.m, H.kappa)
-    rows = (_expansion_rows(psi, H) if _flag_checked
-            else adapted_expansion_rows(psi, H, R))
-    report = cartan_characters_by_expansion(rows, psi.m)
+    report = cartan_characters_by_expansion(adapted_expansion_rows(psi, H, R), psi.m)
     return cartan_test(report, ledger.codim_v)
 
 
@@ -745,8 +738,7 @@ class GrassmannPullback:
         self.nvars = self.sigma.size * m
         pairs = n * (n - 1) // 2
         # bases[i][a - 1] = (sigma(n + a, i) - 1) m, the variable of P^{(a, i)}_1
-        bases = {i: [(pairs + a * n + i - 1) * m for a in range(kappa)]
-                 for i in range(1, n + 1)}
+        bases = {i: [(c - 1) * m for c in self.sigma.normals(i)] for i in range(1, n + 1)}
         self._bases = bases
 
         def polynomial(terms):

@@ -159,17 +159,24 @@ def test_flag_error_report_echoes_inputs(tmp_path, capsys):
 
 
 def test_flag_violation_report_echoes_inputs(capsys, monkeypatch):
-    from gielab import VerificationError, gie
+    # H^1_{1m} + 1 breaks the Cartan identity of a = 1, so the flag check
+    # itself must refuse H at the phi-type generator of a = 1, generator
+    # 2 of the (2, 2) ideal (after the covector and the Gauss-type form)
+    from gielab import gie
+    preimage = gie.construct_preimage
 
-    def refuse(psi, H, R=None):
-        raise VerificationError("generator 0 evaluates to 1 on the flag")
+    def shifted(psi, kappa):
+        H = preimage(psi, kappa)
+        H.set(1, 1, H.m, H[1, 1, H.m] + 1)
+        return H
 
-    monkeypatch.setattr(gie, "build_integral_flag", refuse)
+    monkeypatch.setattr(gie, "construct_preimage", shifted)
     code, report = run(["flag", "--n", "2", "--m", "2", "--kappa", "1",
                         "--random-psi", "3"], capsys)
     assert code == EXIT_VIOLATION
     assert report["verdict"] == "violation"
     assert report["inputs"] == {"n": 2, "m": 2, "kappa": 1, "random_psi_seed": 3}
+    assert report["results"]["error"].startswith("generator 2 has pure-base term (1, 2)")
 
 
 def test_verify_lemma_requires_psi_source(capsys):
@@ -217,8 +224,8 @@ def test_flag_command(capsys):
 
 @pytest.mark.parametrize("n,m,kappa", [(2, 2, 1), (3, 4, 7), (5, 3, 9)])
 def test_flag_evaluates_the_cartan_residuals_once(capsys, monkeypatch, n, m, kappa):
-    # build_integral_flag checks the residuals, and the character count
-    # that follows writes its rows without checking them again
+    # the character count checks the residuals before it writes its rows,
+    # and that check is the flag's integrality: build_integral_flag is not run
     from gielab import gie
     calls = []
     residual = gie.cartan_identity_residual
@@ -227,7 +234,11 @@ def test_flag_evaluates_the_cartan_residuals_once(capsys, monkeypatch, n, m, kap
         calls.append((H.n, H.m, H.kappa))
         return residual(H, psi)
 
+    def refuse(psi, H, R=None):
+        raise AssertionError("flag called build_integral_flag")
+
     monkeypatch.setattr(gie, "cartan_identity_residual", counted)
+    monkeypatch.setattr(gie, "build_integral_flag", refuse)
     code, report = run(["flag", "--n", str(n), "--m", str(m), "--kappa", str(kappa),
                         "--random-psi", "3"], capsys)
     assert code == EXIT_PASS

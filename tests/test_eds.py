@@ -29,8 +29,7 @@ def sparse_unit(k):
 
 def simple_coframe():
     # base eta1, eta2; fiber pi1, pi2 (coordinates 3 and 4)
-    return SigmaCoframe(base_labels=("eta1", "eta2"),
-                        fiber_labels=("pi1", "pi2"))
+    return SigmaCoframe(2, 2)
 
 
 def contact_like_ideal():
@@ -39,11 +38,6 @@ def contact_like_ideal():
     g1 = ExteriorForm.covector(4, 3)
     g2 = ExteriorForm.monomial(4, (4, 1))
     return AlgebraicIdeal(cof, [g1, g2])
-
-
-def test_coframe_labels_must_be_distinct():
-    with pytest.raises(InputError):
-        SigmaCoframe(base_labels=("a", "b"), fiber_labels=("b",))
 
 
 def test_zero_form_generators_rejected():

@@ -42,6 +42,12 @@ def test_sample_points_deterministic_and_inside_box():
     assert pts == chart.sample_points(100)
     for x, y in pts:
         assert 0.1 <= x <= 0.9 and 2.1 <= y <= 4.9
+    # a margin of half the first side leaves no box: no point can be drawn,
+    # but asking for none is not an error
+    swallowed = flat_chart(2, box=[[0, 1], [2, 5]], margin=0.5)
+    assert swallowed.sample_points(0) == []
+    with pytest.raises(InputError, match="margin swallows the chart box"):
+        swallowed.sample_points(1)
 
 
 def test_indefinite_metric_rejected():
