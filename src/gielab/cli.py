@@ -160,8 +160,8 @@ def cmd_ledger(args, inputs, started):
         "min_kappa": ledger.min_kappa,
         "value_kind": "exact",
     }
-    verdict = "pass" if ledger.character_sum == ledger.codim_v else "violation"
-    return _report("ledger", inputs, results, verdict, started)
+    # dimension_ledger raises VerificationError unless the sum is codim V
+    return _report("ledger", inputs, results, "pass", started)
 
 
 def cmd_flag(args, inputs, started):
@@ -190,10 +190,9 @@ def cmd_emt_audit(args, inputs, started):
         doc = json.load(fh)
     chart, tensor = emt.load_chart(doc)
     inputs["m"] = chart.m  # known once the chart loads; failures after it echo m
+    # verify_equivalence raises VerificationError on a breach of the identity
     report = emt.verify_equivalence(tensor, chart, backend=args.backend)
-    results = report.as_dict()
-    verdict = "pass" if report.identity_holds else "violation"
-    return _report("emt-audit", inputs, results, verdict, started)
+    return _report("emt-audit", inputs, report.as_dict(), "pass", started)
 
 
 def _parse_range(text):

@@ -6,28 +6,15 @@ its covariant exterior derivative, and verifies the identity
 
     d_grad tau^lam = (grad_mu T^{lam mu}) * vol
 
-componentwise.  Two backends: an exact one over polynomial charts
-(restricted to charts whose metric determinant is a nonzero constant
-perfect rational square, so the inverse metric and the volume
-coefficient stay in the polynomial ring) and a numeric one using central
-finite differences and Cholesky factors of g.  The exact backend works in
-integers: it scales g by the lcm D of its coefficient denominators to the
-int-coefficient G = D g, expands each minor of G once, takes each
-derivative of G and each doubled Christoffel bracket once, and divides
-the integer numerators adj(G) 2[rho, mu nu] by the one denominator
-2 det G, which gives Gamma with one Fraction per term; it samples the
-divergence over the grid as the numeric backend evaluates polynomials.
-The numeric backend makes one array pass over the whole sample grid:
-each chart function of g and T is evaluated once over all the sample
-points and their stencil neighbours, each power x_v^e once per grid for
-all the functions evaluated there (a first power is the column itself,
-as pow(x, 1) = x), every metric matrix is checked and
-factorised in one batch, and the sides are summed elementwise along the
-point axis, in the order and with the floats of the pointwise formulas.
-The conserved T = g^-1 of `inverse_metric_tensor` (the sphere's audit)
-is read over the grid the same way: its m^2 entries share one batched
-inversion of g per stencil offset.  numpy is imported inside the
-functions that use it, so importing gielab does not load it.
+componentwise.  Two backends: an exact one over polynomial charts whose
+metric determinant is a positive constant c, and a numeric one using
+central finite differences and Cholesky factors of g.  With det g = c,
+vol = sqrt(c) eta^Lambda and tau = sqrt(c) tau~ with
+tau~^lam = T^{lam mu} (xi_mu -| eta^Lambda); sqrt(c) is a common constant
+factor of both sides, so the exact backend proves
+d_grad tau~ = (grad_mu T^{lam mu}) eta^Lambda in the polynomial ring and
+never takes a square root.  numpy is imported inside the functions that
+use it, so importing gielab does not load it.
 """
 
 from __future__ import annotations
@@ -37,10 +24,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, VerificationError, json_int
+from .errors import InputError, VerificationError, json_int, json_matrix
 from .exterior import VectorValuedForm, _minor_det
 from .bundle import _covariant_d, poly_form
-from .linalg import frac_sqrt
 from .poly import Polynomial, from_json_terms
 
 EPS = sys.float_info.epsilon
@@ -238,16 +224,22 @@ class MetricChart:
 
     def sample_points(self, count=100):
         """Deterministic low-discrepancy grid in the margined box
-        (additive Kronecker sequence with square-root-of-prime steps)."""
+        (additive Kronecker sequence: dimension d steps by the square root
+        of the d-th prime, so no two dimensions share a step)."""
         if count < 1:
             return []
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        primes = []
+        k = 2
+        while len(primes) < self.m:
+            if all(k % p for p in primes):
+                primes.append(k)
+            k += 1
         axes = []  # (alpha, lo, hi - lo) per dimension, in the margined box
-        for d, (lo, hi) in enumerate(self.box):
+        for p, (lo, hi) in zip(primes, self.box):
             lo, hi = lo + self.margin, hi - self.margin
             if not lo < hi:
                 raise InputError("margin swallows the chart box")
-            axes.append((math.sqrt(primes[d % len(primes)]), lo, hi - lo))
+            axes.append((math.sqrt(p), lo, hi - lo))
         return [[lo + (k * alpha) % 1.0 * width for alpha, lo, width in axes]
                 for k in range(1, count + 1)]
 
@@ -287,12 +279,11 @@ def _polynomial(terms, nvars):
 
 
 def _exact_connection(g: MetricChart):
-    """(sqrt(det g) as a Fraction, Levi-Civita symbols Gamma^lam_{mu nu}
-    as polynomials), computed in integers.
+    """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials, computed in
+    integers.
 
-    Restricted to det g a nonzero constant perfect rational square;
-    otherwise the inverse and the volume coefficient leave the
-    polynomial ring and the numeric backend must be used.
+    Restricted to det g a positive constant; otherwise the inverse leaves
+    the polynomial ring and the numeric backend must be used.
 
     g is scaled by the lcm D of its coefficient denominators to the
     int-coefficient G = D g, and everything up to the last division is
@@ -322,11 +313,6 @@ def _exact_connection(g: MetricChart):
     det = int(det.constant_value() if isinstance(det, Polynomial) else det)
     if det <= 0:
         raise InputError("metric determinant must be positive")
-    vol = frac_sqrt(Fraction(det, D ** m))
-    if vol is None:
-        raise InputError(
-            "exact backend requires det g to be a perfect rational square; "
-            "use the numeric backend for this chart")
     ids = tuple(range(m))
     adj = [[None] * m for _ in range(m)]
     for i in range(m):
@@ -350,14 +336,14 @@ def _exact_connection(g: MetricChart):
                     total = total + adj[lam][rho] * b
                 gamma[lam][mu][nu] = gamma[lam][nu][mu] = _polynomial(
                     {k: Fraction(c, den) for k, c in total.terms.items()}, nv)
-    return vol, gamma
+    return gamma
 
 
 def christoffel(g: MetricChart):
     """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials (exact
     backend).  Symmetric in the lower indices by construction."""
     _require_exact(g)
-    return _exact_connection(g)[1]
+    return _exact_connection(g)
 
 
 def christoffel_at(g: MetricChart, point):
@@ -373,24 +359,24 @@ def christoffel_at(g: MetricChart, point):
 
 
 def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
-    """tau^lam = T^{lam mu} (xi_mu -| vol) with vol = sqrt(det g) eta^Lambda
-    (exact backend).  xi_mu -| eta^Lambda = (-1)^(mu+1) eta^{Lambda minus mu}."""
+    """tau~^lam = T^{lam mu} (xi_mu -| eta^Lambda) (exact backend), where
+    xi_mu -| eta^Lambda = (-1)^(mu+1) eta^{Lambda minus mu}.  det g must be
+    a positive constant c; then tau = sqrt(c) tau~, and tau~ = tau on a
+    det-1 chart."""
     _require_exact(g, T)
-    return _tau(T, g, _exact_connection(g)[0])
+    _exact_connection(g)  # refuses a chart whose det g is not a positive constant
+    return _tau(T, g)
 
 
-def _tau(T: EnergyMomentum, g: MetricChart, vol):
-    """`tensor_to_mform` given the volume coefficient."""
+def _tau(T: EnergyMomentum, g: MetricChart):
+    """`tensor_to_mform` without the chart's checks."""
     m = g.m
     comps = []
     for lam in range(1, m + 1):
         coeffs = {}
         for mu in range(1, m + 1):
-            key = tuple(k for k in range(1, m + 1) if k != mu)
-            sign = vol if mu % 2 else -vol
-            c = T.T[lam - 1][mu - 1] * sign
-            if c:
-                coeffs[key] = coeffs.get(key, Polynomial.constant(0, c.nvars)) + c
+            c = T.T[lam - 1][mu - 1]
+            coeffs[tuple(k for k in range(1, m + 1) if k != mu)] = c if mu % 2 else -c
         comps.append(poly_form(m, m - 1, coeffs))
     return VectorValuedForm(comps)
 
@@ -588,13 +574,11 @@ class EquivalenceReport:
     max_divergence: float            # conservation-law residual
     conserved: bool
     target_dimension: int
-    exact: bool                      # residuals are exact rationals
 
-    def __post_init__(self):
-        # numpy comparisons give numpy bools, which the JSON report would
-        # otherwise write as the strings "True"/"False"
-        self.identity_holds = bool(self.identity_holds)
-        self.conserved = bool(self.conserved)
+    @property
+    def exact(self):
+        """True when the residuals are exact rationals."""
+        return self.backend == "exact"
 
     def as_dict(self):
         return {
@@ -624,13 +608,14 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     tdim = target_dimension(m)
     if backend == "exact":
         _require_exact(g, T)
-        vol, gamma = _exact_connection(g)
-        lhs = covariant_exterior_derivative(_tau(T, g, vol), gamma)
+        # d_grad tau~ = div eta^Lambda; both sides of the identity for tau
+        # are these times the constant sqrt(det g)
+        gamma = _exact_connection(g)
+        lhs = covariant_exterior_derivative(_tau(T, g), gamma)
         div = covariant_divergence(T, gamma)
         vol_key = tuple(range(1, m + 1))
         for lam in range(m):
-            coeff = lhs[lam].coefficients.get(vol_key, Polynomial.constant(0, div[lam].nvars))
-            if coeff - div[lam] * vol:
+            if lhs[lam].coefficients.get(vol_key, Polynomial(div[lam].nvars)) != div[lam]:
                 # a nonzero polynomial difference is an identity violation
                 raise VerificationError(
                     f"covariant derivative and divergence disagree as "
@@ -647,8 +632,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
         return EquivalenceReport(backend="exact", identity_holds=True,
                                  max_identity_residual=0.0,
                                  worst_point=None, max_divergence=max_div,
-                                 conserved=conserved, target_dimension=tdim,
-                                 exact=True)
+                                 conserved=conserved, target_dimension=tdim)
     if backend != "numeric":
         raise InputError(f"unknown backend {backend!r}")
     worst_val, worst_point, max_div = 0.0, None, 0.0
@@ -672,7 +656,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                                worst_point=worst_point,
                                max_divergence=max_div,
                                conserved=max_div <= TOLERANCE,
-                               target_dimension=tdim, exact=False)
+                               target_dimension=tdim)
     if not holds:
         res, point = breach
         raise VerificationError(
@@ -744,25 +728,14 @@ def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
     return T
 
 
-def _square(doc, field, m):
-    """doc[field] when it is an m x m array (a list of m lists of m
-    entries); an InputError naming the field otherwise, so that no row or
-    entry beyond m is dropped unread."""
-    rows = doc[field]
-    if not (isinstance(rows, list) and len(rows) == m
-            and all(isinstance(row, list) and len(row) == m for row in rows)):
-        raise InputError(f"field {field!r} must be {m} rows of {m} entries")
-    return rows
-
-
 def load_chart(doc):
     """(MetricChart, EnergyMomentum) from the JSON schema
     {"m", "g", "T", "box", "margin"} with polynomial entries given as
     lists of {"exponents", "coefficient"}."""
     try:
         m = json_int(doc, "m")
-        g = [[from_json_terms(e, m) for e in row] for row in _square(doc, "g", m)]
-        T = [[from_json_terms(e, m) for e in row] for row in _square(doc, "T", m)]
+        g = [[from_json_terms(e, m) for e in row] for row in json_matrix(doc, "g", m, m)]
+        T = [[from_json_terms(e, m) for e in row] for row in json_matrix(doc, "T", m, m)]
         box = doc.get("box")
         margin = doc.get("margin", DEFAULT_MARGIN)
     except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:

@@ -20,3 +20,15 @@ def json_int(doc, field):
     if type(value) is not int:
         raise InputError(f"field {field!r} must be an integer, got {value!r}")
     return value
+
+
+def json_matrix(doc, field, rows, cols):
+    """doc[field] when it is a rows x cols array (a list of `rows` lists of
+    `cols` entries); an InputError naming the field otherwise, so that no
+    row or entry beyond the shape is dropped unread and no string is read
+    as a row of characters."""
+    value = doc[field]
+    if not (isinstance(value, list) and len(value) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in value)):
+        raise InputError(f"field {field!r} must be {rows} rows of {cols} entries")
+    return value

@@ -26,7 +26,7 @@ from math import lcm
 from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test)
-from .errors import InputError, VerificationError, json_int
+from .errors import InputError, VerificationError, json_int, json_matrix
 from .exterior import ExteriorForm
 
 
@@ -85,10 +85,11 @@ def random_normalized_psi(n, m, rng):
 
 
 def load_psi(doc) -> PsiData:
-    """psi-data from the JSON schema {"n", "m", "psi": [[str]]}."""
+    """psi-data from the JSON schema {"n", "m", "psi": [[str]]}, with psi
+    a list of n lists of m entries."""
     try:
         n, m = json_int(doc, "n"), json_int(doc, "m")
-        values = [[Fraction(str(v)) for v in row] for row in doc["psi"]]
+        values = [[Fraction(str(v)) for v in row] for row in json_matrix(doc, "psi", n, m)]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed psi input: {exc}") from exc
     return PsiData(n, m, values)

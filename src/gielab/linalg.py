@@ -12,18 +12,7 @@ gives nullspace bases directly, divides by the leading entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-
-
-def frac_sqrt(x: Fraction):
-    """Exact square root of a non-negative rational, or None when x is
-    negative or not a perfect rational square."""
-    if x < 0:
-        return None
-    num, den = isqrt(x.numerator), isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        return None
-    return Fraction(num, den)
+from math import gcd, lcm
 
 
 def _clear_denominators(rows):

@@ -265,39 +265,23 @@ def _coefficient(c):
 def from_json_terms(items, nvars):
     """Build a polynomial from [{"exponents": [...], "coefficient": "p/q"}].
 
-    The sparse terms are written directly when every item's exponents are
-    a list of `nvars` non-negative ints; the coefficients of items with
-    equal exponents are summed and zero sums dropped, in the order the
-    exponents first appear.  Any other item sends the whole list through
-    `_checked_json_terms`, which raises what the constructor raises."""
+    Items are read in order, each item's exponents before its coefficient;
+    the first whose exponents are not a list of `nvars` non-negative ints
+    (a bool is refused, as JSON's true would otherwise be read as the
+    exponent 1) raises InputError.  The sparse terms are written directly:
+    the coefficients of items with equal exponents are summed and zero
+    sums dropped, in the order the exponents first appear."""
     terms = {}
     for item in items:
         exps = item["exponents"]
         if not (type(exps) is list and len(exps) == nvars
                 and all(type(e) is int and e >= 0 for e in exps)):
-            return _checked_json_terms(items, nvars)
+            shown = tuple(exps) if type(exps) is list else repr(exps)
+            raise InputError(f"bad exponent tuple {shown} for {nvars} variables")
         coeff = _coefficient(item["coefficient"])
         key = tuple((v, e) for v, e in enumerate(exps) if e)
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
     out = Polynomial(nvars)
     out.terms = {k: c for k, c in terms.items() if c}
-    return out
-
-
-def _checked_json_terms(items, nvars):
-    """`from_json_terms` through the constructor, which checks each
-    exponent tuple.  Items are summed by their exponent tuples, under which
-    (True, 0) and (1.0, 0) equal (1, 0); a tuple merged into an accepted
-    one like that is refused after the constructor has run."""
-    terms, merged = {}, None
-    for item in items:
-        exps = tuple(item["exponents"])
-        coeff = Fraction(str(item["coefficient"]))
-        if merged is None and any(map(_bad_exponent, exps)):
-            merged = exps
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    out = Polynomial(nvars, terms)
-    if merged is not None:
-        raise InputError(f"bad exponent tuple {merged} for {nvars} variables")
     return out

@@ -79,6 +79,40 @@ def test_verify_lemma_psi_file(tmp_path, capsys):
     assert report["results"]["jacobian_rank"] == 3
 
 
+@pytest.mark.parametrize("psi", [["12", "34"], [["1", "2"], "34"], [["1", "2"]],
+                                 {"0": ["1", "2"], "1": ["3", "4"]}])
+def test_psi_file_must_be_n_rows_of_m_entries(tmp_path, capsys, psi):
+    # a string row used to be read character by character: ["12", "34"]
+    # passed as [[1, 2], [3, 4]]
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"n": 2, "m": 2, "psi": psi}))
+    code, report = run(["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1",
+                        "--psi", str(path)], capsys)
+    assert (code, report["verdict"]) == (EXIT_INVALID, "invalid-input")
+    assert "field 'psi' must be 2 rows of 2 entries" in report["results"]["error"]
+
+
+def test_verify_lemma_reports_the_failed_block_level(capsys, monkeypatch):
+    # H_21 := H_11 in every normal direction at (3, 2) leaves dG short of
+    # maximal rank; the certificate names the block level where it fails
+    from gielab import gie
+    construct_preimage = gie.construct_preimage
+
+    def corrupted(psi, kappa):
+        H = construct_preimage(psi, kappa)
+        for a in range(1, H.kappa + 1):
+            H.set(a, 2, 1, H[a, 1, 1])
+        return H
+
+    monkeypatch.setattr(gie, "construct_preimage", corrupted)
+    code, report = run(["verify-lemma", "--n", "3", "--m", "2", "--kappa", "2",
+                        "--random-psi", "0"], capsys)
+    assert (code, report["verdict"]) == (EXIT_VIOLATION, "violation")
+    results = report["results"]
+    assert results["failed_block_level"] == [3, 2]
+    assert results["jacobian_rank"] < results["jacobian_rank_expected"]
+
+
 def _psi_file(tmp_path, psi):
     path = tmp_path / "psi.json"
     path.write_text(json.dumps({"n": len(psi), "m": len(psi[0]), "psi": psi}))
@@ -469,9 +503,9 @@ def test_emt_audit_perturbed_christoffel_symbol_is_a_violation(tmp_path, capsys,
     exact_connection = emt._exact_connection
 
     def perturbed(*args):
-        vol, gamma = exact_connection(*args)
+        gamma = exact_connection(*args)
         gamma[1][0][2] = gamma[1][0][2] + 1
-        return vol, gamma
+        return gamma
 
     monkeypatch.setattr(emt, "_exact_connection", perturbed)
     code, report = run(argv, capsys)

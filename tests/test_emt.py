@@ -50,6 +50,17 @@ def test_sample_points_deterministic_and_inside_box():
         swallowed.sample_points(1)
 
 
+def test_sample_points_give_each_dimension_its_own_step():
+    # the steps used to cycle through ten primes, so at m = 11 every sample
+    # point had x_1 = x_11; the first ten dimensions keep their steps
+    columns = list(zip(*flat_chart(11).sample_points(100)))
+    assert len(set(columns)) == 11
+    lo, hi = 0.0 + 0.05, 1.0 - 0.05
+    for column, p in zip(columns, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]):
+        assert list(column) == [lo + (k * math.sqrt(p)) % 1.0 * (hi - lo)
+                                for k in range(1, 101)]
+
+
 def test_indefinite_metric_rejected():
     g = [[const(-1), const(0)], [const(0), const(1)]]
     with pytest.raises(InputError):
@@ -189,10 +200,53 @@ def test_exact_backend_rejects_nonconstant_determinant():
                                          "requires constant metric determinant")
 
 
-def test_exact_backend_rejects_non_square_determinant():
+def test_exact_backend_refuses_a_determinant_that_is_not_positive(tmp_path):
+    # det g = (1/2)(2 x1^2) - x1^2 = 0 everywhere, yet g passes the float
+    # check at the first sample point; the numeric backend refuses g at a
+    # later one
+    x1 = Polynomial.variable(0, 2)
+    half = const(Fraction(1, 2))
+    chart = MetricChart(2, [[half, x1], [x1, const(2) * x1 * x1]], box=[[-1, 1], [-1, 1]])
+    _rejected_by_every_exact_entry_point(chart, "metric determinant must be positive")
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_chart_json(chart, tensor_const(2))))
+    for backend, message in (("exact", "metric determinant must be positive"),
+                             ("numeric", "singular or indefinite at sample point")):
+        out = tmp_path / f"{backend}.report.json"
+        code = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
+                         "--backend", backend])
+        report = json.loads(out.read_text())
+        assert (code, report["verdict"]) == (2, "invalid-input")
+        assert message in report["results"]["error"]
+
+
+def _audited_by_both_backends(chart, T, tmp_path):
+    """emt-audit of (chart, T) through the CLI with each backend: both pass,
+    the exact one with residual 0.0, and the two max_divergence agree to
+    1e-8 relative."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_chart_json(chart, T)))
+    results = {}
+    for backend in ("exact", "numeric"):
+        out = tmp_path / f"{backend}.report.json"
+        code = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
+                         "--backend", backend])
+        report = json.loads(out.read_text())
+        assert (code, report["verdict"]) == (0, "pass"), report["results"]
+        results[backend] = report["results"]
+    assert results["exact"]["max_identity_residual"] == 0.0
+    assert math.isclose(results["exact"]["max_divergence"],
+                        results["numeric"]["max_divergence"], rel_tol=1e-8)
+    return results
+
+
+def test_exact_backend_proves_a_non_square_determinant(tmp_path):
+    # det g = 2: sqrt(2) is a common factor of both sides and is never formed
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     g = [[const(2), const(0)], [const(0), const(1)]]
-    _rejected_by_every_exact_entry_point(MetricChart(2, g, box=[[0, 1], [0, 1]]),
-                                         "requires det g to be a perfect rational square")
+    T = EnergyMomentum(2, [[x1, x1 * x2], [const(3), x2 * x2]])
+    results = _audited_by_both_backends(MetricChart(2, g, box=[[0, 1], [0, 1]]), T, tmp_path)
+    assert results["exact"]["max_divergence"] > 0
 
 
 # -- the exact backend against its reference --------------------------------
@@ -220,16 +274,15 @@ def _seeded_chart(seed, m, det=1):
     return MetricChart(m, g, box=[[-1, 1]] * m), EnergyMomentum(m, T)
 
 
-@pytest.mark.parametrize("m,det", [(m, det) for det in (1, 4) for m in range(1, 6)]
-                         + [(m, "9/4") for m in range(1, 4)])
+@pytest.mark.parametrize("m,det", [(m, det) for det in (1, 4, 2) for m in range(1, 6)]
+                         + [(m, det) for det in ("9/4", "8/9") for m in range(1, 4)])
 def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
-    # the integer kernel's volume and Gamma against the Fraction formulas;
-    # at det g = 9/4 the denominators of det g = det G / D^m sit in D^m
-    det = Fraction(det)
+    # the integer kernel's Gamma against the Fraction formulas; at det g =
+    # 9/4 and 8/9 the denominators of det g = det G / D^m sit in D^m, and at
+    # det g = 2 and 8/9 it is not a rational square
     for seed in range(2):
-        chart, _ = _seeded_chart(seed, m, det)
-        vol, gamma = emt._exact_connection(chart)
-        assert vol > 0 and vol ** 2 == det
+        chart, _ = _seeded_chart(seed, m, Fraction(det))
+        gamma = emt._exact_connection(chart)
         ginv = emt_reference.inverse_metric(chart)
         for i in range(m):
             for j in range(m):
@@ -240,17 +293,30 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_exact_backend_rejects_a_non_square_rational_determinant(m, tmp_path):
+def test_exact_backend_proves_a_non_square_rational_determinant(m, tmp_path):
     # det g = 8/9: det G / D^m is positive and constant but not a square
-    chart, T = _seeded_chart(0, m, Fraction(8, 9))
-    _rejected_by_every_exact_entry_point(chart, "perfect rational square")
+    _audited_by_both_backends(*_seeded_chart(0, m, Fraction(8, 9)), tmp_path)
+
+
+def test_exact_audit_of_a_non_square_determinant_catches_a_perturbed_christoffel_symbol(
+        tmp_path, monkeypatch):
+    chart, T = _seeded_chart(1, 3, Fraction(8, 9))[0], _asymmetric_tensor(3)
     path, out = tmp_path / "chart.json", tmp_path / "report.json"
     path.write_text(json.dumps(_chart_json(chart, T)))
-    code = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
-                     "--backend", "exact"])
+    argv = ["--output", str(out), "emt-audit", "--input", str(path), "--backend", "exact"]
+    assert cli.main(argv) == 0
+    exact_connection = emt._exact_connection
+
+    def perturbed(*args):
+        gamma = exact_connection(*args)
+        gamma[1][0][2] = gamma[1][0][2] + const(1, 3)
+        return gamma
+
+    monkeypatch.setattr(emt, "_exact_connection", perturbed)
+    assert cli.main(argv) == 1
     report = json.loads(out.read_text())
-    assert (code, report["verdict"]) == (2, "invalid-input")
-    assert "perfect rational square" in report["results"]["error"]
+    assert report["verdict"] == "violation"
+    assert report["results"]["error"].endswith("disagree as polynomials in component 2")
 
 
 @pytest.mark.parametrize("m,det", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 4)])
@@ -286,8 +352,8 @@ def test_exact_divergence_overflow_at_a_late_sample_point_is_raised():
     assert str(raised.value) == str(python.value)
 
 
-def test_exact_backend_checks_constancy_before_squareness():
-    # det g = 2 (1 + x1^2) is neither constant nor a square
+def test_exact_backend_refuses_a_scaled_nonconstant_determinant():
+    # det g = 2 (1 + x1^2): a constant factor does not make it constant
     x1 = Polynomial.variable(0, 2)
     g = [[const(2) + const(2) * x1 * x1, const(0)], [const(0), const(1)]]
     _rejected_by_every_exact_entry_point(MetricChart(2, g, box=[[0, 1], [0, 1]]),
@@ -311,9 +377,9 @@ def test_exact_audit_catches_a_perturbed_christoffel_symbol(lam, mu, nu, monkeyp
     exact_connection = emt._exact_connection
 
     def perturbed(*args):
-        vol, gamma = exact_connection(*args)
+        gamma = exact_connection(*args)
         gamma[lam][mu][nu] = gamma[lam][mu][nu] + const(1, 3)
-        return vol, gamma
+        return gamma
 
     monkeypatch.setattr(emt, "_exact_connection", perturbed)
     with pytest.raises(VerificationError,

@@ -99,8 +99,7 @@ _FALLBACK_SPELLINGS = st.one_of(
                      "+3", "3/-4", "1/", "-", "", "1/2/3", "\u0663", "2/3 ", True, [1]]),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4))
 _GOOD_EXPONENTS = st.lists(st.integers(0, 2), min_size=2, max_size=2)
-# one item in four with bad exponents, which send the whole list through the
-# constructor
+# one item in four with bad exponents, refused at the first such item
 _EXPONENTS = st.one_of(_GOOD_EXPONENTS, _GOOD_EXPONENTS, _GOOD_EXPONENTS,
                        st.sampled_from([[-1, 0], [0], [1, 0, 0], ["x", 1], [1.5, 0]]))
 
@@ -108,13 +107,19 @@ _EXPONENTS = st.one_of(_GOOD_EXPONENTS, _GOOD_EXPONENTS, _GOOD_EXPONENTS,
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_EXPONENTS, _FAST_SPELLINGS | _FALLBACK_SPELLINGS), max_size=6))
 @example([([1, 0], "2/3"), ([1, 0], "-2/3"), ([0, 1], "3")])  # a sum of zero is dropped
-@example([([1, 0], "3/0"), ([-1, 0], "1")])  # the coefficient fails before the exponents
+@example([([1, 0], "3/0"), ([-1, 0], "1")])  # an earlier item's coefficient fails first
+@example([([-1, 0], "3/0")])  # an item's exponents fail before its coefficient
 def test_from_json_terms_is_the_constructor(items):
+    # a valid list gives the constructor's terms; the first item whose
+    # exponents are not two non-negative ints, each item checked before its
+    # coefficient is read, gives "bad exponent tuple"
     doc = [{"exponents": exps, "coefficient": c} for exps, c in items]
 
     def reference():
         terms = {}
         for exps, c in items:
+            if len(exps) != 2 or any(type(e) is not int or e < 0 for e in exps):
+                raise InputError(f"bad exponent tuple {tuple(exps)} for 2 variables")
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + Fraction(str(c))
         return Polynomial(2, terms)
     assert _outcome(lambda: from_json_terms(doc, 2)) == _outcome(reference)
