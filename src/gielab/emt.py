@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InputError, VerificationError, json_int, json_matrix
@@ -42,11 +42,10 @@ def target_dimension(m):
 
 def _called(f, rows, out):
     """Write f at each point of `rows` in turn into the float array `out`,
-    and return (bad, exc): the index of the first point where calling f
-    raises (len(rows) when none does) and what it raises there.  The
-    exception is handed back, not raised, so that the caller can raise
-    the first failure in the order of the points; `out` from `bad` on is
-    left as it was."""
+    and return (bad, exc): the first point where calling f raises
+    (len(rows) when none does) and what it raises, handed back so that
+    the caller raises the first failure in point order; `out` from `bad`
+    on is left as it was."""
     for r, row in enumerate(rows):
         try:
             out[r] = f(row)
@@ -65,25 +64,21 @@ def _grid_function(f):
 
     A callable is called at each row.  A Polynomial is summed term by term
     over the whole array from its coefficients converted to floats once,
-    which gives Polynomial.eval's floats bit for bit: Fraction * float
-    computes float(fraction) * float, both sums start from 0, and
+    which gives Polynomial.eval's finite floats bit for bit: Fraction *
+    float computes float(fraction) * float, both sums start from 0, and
     np.float_power is the C pow that Python's float ** int calls (np.power
-    is not).  Each power is computed once per grid, into `powers`, and
-    each term is still the product of its coefficient and its factors
-    taken in order; x ** 1 is x in C's pow, so a first power is the column
-    of X itself.  Where Python's pow raises OverflowError numpy gives an
-    infinity, which no later sum or product makes finite, so the points
-    with a non-finite value are evaluated again by Polynomial.eval: the
-    first of them where it raises is `bad`.  A polynomial whose
-    coefficients do not fit a float, or whose variable count is not the
-    points', is evaluated by Polynomial.eval at each row, which raises
-    there."""
+    is not).  Each power is computed once per grid, into `powers`; x ** 1
+    is x in C's pow, so a first power is the column of X itself.  Where
+    Python's pow raises OverflowError, or a coefficient is beyond the
+    floats, the value is not finite, which the caller refuses with
+    `_checked`.  A polynomial of another variable count than the points'
+    is evaluated by Polynomial.eval at each row, which raises there."""
     if not isinstance(f, Polynomial):
         return lambda X, rows, out, powers: _called(f, rows, out)
     try:
         terms = [(float(c), k) for k, c in f.terms.items()]
-    except OverflowError:
-        return lambda X, rows, out, powers: _called(f.eval, rows, out)
+    except OverflowError:  # a coefficient beyond the floats: no value is finite
+        terms = [(math.inf, ())]
 
     def at(X, rows, out, powers):
         import numpy as np
@@ -99,29 +94,36 @@ def _grid_function(f):
                         p = powers[ve] = X[:, var] if e == 1 else np.float_power(X[:, var], e)
                     c = c * p
                 out += c
-        for r in np.flatnonzero(~np.isfinite(out)).tolist():
-            try:
-                f.eval(rows[r])
-            except OverflowError as exc:
-                return r, exc
         return len(rows), None
     return at
 
 
+def _checked(values, bad, exc, rows, what):
+    """(bad, exc) of a grid evaluation, or the first of `values` before
+    `bad` that is not finite, with an InputError naming `what` and its row."""
+    import numpy as np
+    finite = np.isfinite(values[:bad])
+    if not finite.all():
+        bad = int(finite.argmin())
+        exc = InputError(f"{what} is not finite at sample point {rows[bad]}")
+    return bad, exc
+
+
+def _number(v):
+    """float(v) for a finite int or float, not a bool; ValueError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError
+    return float(v)
+
+
 def _symmetric(mats):
     """np.allclose(mat, mat.T, atol=1e-12) for each matrix of an (N, m, m)
-    stack: each pair of mirrored entries is compared in both orientations,
-    NaN is close to nothing (also on the diagonal) and an infinity only to
-    itself."""
+    stack of finite floats: each pair of mirrored entries is compared in
+    both orientations."""
     import numpy as np
-    n, m = len(mats), mats.shape[-1]
-    a = mats.reshape(n, m * m)
-    b = np.swapaxes(mats, -1, -2).reshape(n, m * m)
-    with np.errstate(invalid="ignore"):  # inf - inf; infinities are equal or not close
-        close = np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)
-    close &= np.isfinite(b)
-    close |= a == b
-    return close.all(axis=1)
+    b = np.swapaxes(mats, -1, -2)
+    with np.errstate(over="ignore"):  # a difference beyond the floats is not close
+        return (np.abs(mats - b) <= 1e-12 + 1e-5 * np.abs(b)).all(axis=(1, 2))
 
 
 class MetricChart:
@@ -141,14 +143,15 @@ class MetricChart:
         self._grid_g = [[_grid_function(f) for f in row] for row in self.g]
         self.base_point = list(base_point) if base_point is not None else None
         try:
-            self.box = [[float(lo), float(hi)] for lo, hi in box] if box else [[0.0, 1.0]] * m
-            if len(self.box) != m or any(not lo < hi for lo, hi in self.box):
-                raise ValueError  # NaN bounds fail `lo < hi` too
+            self.box = ([[_number(lo), _number(hi)] for lo, hi in box] if box is not None
+                        else [[0.0, 1.0]] * m)
+            if len(self.box) != m or any(not 0 < hi - lo < math.inf for lo, hi in self.box):
+                raise ValueError  # an infinite width puts sample points at infinity
         except (TypeError, ValueError, OverflowError):
-            raise InputError("chart box must give m ordered [lo, hi] pairs") from None
+            raise InputError("chart box must give m finite ordered [lo, hi] pairs") from None
         try:
-            self.margin = float(margin)
-            if not (math.isfinite(self.margin) and self.margin >= 0):
+            self.margin = _number(margin)
+            if self.margin < 0:
                 raise ValueError  # a negative margin samples outside the box
         except (TypeError, ValueError, OverflowError):
             raise InputError(f"chart margin must be a finite number >= 0, "
@@ -174,10 +177,11 @@ class MetricChart:
         it (bad = N, exc None when g passes everywhere).
 
         The failure is the one a walk over the points in order meets first:
-        at each point the entries are evaluated in row-major order, then g
-        is checked symmetric, then positive definite.  One batched
-        factorisation checks every point; only when it fails are the
-        points factored one by one to find the first that fails."""
+        at each point the entries are evaluated in row-major order, each
+        refused where it is not finite, then g is checked symmetric, then
+        positive definite.  One batched factorisation checks every point;
+        only when it fails are the points factored one by one to find the
+        first that fails."""
         import numpy as np
         m, n = self.m, len(rows)
         mats = np.empty((n, m, m))
@@ -185,7 +189,9 @@ class MetricChart:
         powers = {}
         for i, row in enumerate(self._grid_g):
             for j, f in enumerate(row):
-                r, e = f(X, rows, mats[:, i, j], powers)
+                out = mats[:, i, j]
+                r, e = _checked(out, *f(X, rows, out, powers), rows,
+                                f"metric entry ({i + 1}, {j + 1})")
                 if r < bad:
                     bad, exc = r, e
         symmetric = _symmetric(mats[:bad])
@@ -214,7 +220,7 @@ class MetricChart:
 
     def matrix_at(self, point):
         """Metric matrix at a point; raises InputError when it is not
-        symmetric positive definite there."""
+        finite, symmetric and positive definite there."""
         return self._factor_at(point)[0]
 
     def cholesky_at(self, point):
@@ -456,15 +462,6 @@ def _fold(terms):
     return total, size
 
 
-def _greatest(first, *rest):
-    """Python's max(first, *rest) elementwise: a later value replaces the
-    earlier only when it is greater, so a NaN never does."""
-    import numpy as np
-    for x in rest:
-        first = np.where(x > first, x, first)
-    return first
-
-
 def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     """(lhs, rhs, size, sqrtg), one entry per sample point: the
     coefficients of eta^Lambda there, for each lam the magnitude of the
@@ -486,7 +483,9 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     and factorised in one batch, and T^{lam mu} once over the sample
     points and x +- h e_mu; every value is the float a walk over the
     points would give, and a failure raises the error that walk meets
-    first: at each sample point, g over its stencil, then T."""
+    first: at each sample point, g over its stencil, then T, each value
+    refused where it is not finite; then the first point whose sides are
+    not finite."""
     import numpy as np
     m, h, P = g.m, FD_STEP, len(points)
     S = 2 * m + 1
@@ -503,8 +502,9 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
         for lam in range(m):
             for mu in range(m):
                 k = 2 * mu + shift if shift else 0
-                r, e = T._grid_T[lam][mu](grid[:, k], rows[k:done * S:S],
-                                          table[lam, mu], powers[k])
+                at, out = rows[k:done * S:S], table[lam, mu]
+                r, e = _checked(out, *T._grid_T[lam][mu](grid[:, k], at, out, powers[k]),
+                                at, f"tensor entry ({lam + 1}, {mu + 1})")
                 if r < first:
                     first, first_exc = r, e
         tables.append(table)
@@ -537,28 +537,33 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
         a, a_size = _fold(a_terms)
         b, b_size = _fold(b_terms)
         rounding = EPS / h * sqrtg * sum(abs(Tval[:, mu]) for mu in range(m))
-        size = _greatest(a_size, b_size * sqrtg, 64 * rounding / TOLERANCE)
+        size = np.maximum(np.maximum(a_size, b_size * sqrtg), 64 * rounding / TOLERANCE)
         rhs = b * sqrtg
+    finite = (np.isfinite(a) & np.isfinite(rhs) & np.isfinite(size)).T.ravel()
+    if not finite.all():  # the first point, and its first component
+        p, lam = divmod(int(finite.argmin()), m)
+        raise InputError(f"a side of the identity in component {lam + 1} is not "
+                         f"finite at sample point {rows[p * S]}")
     return a.T.tolist(), rhs.T.tolist(), size.T.tolist(), sqrtg.tolist()
 
 
 def _max_abs(fs, points, m):
-    """max(0.0, |f(x)| for x in points for f in fs), taken in that order
-    over the floats Polynomial.eval gives, at points of m coordinates:
-    each f is evaluated over all the points at once by `_grid_function`,
-    and the first failure in that order is raised."""
+    """max(0.0, |f(x)| for x in points for f in fs), fs the divergence's
+    components, at points of m coordinates, each f evaluated over all the
+    points at once; the first failure in that order is raised."""
     import numpy as np
     P = len(points)
     X = np.array(points, dtype=float).reshape(P, m)
     values = np.empty((len(fs), P))
     bad, exc, powers = P, None, {}
-    for f, out in zip(fs, values):
-        r, e = _grid_function(f)(X, points, out, powers)
+    for lam, (f, out) in enumerate(zip(fs, values)):
+        r, e = _checked(out, *_grid_function(f)(X, points, out, powers), points,
+                        f"the divergence in component {lam + 1}")
         if r < bad:
             bad, exc = r, e
     if exc is not None:
         raise exc
-    return max([0.0, *np.abs(values.T).ravel().tolist()])
+    return float(np.abs(values).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +586,8 @@ class EquivalenceReport:
         return self.backend == "exact"
 
     def as_dict(self):
-        return {
-            "backend": self.backend,
-            "identity_holds": self.identity_holds,
-            "max_identity_residual": self.max_identity_residual,
-            "worst_point": self.worst_point,
-            "max_divergence": self.max_divergence,
-            "conserved": self.conserved,
-            "target_dimension": self.target_dimension,
-            "value_kind": "exact" if self.exact else "numeric",
-        }
+        """The fields in order, then "value_kind"."""
+        return dict(asdict(self), value_kind="exact" if self.exact else "numeric")
 
 
 def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
@@ -602,7 +599,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     deterministic sample points, raising VerificationError with the worst
     point when a residual exceeds TOLERANCE * size, where size is the
     magnitude of the terms that make up the two sides there, floored at
-    the rounding error of their finite differences.
+    the rounding error of their finite differences; T is conserved where
+    |grad_mu T^{lam mu}| sqrt(g) is within TOLERANCE * size at every point.
+    The first value that is not finite raises InputError naming its point.
     """
     m = g.m
     tdim = target_dimension(m)
@@ -623,11 +622,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
         conserved = all(not d for d in div)
         # each divergence summed in sorted term order, so that the float
         # maximum depends on the chart, not on the order its JSON lists terms
-        canonical = []
-        for d in div:
-            c = Polynomial(d.nvars)
-            c.terms = dict(sorted(d.terms.items()))
-            canonical.append(c)
+        canonical = [_polynomial(dict(sorted(d.terms.items())), d.nvars) for d in div]
         max_div = _max_abs(canonical, g.sample_points(count), m)
         return EquivalenceReport(backend="exact", identity_holds=True,
                                  max_identity_residual=0.0,
@@ -636,7 +631,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
     if backend != "numeric":
         raise InputError(f"unknown backend {backend!r}")
     worst_val, worst_point, max_div = 0.0, None, 0.0
-    worst_rel, breach = TOLERANCE, None
+    worst_rel, breach, conserved = TOLERANCE, None, True
     points = g.sample_points(count)
     sides = zip(points, *_numeric_sides(T, g, points))
     for point, lhs, rhs, size, sqrtg in sides:
@@ -645,17 +640,18 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
             res = abs(lhs[lam] - rhs[lam])
             if res > worst_val:
                 worst_val, worst_point = res, point
-            # judged relative to the terms, so rescaling T cannot flip it
+            # both verdicts are relative to the terms, so rescaling T flips neither
             rel = res / size[lam] if res else 0.0  # size 0: every term is 0
             if rel > worst_rel:
                 worst_rel, breach = rel, (res, point)
+            conserved &= abs(rhs[lam]) <= TOLERANCE * size[lam]
             max_div = max(max_div, abs(rhs[lam]) / sqrtg)
     holds = breach is None
     report = EquivalenceReport(backend="numeric", identity_holds=holds,
                                max_identity_residual=worst_val,
                                worst_point=worst_point,
                                max_divergence=max_div,
-                               conserved=max_div <= TOLERANCE,
+                               conserved=conserved,
                                target_dimension=tdim)
     if not holds:
         res, point = breach

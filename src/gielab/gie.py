@@ -26,7 +26,7 @@ from math import lcm
 from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test)
-from .errors import InputError, VerificationError, json_int, json_matrix
+from .errors import InputError, VerificationError, json_int, json_matrix, json_rational
 from .exterior import ExteriorForm
 
 
@@ -44,7 +44,7 @@ class PsiData:
 
     def __init__(self, n, m, values):
         _require_shape(n, m)
-        values = [[Fraction(v) for v in row] for row in values]
+        values = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in values]
         if len(values) != n or any(len(row) != m for row in values):
             raise InputError(f"psi values must form an {n} x {m} array")
         if all(not v for row in values for v in row):
@@ -89,7 +89,7 @@ def load_psi(doc) -> PsiData:
     a list of n lists of m entries."""
     try:
         n, m = json_int(doc, "n"), json_int(doc, "m")
-        values = [[Fraction(str(v)) for v in row] for row in json_matrix(doc, "psi", n, m)]
+        values = [[json_rational(v) for v in row] for row in json_matrix(doc, "psi", n, m)]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed psi input: {exc}") from exc
     return PsiData(n, m, values)

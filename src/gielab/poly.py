@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, json_rational
 
 
 def _monomial_product(ka, kb):
@@ -246,22 +246,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _coefficient(c):
-    """Fraction(str(c)), with a JSON int and a plain ASCII "n", "-n", "p/q"
-    or "-p/q" (q not zero) read by int(), which skips Fraction's regex;
-    every other spelling goes through Fraction(str(c)), with its errors."""
-    if type(c) is int:
-        return Fraction(c)
-    if type(c) is str and c.isascii():
-        num, slash, den = c.partition("/")
-        sign = -1 if num[:1] == "-" else 1
-        digits = num[1:] if sign < 0 else num
-        if digits.isdigit() and (not slash or den.isdigit() and den.strip("0")):
-            p = sign * int(digits)
-            return Fraction(p, int(den)) if slash else Fraction(p)
-    return Fraction(str(c))
-
-
 def from_json_terms(items, nvars):
     """Build a polynomial from [{"exponents": [...], "coefficient": "p/q"}].
 
@@ -278,7 +262,7 @@ def from_json_terms(items, nvars):
                 and all(type(e) is int and e >= 0 for e in exps)):
             shown = tuple(exps) if type(exps) is list else repr(exps)
             raise InputError(f"bad exponent tuple {shown} for {nvars} variables")
-        coeff = _coefficient(item["coefficient"])
+        coeff = json_rational(item["coefficient"])
         key = tuple((v, e) for v, e in enumerate(exps) if e)
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff

@@ -6,7 +6,9 @@ This module keeps the pointwise formulation, which evaluates each chart
 function and factorises the metric afresh for every value it needs, one
 point at a time, through `Polynomial.eval`.  It performs the same
 floating-point operations in the same order, so the tests require its
-sides to equal the library's float for float.
+sides to equal the library's float for float.  It refuses a value that
+is not finite as the library does, with the same InputError: g over the
+stencil of every point and T there first, then the sides point by point.
 
 Exact: the library works on the integer G = D g (D the lcm of g's
 coefficient denominators), expands each minor of G once, forms each
@@ -17,10 +19,12 @@ summed over rho for every index triple, with every partial derivative
 taken afresh.  The tests require equal polynomials.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from gielab import InputError
 from gielab.emt import EPS, FD_STEP, TOLERANCE, _fold
 from gielab.exterior import _minor_det
 from gielab.poly import Polynomial
@@ -64,23 +68,36 @@ def christoffel(g, ginv):
     return gamma
 
 
-def _eval(f, point):
+def _value(f, point, what):
+    """float(f at point), refused as the library refuses a value that is
+    not finite; where Python's float pow overflows, the library's
+    np.float_power gives an infinity."""
     if isinstance(f, Polynomial):
-        return f.eval(point)
-    return f(point)
+        try:
+            value = float(f.eval(point))
+        except OverflowError:
+            value = math.inf
+    else:
+        value = float(f(point))
+    if not math.isfinite(value):
+        raise InputError(f"{what} is not finite at sample point {list(point)}")
+    return value
 
 
-def _fd_partial(f, point, mu, h=FD_STEP):
-    """Central finite difference d f / d x_mu (mu 1-based)."""
-    hi = list(point)
-    lo = list(point)
-    hi[mu - 1] += h
-    lo[mu - 1] -= h
-    return (_eval(f, hi) - _eval(f, lo)) / (2 * h)
+def _stencil(point, h=FD_STEP):
+    """point, then point + h e_mu and point - h e_mu for mu = 1..m."""
+    out = [list(point)]
+    for mu in range(len(point)):
+        for step in (h, -h):
+            shifted = list(point)
+            shifted[mu] += step
+            out.append(shifted)
+    return out
 
 
 def matrix_at(g, point):
-    return np.array([[float(_eval(f, point)) for f in row] for row in g.g])
+    return np.array([[_value(f, point, f"metric entry ({i + 1}, {j + 1})")
+                      for j, f in enumerate(row)] for i, row in enumerate(g.g)])
 
 
 def volume_coefficient_at(g, point):
@@ -90,8 +107,8 @@ def volume_coefficient_at(g, point):
 def christoffel_at(g, point, h=FD_STEP):
     m = g.m
     ginv = np.linalg.inv(matrix_at(g, point))
-    dg = [[[_fd_partial(g.g[rho][nu], point, mu + 1, h)
-            for nu in range(m)] for rho in range(m)] for mu in range(m)]
+    stencil = [matrix_at(g, pt) for pt in _stencil(point, h)]
+    dg = [(stencil[2 * mu + 1] - stencil[2 * mu + 2]) / (2 * h) for mu in range(m)]
     gamma = np.empty((m, m, m))
     for lam in range(m):
         for mu in range(m):
@@ -104,25 +121,39 @@ def christoffel_at(g, point, h=FD_STEP):
     return gamma
 
 
-def numeric_sides_at(T, g, point, h=FD_STEP, tolerance=TOLERANCE):
-    """(lhs, rhs, size) at one point, as `emt._numeric_sides` defines them."""
+def tensor_tables(T, g, point, h=FD_STEP):
+    """g over the stencil of `point`, then (Tval, Thi, Tlo): T^{lam mu} at
+    the point, at point + h e_mu and at point - h e_mu, read in that order."""
+    stencil = _stencil(point, h)
+    for pt in stencil:
+        volume_coefficient_at(g, pt)
+    return [[[_value(f, stencil[2 * mu + shift if shift else 0],
+                     f"tensor entry ({lam + 1}, {mu + 1})")
+              for mu, f in enumerate(row)] for lam, row in enumerate(T.T)]
+            for shift in (0, 1, 2)]
+
+
+def numeric_sides_at(g, point, tables, h=FD_STEP, tolerance=TOLERANCE):
+    """(lhs, rhs, size) at one point, as `emt._numeric_sides` defines them,
+    from the `tensor_tables` there."""
     m = g.m
+    Tval, Thi, Tlo = tables
+    stencil = _stencil(point, h)
     gamma = christoffel_at(g, point, h)
     sqrtg = volume_coefficient_at(g, point)
-    Tval = [[float(_eval(f, point)) for f in row] for row in T.T]
     lhs, rhs, size = [], [], []
     for lam in range(m):
         a_terms = []
         for mu in range(m):
-            def flux(pt, lam=lam, mu=mu):
-                return float(_eval(T.T[lam][mu], pt)) * volume_coefficient_at(g, pt)
-            a_terms.append(_fd_partial(flux, point, mu + 1, h))
+            a_terms.append((Thi[lam][mu] * volume_coefficient_at(g, stencil[2 * mu + 1])
+                            - Tlo[lam][mu] * volume_coefficient_at(g, stencil[2 * mu + 2]))
+                           / (2 * h))
         for rho in range(m):
             for mu in range(m):
                 a_terms.append(gamma[lam][rho][mu] * Tval[rho][mu] * sqrtg)
         b_terms = []
         for mu in range(m):
-            b_terms.append(_fd_partial(T.T[lam][mu], point, mu + 1, h))
+            b_terms.append((Thi[lam][mu] - Tlo[lam][mu]) / (2 * h))
             for nu in range(m):
                 b_terms.append(Tval[lam][mu] * gamma[nu][nu][mu])
                 b_terms.append(Tval[mu][nu] * gamma[lam][nu][mu])
@@ -132,12 +163,16 @@ def numeric_sides_at(T, g, point, h=FD_STEP, tolerance=TOLERANCE):
         rhs.append(b * sqrtg)
         rounding = EPS / h * sqrtg * sum(abs(t) for t in Tval[lam])
         size.append(max(a_size, b_size * sqrtg, 64 * rounding / tolerance))
+        if not all(map(math.isfinite, (lhs[lam], rhs[lam], size[lam]))):
+            raise InputError(f"a side of the identity in component {lam + 1} is not "
+                             f"finite at sample point {list(point)}")
     return lhs, rhs, size
 
 
 def numeric_sides(T, g, points):
     """(lhs, rhs, size, sqrtg), one entry per point, as `emt._numeric_sides`
-    returns them."""
-    sides = [numeric_sides_at(T, g, point) for point in points]
+    returns them: g and T at every point first, then the sides."""
+    tables = [tensor_tables(T, g, point) for point in points]
+    sides = [numeric_sides_at(g, point, t) for point, t in zip(points, tables)]
     return ([s[0] for s in sides], [s[1] for s in sides], [s[2] for s in sides],
             [volume_coefficient_at(g, point) for point in points])

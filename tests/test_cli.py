@@ -20,10 +20,19 @@ from gielab.cli import (EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES,
 from gielab.gie import closed_form_characters, dimension_ledger, flag_size_bound
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads refusing NaN and the infinities, which RFC 8259 lacks."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 def test_ledger_pass(capsys):
@@ -403,6 +412,12 @@ def test_emt_audit_boolean_exponent_is_invalid(tmp_path, capsys, entry, backend)
     assert "bad exponent tuple (True, 0) for 2 variables" in report["results"]["error"]
 
 
+def _named_point(error, prefix):
+    """The sample point an error that starts with `prefix` names."""
+    assert error.startswith(prefix + " is not finite at sample point "), error
+    return json.loads(error.rpartition(" sample point ")[2])
+
+
 def test_emt_audit_power_overflow_at_a_late_sample_is_invalid(tmp_path, capsys):
     # g_11 = 1 + x_1^2 on [0, 2.4e154]: x_1^2 is finite at the first sample
     # point and overflows at later ones, where Python's float pow raises
@@ -414,11 +429,46 @@ def test_emt_audit_power_overflow_at_a_late_sample_is_invalid(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, report = run(["emt-audit", "--input", str(path), "--backend", "numeric"],
                        capsys)
-    with pytest.raises(OverflowError) as python:
-        2.4e154 ** 2
     assert code == EXIT_INVALID
     assert report["verdict"] == "invalid-input"
-    assert report["results"]["error"] == str(python.value)
+    x1, _ = _named_point(report["results"]["error"], "metric entry (1, 1)")
+    assert math.isinf(x1 * x1)
+
+
+@pytest.mark.parametrize("backend,prefix", [("exact", "the divergence in component 1"),
+                                            ("numeric", "tensor entry (1, 1)")])
+def test_emt_audit_overflow_through_a_product_is_invalid(tmp_path, capsys, backend, prefix):
+    # T^11 = 10^300 x_1^2 on [0, 10^10] x [0, 1]: T and its divergence
+    # 2 10^300 x_1 are beyond the floats through `*`, not through pow; the
+    # numeric audit once passed with conserved true, and the exact one
+    # reported "max_divergence": Infinity
+    doc = _flat_chart_doc()
+    doc["T"][0][0] = [{"exponents": [2, 0], "coefficient": str(10 ** 300)}]
+    doc["box"] = [[0, 1e10], [0, 1]]
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", backend], capsys)
+    assert (code, report["verdict"]) == (EXIT_INVALID, "invalid-input")
+    x1, _ = _named_point(report["results"]["error"], prefix)
+    assert 0 < x1 < 1e10
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+@pytest.mark.parametrize("field,value", [
+    ("box", [[0, math.inf], [0, 1]]), ("box", [[False, True], [0, 1]]),
+    ("box", [["0", "1"], [0, 1]]), ("box", [[-1e308, 1e308], [0, 1]]),
+    ("box", False), ("margin", "0.1"), ("margin", True)])
+def test_chart_box_and_margin_must_be_finite_numbers(tmp_path, capsys, backend, field, value):
+    # each was once read as a number, or as no box: a box [0, inf] then put
+    # every sample point at infinity, and the audits passed
+    doc = _flat_chart_doc()
+    doc["T"][0][0] = [{"exponents": [2, 0], "coefficient": "1"}]
+    doc[field] = value
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", backend], capsys)
+    assert (code, report["verdict"]) == (EXIT_INVALID, "invalid-input")
+    assert f"chart {field} must" in report["results"]["error"]
 
 
 @pytest.mark.parametrize("value", [2.7, 2.0, False])
@@ -813,6 +863,7 @@ def _chart_with(**fields):
 _AUDIT = ["emt-audit", "--input=chart.json", "--backend=numeric"]
 _FRACTIONAL_T = [[[{"exponents": [1.5, 0], "coefficient": "1"}], []], [[], []]]
 _HUGE_T = [[[{"exponents": [0, 0], "coefficient": "1e999"}], []], [[], []]]
+_SQUARE_T = [[[{"exponents": [2, 0], "coefficient": "1"}], []], [[], []]]
 
 
 def _square(rows, m):
@@ -831,6 +882,13 @@ def _square(rows, m):
 @example((_AUDIT, _chart_with(box=True)))
 @example((_AUDIT, _chart_with(T=_FRACTIONAL_T, box=[[-2, -1], [0, 1]])))
 @example((_AUDIT, _chart_with(T=_HUGE_T)))
+# a box beyond the floats, and a T beyond them on a finite box, once gave
+# "max_divergence": Infinity, which is not JSON
+@example((["emt-audit", "--input=chart.json", "--backend=exact"],
+          _chart_with(T=_SQUARE_T, box=[[0, math.inf], [0, 1]])))
+@example((["emt-audit", "--input=chart.json", "--backend=exact"],
+          _chart_with(T=[[[{"exponents": [2, 0], "coefficient": str(10 ** 300)}], []], [[], []]],
+                      box=[[0, 1e10], [0, 1]])))
 # an m = 0 chart was refused only because numpy saw no matrix in it
 @example((["emt-audit", "--input=chart.json", "--backend=exact"],
           {"chart.json": {"m": 0, "g": [], "box": [], "margin": 0.05}}))
@@ -865,7 +923,7 @@ def test_every_accepted_invocation_ends_in_one_report(invocation):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
-    report = json.loads(out.getvalue())  # exactly one JSON document
+    report = strict_json(out.getvalue())  # exactly one JSON document
     assert report["schema"] == "1"
     assert code in (EXIT_PASS, EXIT_VIOLATION, EXIT_INVALID)
     assert code == {"pass": EXIT_PASS, "violation": EXIT_VIOLATION,
