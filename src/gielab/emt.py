@@ -40,50 +40,35 @@ def target_dimension(m):
     return m + (m - 1) ** 2
 
 
-def _called(f, rows, out):
-    """Write f at each point of `rows` in turn into the float array `out`,
-    and return (bad, exc): the first point where calling f raises
-    (len(rows) when none does) and what it raises, handed back so that
-    the caller raises the first failure in point order; `out` from `bad`
-    on is left as it was."""
-    for r, row in enumerate(rows):
-        try:
-            out[r] = f(row)
-        except Exception as exc:  # re-raised by the caller, in point order
-            return r, exc
-    return len(rows), None
-
-
 def _grid_function(f):
-    """f as a function of a grid of points: (X, rows, out, powers) ->
-    (bad, exc) as `_called` gives them, with X the (N, m) float array of
-    the points, rows the same N points as lists, `out` the float array of
-    N values to write and `powers` a dict {(v, e): X[:, v] ** e} that the
-    caller shares between every function it evaluates on this X, and
-    drops with X.
+    """f as a function of a grid of points: (X, out, powers) writes f's
+    values at the N points of the (N, m) float array X into the float array
+    `out` of N entries; `powers` is a dict {(v, e): X[:, v] ** e} that the
+    caller shares between every function it evaluates on this X, and drops
+    with X.
 
-    A callable is called at each row.  A Polynomial is summed term by term
-    over the whole array from its coefficients converted to floats once,
-    which gives Polynomial.eval's finite floats bit for bit: Fraction *
-    float computes float(fraction) * float, both sums start from 0, and
-    np.float_power is the C pow that Python's float ** int calls (np.power
-    is not).  Each power is computed once per grid, into `powers`; x ** 1
-    is x in C's pow, so a first power is the column of X itself.  Where
-    Python's pow raises OverflowError, or a coefficient is beyond the
-    floats, the value is not finite, which the caller refuses with
-    `_checked`.  A polynomial of another variable count than the points'
-    is evaluated by Polynomial.eval at each row, which raises there."""
+    A callable is a chart function of the whole grid: f(X) returns the N
+    values (one number stands for N equal ones), a value that is not finite
+    where f has none; what it raises propagates.  A Polynomial is summed
+    term by term over the whole array from its coefficients converted to
+    floats once, which gives Polynomial.eval's finite floats bit for bit:
+    Fraction * float computes float(fraction) * float, both sums start
+    from 0, and np.float_power is the C pow that Python's float ** int
+    calls (np.power is not).  Each power is computed once per grid, into
+    `powers`; x ** 1 is x in C's pow, so a first power is the column of X
+    itself.  Where Python's pow raises OverflowError, or a coefficient is
+    beyond the floats, the value is not finite, which the caller refuses."""
     if not isinstance(f, Polynomial):
-        return lambda X, rows, out, powers: _called(f, rows, out)
+        def called(X, out, powers):
+            out[:] = f(X)
+        return called
     try:
         terms = [(float(c), k) for k, c in f.terms.items()]
     except OverflowError:  # a coefficient beyond the floats: no value is finite
         terms = [(math.inf, ())]
 
-    def at(X, rows, out, powers):
+    def summed(X, out, powers):
         import numpy as np
-        if X.shape[1] != f.nvars:
-            return _called(f.eval, rows, out)
         out[:] = 0.0
         with np.errstate(all="ignore"):  # Python floats overflow silently too
             for c, k in terms:
@@ -94,19 +79,50 @@ def _grid_function(f):
                         p = powers[ve] = X[:, var] if e == 1 else np.float_power(X[:, var], e)
                     c = c * p
                 out += c
-        return len(rows), None
-    return at
+    return summed
 
 
-def _checked(values, bad, exc, rows, what):
-    """(bad, exc) of a grid evaluation, or the first of `values` before
-    `bad` that is not finite, with an InputError naming `what` and its row."""
+def _grid_functions(fs, m, what):
+    """The m x m chart functions fs as grid functions; InputError naming the
+    entry of `what` for a polynomial in another number of variables than m."""
+    for i, row in enumerate(fs):
+        for j, f in enumerate(row):
+            if isinstance(f, Polynomial) and f.nvars != m:
+                raise InputError(f"{what} entry ({i + 1}, {j + 1}) is a polynomial of "
+                                 f"variable count {f.nvars}, not m = {m}")
+    return [[_grid_function(f) for f in row] for row in fs]
+
+
+def _first_not_finite(stack):
+    """(point, entry) of the first value that is not finite in the
+    point-major stack (N, ...), entry indexing one point's values
+    flattened; None when every value is finite."""
     import numpy as np
-    finite = np.isfinite(values[:bad])
-    if not finite.all():
-        bad = int(finite.argmin())
-        exc = InputError(f"{what} is not finite at sample point {rows[bad]}")
-    return bad, exc
+    finite = np.isfinite(stack).ravel()
+    if finite.all():
+        return None
+    return divmod(int(finite.argmin()), finite.size // len(stack))
+
+
+def _batched(op, mats):
+    """(values, bad): the numpy.linalg function op of each matrix of the
+    (N, m, m) stack `mats`, in one batched call, and the first matrix `bad`
+    where op raises LinAlgError (N when it raises for none); the values
+    from bad on are NaN.  Only when the batched call fails are the matrices
+    tried one by one, to find the first that fails."""
+    import numpy as np
+    try:
+        return op(mats), len(mats)
+    except np.linalg.LinAlgError:
+        pass
+    for bad, mat in enumerate(mats):
+        try:
+            op(mat)
+        except np.linalg.LinAlgError:
+            break
+    values = np.full(mats.shape, np.nan)
+    values[:bad] = op(mats[:bad])
+    return values, bad
 
 
 def _number(v):
@@ -129,18 +145,19 @@ def _symmetric(mats):
 class MetricChart:
     """Metric components on a single chart.
 
-    g is an m x m array of chart functions (Polynomials for the exact
-    backend, floats-in/floats-out callables for the numeric one).  The
-    box bounds the chart domain for sampling; the margin keeps sample
-    points away from its boundary (and hence from declared coordinate
-    singularities)."""
+    g is an m x m array of chart functions: Polynomials in m variables for
+    the exact backend, and for the numeric one also callables of the whole
+    grid, which take the (N, m) float array of N points and return the N
+    values, NaN where there is none.  The box bounds the chart domain for
+    sampling; the margin keeps sample points away from its boundary (and
+    hence from declared coordinate singularities)."""
 
     def __init__(self, m, g, base_point=None, box=None, margin=DEFAULT_MARGIN):
         if len(g) != m or any(len(row) != m for row in g):
             raise InputError(f"metric must be an {m} x {m} array")
         self.m = m
         self.g = [list(row) for row in g]
-        self._grid_g = [[_grid_function(f) for f in row] for row in self.g]
+        self._grid_g = _grid_functions(self.g, m, "metric")
         self.base_point = list(base_point) if base_point is not None else None
         try:
             self.box = ([[_number(lo), _number(hi)] for lo, hi in box] if box is not None
@@ -169,51 +186,44 @@ class MetricChart:
     def is_polynomial(self):
         return all(isinstance(e, Polynomial) for row in self.g for e in row)
 
-    def _factor_grid(self, X, rows):
-        """(mats, L, bad, exc) at the N points of X (an (N, m) float array;
-        rows are the same points as lists): the metric matrices, their
-        Cholesky factors (g = L L^T) at the points before `bad`, and the
-        first point `bad` where g fails, with the error `exc` to raise for
-        it (bad = N, exc None when g passes everywhere).
+    def _factor_grid(self, X):
+        """(mats, L, bad, exc) at the N points of the (N, m) float array X:
+        the metric matrices, their Cholesky factors (g = L L^T) at the
+        points before `bad`, and the first point `bad` where g fails, with
+        the error `exc` to raise for it (bad = N, exc None when g passes
+        everywhere).
 
         The failure is the one a walk over the points in order meets first:
-        at each point the entries are evaluated in row-major order, each
-        refused where it is not finite, then g is checked symmetric, then
-        positive definite.  One batched factorisation checks every point;
-        only when it fails are the points factored one by one to find the
-        first that fails."""
+        at each point the entries are read in row-major order, each refused
+        where it is not finite, then g is checked symmetric, then positive
+        definite."""
         import numpy as np
-        m, n = self.m, len(rows)
+        m, n = self.m, len(X)
         mats = np.empty((n, m, m))
-        bad, exc = n, None
         powers = {}
         for i, row in enumerate(self._grid_g):
             for j, f in enumerate(row):
-                out = mats[:, i, j]
-                r, e = _checked(out, *f(X, rows, out, powers), rows,
-                                f"metric entry ({i + 1}, {j + 1})")
-                if r < bad:
-                    bad, exc = r, e
+                f(X, mats[:, i, j], powers)
+        bad, exc = n, None
+        found = _first_not_finite(mats)
+        if found is not None:
+            bad, (i, j) = found[0], divmod(found[1], m)
+            exc = InputError(f"metric entry ({i + 1}, {j + 1}) is not finite "
+                             f"at sample point {X[bad].tolist()}")
         symmetric = _symmetric(mats[:bad])
         if not symmetric.all():
             bad = int(symmetric.argmin())
-            exc = InputError(f"metric not symmetric at {rows[bad]}")
-        try:
-            return mats, np.linalg.cholesky(mats[:bad]), bad, exc
-        except np.linalg.LinAlgError:
-            pass
-        for r in range(bad):
-            try:
-                np.linalg.cholesky(mats[r])
-            except np.linalg.LinAlgError:
-                break
-        exc = InputError(f"metric singular or indefinite at sample point {rows[r]}")
-        return mats, np.linalg.cholesky(mats[:r]), r, exc
+            exc = InputError(f"metric not symmetric at {X[bad].tolist()}")
+        L, r = _batched(np.linalg.cholesky, mats[:bad])
+        if r < bad:
+            bad, exc = r, InputError(f"metric singular or indefinite at sample point "
+                                     f"{X[r].tolist()}")
+        return mats, L, bad, exc
 
     def _factor_at(self, point):
         """(g, L) at one point; raises the error `_factor_grid` gives."""
         import numpy as np
-        mats, L, _, exc = self._factor_grid(np.array([point], dtype=float), [point])
+        mats, L, _, exc = self._factor_grid(np.array([point], dtype=float))
         if exc is not None:
             raise exc
         return mats[0], L[0]
@@ -251,15 +261,16 @@ class MetricChart:
 
 
 class EnergyMomentum:
-    """Contravariant 2-tensor components T^{lam mu} (symmetry is not
-    assumed; the identity below holds without it)."""
+    """Contravariant 2-tensor components T^{lam mu}, chart functions as
+    MetricChart takes them (symmetry is not assumed; the identity below
+    holds without it)."""
 
     def __init__(self, m, components):
         if len(components) != m or any(len(row) != m for row in components):
             raise InputError(f"tensor must be an {m} x {m} array")
         self.m = m
         self.T = [list(row) for row in components]
-        self._grid_T = [[_grid_function(f) for f in row] for row in self.T]
+        self._grid_T = _grid_functions(self.T, m, "tensor")
 
     def is_polynomial(self):
         return all(isinstance(e, Polynomial) for row in self.T for e in row)
@@ -274,14 +285,6 @@ def _require_exact(g: MetricChart, T: EnergyMomentum | None = None):
         raise InputError("exact backend needs polynomial metric components")
     if T is not None and not T.is_polynomial():
         raise InputError("exact backend needs polynomial tensor components")
-
-
-def _polynomial(terms, nvars):
-    """The polynomial with the given {monomial: coefficient} terms, none
-    zero, written directly."""
-    out = Polynomial(nvars)
-    out.terms = terms
-    return out
 
 
 def _exact_connection(g: MetricChart):
@@ -307,8 +310,8 @@ def _exact_connection(g: MetricChart):
     det G = D^m det g."""
     m, nv = g.m, g.g[0][0].nvars
     D = math.lcm(*(c.denominator for row in g.g for e in row for c in e.terms.values()))
-    G = [[_polynomial({k: c.numerator * (D // c.denominator)
-                       for k, c in e.terms.items()}, nv) for e in row]
+    G = [[Polynomial.from_sparse(nv, {k: c.numerator * (D // c.denominator)
+                                      for k, c in e.terms.items()}) for e in row]
          for row in g.g]
     minors = {}
     det = _minor_det(G, minors=minors)
@@ -325,7 +328,7 @@ def _exact_connection(g: MetricChart):
         for j in range(i, m):
             cof = _minor_det(G, ids[:i] + ids[i + 1:], ids[:j] + ids[j + 1:], minors)
             if not isinstance(cof, Polynomial):  # the empty minor at m = 1, or a zero one
-                cof = _polynomial({(): int(cof)} if cof else {}, nv)
+                cof = Polynomial.from_sparse(nv, {(): int(cof)} if cof else {})
             adj[i][j] = adj[j][i] = -cof if (i + j) % 2 else cof
     dG = [[[G[rho][nu].partial(mu) for nu in range(m)] for rho in range(m)]
           for mu in range(m)]
@@ -340,8 +343,8 @@ def _exact_connection(g: MetricChart):
                 total = Polynomial(nv)
                 for rho, b in brackets:
                     total = total + adj[lam][rho] * b
-                gamma[lam][mu][nu] = gamma[lam][nu][mu] = _polynomial(
-                    {k: Fraction(c, den) for k, c in total.terms.items()}, nv)
+                gamma[lam][mu][nu] = gamma[lam][nu][mu] = Polynomial.from_sparse(
+                    nv, {k: Fraction(c, den) for k, c in total.terms.items()})
     return gamma
 
 
@@ -357,11 +360,14 @@ def christoffel_at(g: MetricChart, point):
     one-point case of the numeric backend's grid."""
     import numpy as np
     X = _stencil(np.array([point], dtype=float))
-    mats, _, _, exc = g._factor_grid(X, X.tolist())
+    mats, _, _, exc = g._factor_grid(X)
     if exc is not None:
         raise exc
     with np.errstate(all="ignore"):
-        return _christoffel(mats.reshape(1, 2 * g.m + 1, g.m, g.m))[..., 0]
+        gamma, inverted = _christoffel(mats.reshape(1, 2 * g.m + 1, g.m, g.m))
+    if not inverted:
+        raise InputError(f"metric singular at sample point {X[0].tolist()}")
+    return gamma[..., 0]
 
 
 def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
@@ -434,14 +440,16 @@ def _stencil(base):
 
 
 def _christoffel(G):
-    """Gamma^lam_{mu nu} at the centre of each stencil, as an (m, m, m, P)
-    array, from the metric matrices G (P, 2m + 1, m, m) over the stencils.
-    Every value is the float the per-point formula gives: the central
-    differences and the sum over rho are taken in its order, elementwise
-    along the point axis."""
+    """(gamma, bad): Gamma^lam_{mu nu} at the centre of each stencil, as an
+    (m, m, m, P) array, from the metric matrices G (P, 2m + 1, m, m) over
+    the stencils, and the first centre `bad` where g cannot be inverted (P
+    when there is none), from which on gamma is NaN.  Every value is the
+    float the per-point formula gives: the central differences and the sum
+    over rho are taken in its order, elementwise along the point axis."""
     import numpy as np
     m = G.shape[-1]
-    ginv = np.linalg.inv(G[:, 0]).transpose(1, 2, 0)
+    ginv, bad = _batched(np.linalg.inv, G[:, 0])
+    ginv = ginv.transpose(1, 2, 0)
     dg = np.stack([(G[:, 2 * mu + 1] - G[:, 2 * mu + 2]) / (2 * FD_STEP)
                    for mu in range(m)]).transpose(0, 2, 3, 1)
     # [rho, mu, nu]: dg[mu][rho][nu] + dg[nu][rho][mu] - dg[rho][mu][nu]
@@ -449,7 +457,7 @@ def _christoffel(G):
     total = np.zeros((m, m, m, G.shape[0]))
     for rho in range(m):
         total = total + ginv[:, rho, None, None] * bracket[rho]
-    return 0.5 * total
+    return 0.5 * total, bad
 
 
 def _fold(terms):
@@ -484,37 +492,32 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     points and x +- h e_mu; every value is the float a walk over the
     points would give, and a failure raises the error that walk meets
     first: at each sample point, g over its stencil, then T, each value
-    refused where it is not finite; then the first point whose sides are
-    not finite."""
+    refused where it is not finite; then, point by point, g refused where
+    it cannot be inverted, and the sides where they are not finite."""
     import numpy as np
     m, h, P = g.m, FD_STEP, len(points)
     S = 2 * m + 1
     X = _stencil(np.array(points, dtype=float).reshape(P, m))
-    rows = X.tolist()
-    mats, L, bad, exc = g._factor_grid(X, rows)
-    done = bad // S  # T is read only at sample points whose stencil passed
-    grid = X.reshape(P, S, m)[:done]
-    # T^{lam mu} at x, then at x + h e_mu, then at x - h e_mu
-    tables, first, first_exc = [], done, None
+    mats, L, bad, exc = g._factor_grid(X)
+    grid = X.reshape(P, S, m)
+    # [shift, lam, mu]: T^{lam mu} at x, then at x + h e_mu, then at x - h e_mu
+    tables = np.empty((3, m, m, P))
     powers = [{} for _ in range(S)]  # per stencil column k
     for shift in (0, 1, 2):
-        table = np.empty((m, m, done))
         for lam in range(m):
             for mu in range(m):
                 k = 2 * mu + shift if shift else 0
-                at, out = rows[k:done * S:S], table[lam, mu]
-                r, e = _checked(out, *T._grid_T[lam][mu](grid[:, k], at, out, powers[k]),
-                                at, f"tensor entry ({lam + 1}, {mu + 1})")
-                if r < first:
-                    first, first_exc = r, e
-        tables.append(table)
-    if first_exc is not None:
-        raise first_exc
-    if exc is not None:
-        raise exc
+                T._grid_T[lam][mu](grid[:, k], tables[shift, lam, mu], powers[k])
+    found = _first_not_finite(tables.transpose(3, 0, 1, 2))
+    if exc is not None and (found is None or bad // S <= found[0]):
+        raise exc  # g is read before T at the same sample point
+    if found is not None:
+        p, (shift, lam, mu) = found[0], np.unravel_index(found[1], (3, m, m))
+        raise InputError(f"tensor entry ({lam + 1}, {mu + 1}) is not finite at sample "
+                         f"point {grid[p, 2 * mu + shift if shift else 0].tolist()}")
     Tval, Thi, Tlo = tables
     with np.errstate(all="ignore"):
-        gamma = _christoffel(mats.reshape(P, S, m, m))
+        gamma, singular = _christoffel(mats.reshape(P, S, m, m))
         # sqrt(det g): L's diagonal multiplied left to right, as np.prod does
         diag = L.reshape(P, S, m, m)
         sqrtg_at = diag[:, :, 0, 0]
@@ -542,8 +545,10 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     finite = (np.isfinite(a) & np.isfinite(rhs) & np.isfinite(size)).T.ravel()
     if not finite.all():  # the first point, and its first component
         p, lam = divmod(int(finite.argmin()), m)
+        if p == singular:  # the sides are NaN from the first singular g on
+            raise InputError(f"metric singular at sample point {grid[p, 0].tolist()}")
         raise InputError(f"a side of the identity in component {lam + 1} is not "
-                         f"finite at sample point {rows[p * S]}")
+                         f"finite at sample point {grid[p, 0].tolist()}")
     return a.T.tolist(), rhs.T.tolist(), size.T.tolist(), sqrtg.tolist()
 
 
@@ -555,14 +560,14 @@ def _max_abs(fs, points, m):
     P = len(points)
     X = np.array(points, dtype=float).reshape(P, m)
     values = np.empty((len(fs), P))
-    bad, exc, powers = P, None, {}
-    for lam, (f, out) in enumerate(zip(fs, values)):
-        r, e = _checked(out, *_grid_function(f)(X, points, out, powers), points,
-                        f"the divergence in component {lam + 1}")
-        if r < bad:
-            bad, exc = r, e
-    if exc is not None:
-        raise exc
+    powers = {}
+    for f, out in zip(fs, values):
+        _grid_function(f)(X, out, powers)
+    found = _first_not_finite(values.T)
+    if found is not None:
+        p, lam = found
+        raise InputError(f"the divergence in component {lam + 1} is not finite "
+                         f"at sample point {points[p]}")
     return float(np.abs(values).max(initial=0.0))
 
 
@@ -622,7 +627,8 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
         conserved = all(not d for d in div)
         # each divergence summed in sorted term order, so that the float
         # maximum depends on the chart, not on the order its JSON lists terms
-        canonical = [_polynomial(dict(sorted(d.terms.items())), d.nvars) for d in div]
+        canonical = [Polynomial.from_sparse(d.nvars, dict(sorted(d.terms.items())))
+                     for d in div]
         max_div = _max_abs(canonical, g.sample_points(count), m)
         return EquivalenceReport(backend="exact", identity_holds=True,
                                  max_identity_residual=0.0,
@@ -673,9 +679,10 @@ def flat_chart(m, box=None, margin=DEFAULT_MARGIN) -> MetricChart:
 
 def sphere_chart() -> MetricChart:
     """Round 2-sphere in polar coordinates (theta, phi):
-    g = diag(1, sin^2 theta), boxed away from the poles."""
-    g = [[lambda pt: 1.0, lambda pt: 0.0],
-         [lambda pt: 0.0, lambda pt: math.sin(pt[0]) ** 2]]
+    g = diag(1, sin^2 theta), boxed away from the poles.  sin is math.sin
+    at each point; np.sin differs from it in the last bit of a few values."""
+    g = [[lambda X: 1.0, lambda X: 0.0],
+         [lambda X: 0.0, lambda X: [math.sin(t) ** 2 for t in X[:, 0].tolist()]]]
     return MetricChart(2, g, base_point=[math.pi / 2, 1.0],
                        box=[[0.3, math.pi - 0.3], [0.0, 2 * math.pi]],
                        margin=0.05)
@@ -684,44 +691,29 @@ def sphere_chart() -> MetricChart:
 def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
     """T = g^{-1}; covariantly constant, hence conserved.
 
-    T.T holds callables that invert g at one point.  Over a grid the m^2
-    entries share one batched inversion of `_factor_grid`'s matrices: an
-    audit reads T over the sample points and over each of their 2m
-    stencil offsets, so this tensor keeps the inverses of the 2m + 1 point
-    arrays it saw last, and a failure is (bad, exc) as `_called` gives it,
-    from g's own check or from the inversion."""
+    Each entry is a chart function of the whole grid, NaN from the first
+    point where g fails its own check or cannot be inverted.  The m^2
+    entries share one batched inversion of each grid: an audit reads T
+    over the sample points and over each of their 2m stencil offsets, so
+    this tensor keeps the inverses of the 2m + 1 grids it saw last."""
     import numpy as np
     m = g.m
     inverses = {}
 
-    def inverse(X, rows):
+    def inverse(X):
         key = (X.shape, X.tobytes())
-        found = inverses.get(key)
-        if found is None:
-            mats, _, bad, exc = g._factor_grid(X, rows)
-            try:
-                inv = np.linalg.inv(mats[:bad])
-            except np.linalg.LinAlgError:  # find the first singular matrix
-                inv = np.empty((bad, m, m))
-                bad, exc = _called(np.linalg.inv, mats[:bad], inv)
+        inv = inverses.get(key)
+        if inv is None:
+            mats, _, bad, _ = g._factor_grid(X)
+            inv = np.full(mats.shape, np.nan)
+            inv[:bad] = _batched(np.linalg.inv, mats[:bad])[0]
             if len(inverses) > 2 * m:
                 inverses.clear()
-            found = inverses[key] = inv, bad, exc
-        return found
+            inverses[key] = inv
+        return inv
 
-    def entry(i, j):
-        return lambda pt: float(np.linalg.inv(g.matrix_at(list(pt)))[i, j])
-
-    def grid_entry(i, j):
-        def at(X, rows, out, powers):
-            inv, bad, exc = inverse(X, rows)
-            out[:bad] = inv[:bad, i, j]
-            return bad, exc
-        return at
-
-    T = EnergyMomentum(m, [[entry(i, j) for j in range(m)] for i in range(m)])
-    T._grid_T = [[grid_entry(i, j) for j in range(m)] for i in range(m)]
-    return T
+    return EnergyMomentum(m, [[lambda X, i=i, j=j: inverse(X)[:, i, j] for j in range(m)]
+                              for i in range(m)])
 
 
 def load_chart(doc):

@@ -741,16 +741,11 @@ class GrassmannPullback:
         # bases[i][a - 1] = (sigma(n + a, i) - 1) m, the variable of P^{(a, i)}_1
         bases = {i: [(c - 1) * m for c in self.sigma.normals(i)] for i in range(1, n + 1)}
         self._bases = bases
-
-        def polynomial(terms):
-            # terms are written in poly's sorted sparse monomials
-            f = Polynomial(self.nvars)
-            f.terms = terms
-            return f
-
+        # every function is written in poly's sorted sparse monomials;
         # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs
         # i < j, so P^{sigma(i, j)}_lam are the first n(n-1)m/2 variables
-        linear = [polynomial({((v, 1),): 1}) for v in range(pairs * m)]
+        nv = self.nvars
+        linear = [Polynomial.from_sparse(nv, {((v, 1),): 1}) for v in range(pairs * m)]
         quadratic = []
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -763,7 +758,7 @@ class GrassmannPullback:
                         for bi, bj in chart:
                             terms[(bi + lam, 1), (bj + mu, 1)] = 1
                             terms[(bi + mu, 1), (bj + lam, 1)] = -1
-                        quadratic.append(polynomial(terms))
+                        quadratic.append(Polynomial.from_sparse(nv, terms))
         # (lam - 1, Psi'_{i lam}) with Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}
         signed = [(bases[i], [(lam - 1, psi[i, lam] if lam % 2 else -psi[i, lam])
                               for lam in range(1, m + 1) if psi[i, lam]])
@@ -774,7 +769,7 @@ class GrassmannPullback:
             for base, row in signed:
                 for lam, c in row:
                     terms[((base[a] + lam, 1),)] = c
-            phi_type.append(polynomial(terms))
+            phi_type.append(Polynomial.from_sparse(nv, terms))
         self.linear = linear
         self.quadratic = quadratic
         self.phi_type = phi_type

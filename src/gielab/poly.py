@@ -69,21 +69,25 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def from_sparse(cls, nvars, terms):
+        """The polynomial whose terms are the dict `terms`, taken as it is:
+        sparse monomials, in poly's sorted form, to non-zero coefficients."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def constant(cls, c, nvars):
         c = Fraction(c)
-        out = cls(nvars)
-        if c:
-            out.terms = {(): c}
-        return out
+        return cls.from_sparse(nvars, {(): c} if c else {})
 
     @classmethod
     def variable(cls, i, nvars):
         """x_{i+1}, i 0-based."""
         if not 0 <= i < nvars:
             raise InputError(f"variable index {i} outside 0..{nvars - 1}")
-        out = cls(nvars)
-        out.terms = {((i, 1),): Fraction(1)}
-        return out
+        return cls.from_sparse(nvars, {((i, 1),): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -128,16 +132,12 @@ class Polynomial:
                 terms[k] = nv
             else:
                 terms.pop(k, None)
-        out = Polynomial(self.nvars)
-        out.terms = terms
-        return out
+        return Polynomial.from_sparse(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial(self.nvars)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return Polynomial.from_sparse(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -157,9 +157,7 @@ class Polynomial:
                     terms[k] = nv
                 else:
                     terms.pop(k, None)
-        out = Polynomial(self.nvars)
-        out.terms = terms
-        return out
+        return Polynomial.from_sparse(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -181,9 +179,7 @@ class Polynomial:
                 else:
                     terms.pop(nk, None)
                 break
-        out = Polynomial(self.nvars)
-        out.terms = terms
-        return out
+        return Polynomial.from_sparse(self.nvars, terms)
 
     def eval(self, point):
         """Evaluate at a point (exact for Fractions, float for floats)."""
@@ -266,6 +262,4 @@ def from_json_terms(items, nvars):
         key = tuple((v, e) for v, e in enumerate(exps) if e)
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
-    out = Polynomial(nvars)
-    out.terms = {k: c for k, c in terms.items() if c}
-    return out
+    return Polynomial.from_sparse(nvars, {k: c for k, c in terms.items() if c})

@@ -4,11 +4,13 @@ Numeric: the library evaluates the metric and the tensor once over the
 whole grid of sample points and their stencil neighbours, as arrays.
 This module keeps the pointwise formulation, which evaluates each chart
 function and factorises the metric afresh for every value it needs, one
-point at a time, through `Polynomial.eval`.  It performs the same
-floating-point operations in the same order, so the tests require its
-sides to equal the library's float for float.  It refuses a value that
-is not finite as the library does, with the same InputError: g over the
-stencil of every point and T there first, then the sides point by point.
+point at a time: a polynomial through `Polynomial.eval`, and a callable,
+which the library calls on the whole grid, on a grid of the one point.
+It performs the same floating-point operations in the same order, so the
+tests require its sides to equal the library's float for float.  It
+refuses a value that is not finite as the library does, with the same
+InputError: g over the stencil of every point and T there first, then
+point by point g where it cannot be inverted, and the sides.
 
 Exact: the library works on the integer G = D g (D the lcm of g's
 coefficient denominators), expands each minor of G once, forms each
@@ -71,14 +73,17 @@ def christoffel(g, ginv):
 def _value(f, point, what):
     """float(f at point), refused as the library refuses a value that is
     not finite; where Python's float pow overflows, the library's
-    np.float_power gives an infinity."""
+    np.float_power gives an infinity.  A callable is called on the grid of
+    the one point."""
     if isinstance(f, Polynomial):
         try:
             value = float(f.eval(point))
         except OverflowError:
             value = math.inf
     else:
-        value = float(f(point))
+        out = np.empty(1)
+        out[:] = f(np.array([point], dtype=float))
+        value = float(out[0])
     if not math.isfinite(value):
         raise InputError(f"{what} is not finite at sample point {list(point)}")
     return value
@@ -106,7 +111,10 @@ def volume_coefficient_at(g, point):
 
 def christoffel_at(g, point, h=FD_STEP):
     m = g.m
-    ginv = np.linalg.inv(matrix_at(g, point))
+    try:
+        ginv = np.linalg.inv(matrix_at(g, point))
+    except np.linalg.LinAlgError:
+        raise InputError(f"metric singular at sample point {list(point)}") from None
     stencil = [matrix_at(g, pt) for pt in _stencil(point, h)]
     dg = [(stencil[2 * mu + 1] - stencil[2 * mu + 2]) / (2 * h) for mu in range(m)]
     gamma = np.empty((m, m, m))

@@ -7,11 +7,11 @@ the n = m = 2 polar-space oracle, the Gauss-map scaling law, and the
 energy-momentum audit.  Everything exact unless explicitly numeric.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flag_reference
@@ -234,9 +234,8 @@ def test_criterion_8_emt_audit():
     for _ in range(20):
         coeffs = [[rng.uniform(-2, 2) for _ in range(3)] for _ in range(4)]
 
-        def entry(k, c=coeffs):
-            return lambda pt: (c[k][0] + c[k][1] * pt[0]
-                               + c[k][2] * math.sin(pt[1]))
+        def entry(k, c=coeffs):  # a chart function of the whole grid X
+            return lambda X: c[k][0] + c[k][1] * X[:, 0] + c[k][2] * np.sin(X[:, 1])
 
         T_rand = EnergyMomentum(2, [[entry(0), entry(1)],
                                     [entry(2), entry(3)]])

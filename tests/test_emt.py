@@ -32,6 +32,16 @@ def tensor_const(m, diag=1):
                                for j in range(m)] for i in range(m)])
 
 
+def _at(X, point):
+    """The rows of the grid X that are `point`, as a boolean mask."""
+    return (X == point).all(axis=1)
+
+
+def _sin(column):
+    """math.sin of each value, which np.sin does not always give."""
+    return np.array([math.sin(t) for t in column.tolist()])
+
+
 # -- charts and sampling -------------------------------------------------
 
 
@@ -181,8 +191,8 @@ def test_sphere_christoffel_oracle():
 
 def test_conformal_christoffel_oracle():
     # g = e^{2 x1} * identity in 2 dims: Gamma^1_{11} = 1
-    e2x = lambda pt: math.exp(2 * pt[0])
-    zero = lambda pt: 0.0
+    e2x = lambda X: np.exp(2 * X[:, 0])
+    zero = lambda X: 0.0
     chart = MetricChart(2, [[e2x, zero], [zero, e2x]], box=[[0, 1], [0, 1]])
     for point in chart.sample_points(5):
         gamma = christoffel_at(chart, point)
@@ -257,10 +267,11 @@ def test_exact_backend_proves_a_non_square_determinant(tmp_path):
 # -- the exact backend against its reference --------------------------------
 
 
-def _seeded_chart(seed, m, det=1):
+def _seeded_chart(seed, m, det=1, curved=False):
     """The benchmark's det-1 chart shape, seeded, with det g = `det`:
-    g = A^T D A with A unit upper triangular, A_ij = a + b x_j, and
-    D = diag(det, 1, ..., 1); T^{lam mu} = c0 + c1 x_lam + c2 x_lam x_mu."""
+    g = A^T D A with A unit upper triangular, A_ij = a + b x_j (flat), or
+    a + b x_i x_j when `curved`, and D = diag(det, 1, ..., 1);
+    T^{lam mu} = c0 + c1 x_lam + c2 x_lam x_mu."""
     rng = random.Random(seed)
 
     def nonzero():
@@ -270,7 +281,7 @@ def _seeded_chart(seed, m, det=1):
     A = [[const(1 if i == j else 0, m) for j in range(m)] for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            A[i][j] = nonzero() + nonzero() * x[j]
+            A[i][j] = nonzero() + nonzero() * (x[i] * x[j] if curved else x[j])
     D = [det] + [1] * (m - 1)
     g = [[sum((A[r][i] * A[r][j] * D[r] for r in range(m)), const(0, m))
           for j in range(m)] for i in range(m)]
@@ -473,22 +484,13 @@ def test_sphere_inverse_metric_numeric_audit():
 
 
 def test_identity_holds_for_non_conserved_tensor():
-    chart = sphere_chart()
-    rng = random.Random(20)
-    coeffs = [[rng.uniform(-2, 2) for _ in range(3)] for _ in range(4)]
-
-    def entry(k):
-        return lambda pt: (coeffs[k][0] + coeffs[k][1] * pt[0]
-                           + coeffs[k][2] * math.sin(pt[1]))
-
-    T = EnergyMomentum(2, [[entry(0), entry(1)], [entry(2), entry(3)]])
-    report = verify_equivalence(T, chart, backend="numeric")
+    report = verify_equivalence(_random_tensor(20), sphere_chart(), backend="numeric")
     assert report.identity_holds
     assert not report.conserved
 
 
 def _scaled(T, factor):
-    return EnergyMomentum(T.m, [[(lambda pt, f=f: factor * f(pt)) for f in row]
+    return EnergyMomentum(T.m, [[(lambda X, f=f: factor * f(X)) for f in row]
                                 for row in T.T])
 
 
@@ -496,9 +498,8 @@ def _random_tensor(seed):
     rng = random.Random(seed)
     coeffs = [[rng.uniform(-2, 2) for _ in range(3)] for _ in range(4)]
 
-    def entry(k):
-        return lambda pt: (coeffs[k][0] + coeffs[k][1] * pt[0]
-                           + coeffs[k][2] * math.sin(pt[1]))
+    def entry(k):  # a chart function of the whole grid X
+        return lambda X: coeffs[k][0] + coeffs[k][1] * X[:, 0] + coeffs[k][2] * _sin(X[:, 1])
 
     return EnergyMomentum(2, [[entry(0), entry(1)], [entry(2), entry(3)]])
 
@@ -565,8 +566,8 @@ def test_load_chart_roundtrip():
 
 def _grid_values(f, points):
     values = np.zeros(len(points))
-    bad, exc = emt._grid_function(f)(np.array(points, dtype=float), points, values, {})
-    return values, bad, exc
+    emt._grid_function(f)(np.array(points, dtype=float), values, {})
+    return values
 
 
 def test_float_chart_functions_match_polynomial_eval():
@@ -575,32 +576,48 @@ def test_float_chart_functions_match_polynomial_eval():
     for p in (const(0), const(Fraction(1, 3)),
               Fraction(2, 7) * x1 * x2 * x2 + Fraction(-5, 3) * x2 + Fraction(1, 3)):
         # a constant evaluates to its Fraction exactly, to its float here
-        values, bad, exc = _grid_values(p, points)
+        values = _grid_values(p, points)
         assert values.tolist() == [float(p.eval(point)) for point in points]
-        assert (bad, exc) == (3, None)
+        assert emt._first_not_finite(values) is None
     # a coefficient beyond the floats: no value is finite, and the first is refused
-    values, bad, exc = _grid_values(Fraction(10) ** 400 * x1, points)
-    assert (bad, exc) == (3, None) and not np.isfinite(values).any()
-    bad, exc = emt._checked(values, bad, exc, points, "T^11")
-    assert (bad, str(exc)) == (0, "T^11 is not finite at sample point [0.3, -1.7]")
-    _, bad, exc = _grid_values(x1, [[0.3], [0.5]])
-    assert bad == 0 and isinstance(exc, InputError) and "wrong length" in str(exc)
+    values = _grid_values(Fraction(10) ** 400 * x1, points)
+    assert not np.isfinite(values).any() and emt._first_not_finite(values) == (0, 0)
+    chart = flat_chart(2)
+    T = EnergyMomentum(2, [[Fraction(10) ** 400 * x1, const(0)], [const(0), const(1)]])
+    with pytest.raises(InputError) as raised:
+        verify_equivalence(T, chart, backend="numeric", count=3)
+    assert str(raised.value) == (f"tensor entry (1, 1) is not finite at sample point "
+                                 f"{chart.sample_points(1)[0]}")
+
+
+@pytest.mark.parametrize("build,what", [
+    (lambda g: MetricChart(2, g), "metric"),
+    (lambda g: EnergyMomentum(2, g), "tensor")])
+def test_a_polynomial_of_another_variable_count_is_refused_by_the_chart(build, what):
+    # such an entry used to reach Polynomial.eval at each point of the
+    # audit, and to fail there with "wrong length"
+    for x, k in ((Polynomial.variable(0, 3), 2), (Polynomial.variable(0, 1), 1)):
+        g = [[const(1), const(0)], [const(0), const(1)]]
+        g[k - 1][k - 1] = x
+        with pytest.raises(InputError) as raised:
+            build(g)
+        assert str(raised.value) == (f"{what} entry ({k}, {k}) is a polynomial of variable "
+                                     f"count {x.nvars}, not m = 2")
 
 
 def _eval_walk(f, points):
-    """(values, bad, exc) of f called point by point, Polynomial.eval for a
-    polynomial, stopping at the first point where it raises; Python's
-    float pow raising OverflowError is read as the infinity np.float_power
-    gives there, which the callers refuse."""
+    """f at each point in turn: Polynomial.eval for a polynomial, a
+    callable on the grid of the one point; Python's float pow raising
+    OverflowError is read as the infinity np.float_power gives there, which
+    the callers refuse."""
     values = []
-    for r, point in enumerate(points):
+    for point in points:
         try:
-            values.append(float(f.eval(point)) if isinstance(f, Polynomial) else f(point))
+            values.append(float(f.eval(point)) if isinstance(f, Polynomial)
+                          else float(f(np.array([point]))[0]))
         except OverflowError:
             values.append(math.inf)
-        except Exception as exc:
-            return values, r, exc
-    return values, len(points), None
+    return values
 
 
 def _bits(v):
@@ -610,41 +627,35 @@ def _bits(v):
 
 def _shared_grid_values(fs, points):
     """Each f of fs over one grid, sharing one powers dict as the callers
-    do; (values, bad, exc) per f, the dict, and the np.float_power calls."""
+    do; the values per f, the dict, and the np.float_power calls."""
     X, powers, results = np.array(points, dtype=float), {}, []
     with mock.patch.object(np, "float_power", wraps=np.float_power) as pow_calls:
         for f in fs:
             values = np.zeros(len(points))
-            bad, exc = emt._grid_function(f)(X, points, values, powers)
-            results.append((values.tolist()[:bad], bad, exc))
+            emt._grid_function(f)(X, values, powers)
+            results.append(values.tolist())
     return results, powers, X, pow_calls.call_count
 
 
 def _same_as_eval_walk(fs, points, results):
-    for f, (values, bad, exc) in zip(fs, results):
-        want_values, want_bad, want_exc = _eval_walk(f, points)
-        assert [_bits(v) for v in values] == [_bits(v) for v in want_values]
-        assert bad == want_bad
-        assert (type(exc), str(exc)) == (type(want_exc), str(want_exc))
+    for f, values in zip(fs, results):
+        assert [_bits(v) for v in values] == [_bits(v) for v in _eval_walk(f, points)]
 
 
 def test_grid_functions_share_each_power_once_per_grid():
-    # x_v, x_v^2 and x_v^3 spread over different functions, a polynomial of
-    # three variables on two-variable points and a callable: every value and
-    # every failure is Polynomial.eval's, and each power x_v^e with e > 1 is
-    # computed once, x_v itself not at all
+    # x_v, x_v^2 and x_v^3 spread over different functions and a callable:
+    # every value is Polynomial.eval's or the callable's at the one point,
+    # and each power x_v^e with e > 1 is computed once, x_v itself not at all
     x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     fs = [x1 * x2 + 3, x1 * x1 + Fraction(2, 7) * x2 * x2 * x2,
           Fraction(1, 3) * x2 * x1 * x1 * x1 - x1, x2 * x2 * x1,
-          Polynomial.variable(0, 3), lambda pt: pt[0] - pt[1], 1 + x1 * x1 * x1]
+          lambda X: X[:, 0] - X[:, 1], 1 + x1 * x1 * x1]
     points = [[0.3, -1.7], [-4.0, 1e-3], [1e100, 2.5], [-0.0, 1e-200]]
     results, powers, X, calls = _shared_grid_values(fs, points)
     _same_as_eval_walk(fs, points, results)
     assert sorted(powers) == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
     assert calls == 4
     assert all(np.shares_memory(powers[v, 1], X) for v in (0, 1))
-    _, bad, exc = results[4]
-    assert bad == 0 and "wrong length" in str(exc)
 
 
 def test_grid_functions_share_powers_on_the_late_overflow_chart():
@@ -659,9 +670,9 @@ def test_grid_functions_share_powers_on_the_late_overflow_chart():
     fs = [x2 * x1, chart.g[0][0], x1 * x1 * x2 + x2, const(1), Fraction(1, 10 ** 200) * x1 * x1]
     results, powers, _, calls = _shared_grid_values(fs, points)
     _same_as_eval_walk(fs, points, results)
-    values = np.array(results[1][0])
+    values = np.array(results[1])
     first = next(r for r, point in enumerate(points) if math.isinf(point[0] * point[0]))
-    assert 0 < first and emt._checked(values, len(points), None, points, "g_11")[0] == first
+    assert 0 < first and emt._first_not_finite(values) == (first, 0)
     assert calls == 1 and sorted(powers) == [(0, 1), (0, 2), (1, 1)]
 
 
@@ -681,10 +692,8 @@ def test_grid_polynomial_is_polynomial_eval_bit_for_bit(seed):
                            for _ in range(rng.randint(1, 5))})
         points = [[rng.uniform(-1, 1) * rng.choice(_MAGNITUDES) for _ in range(m)]
                   for _ in range(40)]
-        values, bad, exc = _grid_values(p, points)
-        assert (bad, exc) == (len(points), None)
-        expected, _, _ = _eval_walk(p, points)
-        assert [_bits(v) for v in values.tolist()] == [_bits(v) for v in expected]
+        values = _grid_values(p, points)
+        assert [_bits(v) for v in values.tolist()] == [_bits(v) for v in _eval_walk(p, points)]
 
 
 _nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
@@ -693,14 +702,14 @@ _nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9
 @st.composite
 def _det1_charts(draw):
     """(g, T) as the benchmark's emt-audit charts: g = A^T A with A unit
-    upper triangular, A_ij = a + b x_j, and T^{lam mu} = 10^k (c0 + c1 x_lam
-    + c2 x_lam x_mu)."""
-    m, k = draw(st.integers(2, 4)), draw(st.integers(-9, 6))
+    upper triangular, A_ij = a + b x_j (flat) or a + b x_i x_j (curved), and
+    T^{lam mu} = 10^k (c0 + c1 x_lam + c2 x_lam x_mu)."""
+    m, k, curved = draw(st.integers(2, 4)), draw(st.integers(-9, 6)), draw(st.booleans())
     x = [Polynomial.variable(i, m) for i in range(m)]
     A = [[const(1 if i == j else 0, m) for j in range(m)] for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            A[i][j] = draw(_nonzero) + draw(_nonzero) * x[j]
+            A[i][j] = draw(_nonzero) + draw(_nonzero) * (x[i] * x[j] if curved else x[j])
     g = [[sum((A[r][i] * A[r][j] for r in range(m)), const(0, m)) for j in range(m)]
          for i in range(m)]
     scale = Fraction(10) ** k
@@ -715,8 +724,7 @@ def _sphere_audits(draw):
     chart, k = sphere_chart(), draw(st.integers(-9, 6))
     T = draw(st.sampled_from([inverse_metric_tensor(chart), _random_tensor(20),
                               _random_tensor(21)]))
-    # unscaled, T = g^-1 is read through its batched inverses; scaled, through
-    # the pointwise callables
+    # T = g^-1 is read through its batched inverses, scaled or not
     return chart, draw(st.sampled_from([T, _scaled(T, 10.0 ** k)]))
 
 
@@ -749,9 +757,9 @@ def test_inverse_metric_tensor_inverts_once_per_stencil_offset(chart):
     points = chart.sample_points(5)
     factor, calls = chart._factor_grid, []
 
-    def counted(X, rows):
-        calls.append(len(rows))
-        return factor(X, rows)
+    def counted(X):
+        calls.append(len(X))
+        return factor(X)
 
     with mock.patch.object(chart, "_factor_grid", counted):
         sides = emt._numeric_sides(T, chart, points)
@@ -765,29 +773,84 @@ _SINGULAR = [[1.5140605674521708, 0.28183784439970383],
              [0.28183784439970383, 0.05246327144596278]]
 
 
-@pytest.mark.parametrize("entries,raised,message", [
-    ([[-1.0, 0.0], [0.0, 1.0]], InputError, "metric singular or indefinite at sample point {}"),
-    ([[NAN, 0.0], [0.0, 1.0]], InputError, "metric entry (1, 1) is not finite at sample point {}"),
-    (_SINGULAR, np.linalg.LinAlgError, "Singular matrix")],
-    ids=["indefinite", "nan", "singular"])
+@pytest.mark.parametrize("entries", [[[-1.0, 0.0], [0.0, 1.0]], [[NAN, 0.0], [0.0, 1.0]],
+                                     _SINGULAR], ids=["indefinite", "nan", "singular"])
 @pytest.mark.parametrize("mu,sign", [(0, 1), (1, -1)])
-def test_batched_inverse_metric_fails_as_the_pointwise_walk(mu, sign, entries, raised,
-                                                            message):
+def test_batched_inverse_metric_fails_as_the_pointwise_walk(mu, sign, entries):
     # T = g^-1 of a chart that fails only at a stencil neighbour of the third
-    # of five sample points, audited on the flat chart: the batched inverses
-    # must raise what the pointwise callables raise there
+    # of five sample points, audited on the flat chart: T has no value there,
+    # and the batched inverses must refuse what the pointwise walk refuses,
+    # the first entry read at that neighbour
     points = flat_chart(2).sample_points(5)
     bad = list(points[2])
     bad[mu] += sign * emt.FD_STEP
     np.linalg.cholesky(np.array(_SINGULAR))  # g passes its own check there
-    chart = MetricChart(2, [[lambda pt, e=e, i=i, j=j: e if pt == bad else float(i == j)
+    chart = MetricChart(2, [[lambda X, e=e, i=i, j=j: np.where(_at(X, bad), e, float(i == j))
                              for j, e in enumerate(row)] for i, row in enumerate(entries)])
     T = inverse_metric_tensor(chart)
-    with pytest.raises(raised) as pointwise:
+    with pytest.raises(InputError) as pointwise:
         reference_sides(T, flat_chart(2), points)
-    with pytest.raises(raised) as batched:
+    with pytest.raises(InputError) as batched:
         verify_equivalence(T, flat_chart(2), backend="numeric", count=5)
-    assert str(batched.value) == str(pointwise.value) == message.format(bad)
+    assert str(batched.value) == str(pointwise.value) == (
+        f"tensor entry (1, {mu + 1}) is not finite at sample point {bad}")
+
+
+def _singular_chart():
+    """The constant g = _SINGULAR, in exact fractions."""
+    return MetricChart(2, [[const(Fraction(v)) for v in row] for row in _SINGULAR])
+
+
+def test_metric_that_lu_cannot_invert_is_refused_at_its_sample_point():
+    # the inverse used to be unguarded and ended the audit in a bare
+    # LinAlgError "Singular matrix"; every point is singular, so the first
+    # sample point is named
+    chart, T = _singular_chart(), tensor_const(2)
+    points = chart.sample_points(100)
+    message = f"metric singular at sample point {points[0]}"
+    for call in (lambda: verify_equivalence(T, chart, backend="numeric"),
+                 lambda: reference_sides(T, chart, points),
+                 lambda: christoffel_at(chart, points[0])):
+        with pytest.raises(InputError) as raised:
+            call()
+        assert str(raised.value) == message
+    assert verify_equivalence(T, chart, backend="exact").identity_holds
+
+
+def test_cli_refuses_a_metric_that_lu_cannot_invert_only_on_the_numeric_backend(tmp_path):
+    chart = _singular_chart()
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_chart_json(chart, tensor_const(2))))
+    codes = {}
+    for backend in ("exact", "numeric"):
+        out = tmp_path / f"{backend}.report.json"
+        codes[backend] = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
+                                   "--backend", backend])
+        codes[backend, "report"] = json.loads(out.read_text())
+    assert codes["exact"] == 0 and codes["exact", "report"]["verdict"] == "pass"
+    assert codes["numeric"] == 2 and codes["numeric", "report"]["verdict"] == "invalid-input"
+    assert codes["numeric", "report"]["results"]["error"] == (
+        f"metric singular at sample point {chart.sample_points(1)[0]}")
+
+
+def test_singular_metric_after_a_side_that_is_not_finite_is_not_reached():
+    # the walk computes the sides at each sample point after inverting g
+    # there: a side that is not finite at an earlier point is refused first
+    points = flat_chart(2).sample_points(5)
+    entries = [[lambda X, e=e, i=i, j=j: np.where(_at(X, points[3]), e, float(i == j))
+                for j, e in enumerate(row)] for i, row in enumerate(_SINGULAR)]
+    chart = MetricChart(2, entries)
+    # sum_mu |T^{1 mu}| in the rounding floor is beyond the floats there
+    huge = lambda X: np.where(_at(X, points[1]), 1e308, 0.0)
+    T = EnergyMomentum(2, [[huge, huge], [const(0), const(0)]])
+    for sides in (emt._numeric_sides, reference_sides):
+        with pytest.raises(InputError) as raised:
+            sides(T, chart, points)
+        assert str(raised.value) == (f"a side of the identity in component 1 is not "
+                                     f"finite at sample point {points[1]}")
+    with pytest.raises(InputError) as raised:
+        emt._numeric_sides(tensor_const(2), chart, points)
+    assert str(raised.value) == f"metric singular at sample point {points[3]}"
 
 
 @pytest.mark.parametrize("mu,sign", [(0, 1), (0, -1), (1, 1), (1, -1)])
@@ -796,8 +859,8 @@ def test_numeric_audit_checks_the_metric_at_every_stencil_point(mu, sign):
     point = flat_chart(2).sample_points(1)[0]
     bad = list(point)
     bad[mu] += sign * emt.FD_STEP
-    chart = MetricChart(2, [[lambda pt: -1.0 if pt == bad else 1.0, lambda pt: 0.0],
-                            [lambda pt: 0.0, lambda pt: 1.0]])
+    chart = MetricChart(2, [[lambda X: np.where(_at(X, bad), -1.0, 1.0), lambda X: 0.0],
+                            [lambda X: 0.0, lambda X: 1.0]])
     with pytest.raises(InputError, match=re.escape(f"indefinite at sample point {bad}")):
         verify_equivalence(tensor_const(2), chart, backend="numeric", count=1)
 
@@ -813,33 +876,30 @@ def test_numeric_audit_names_the_failing_neighbour_of_a_later_sample(mu, sign, v
     point = flat_chart(2).sample_points(3)[2]
     bad = list(point)
     bad[mu] += sign * emt.FD_STEP
-    chart = MetricChart(2, [[lambda pt: value if pt == bad else 1.0, lambda pt: 0.0],
-                            [lambda pt: 0.0, lambda pt: 1.0]])
+    chart = MetricChart(2, [[lambda X: np.where(_at(X, bad), value, 1.0), lambda X: 0.0],
+                            [lambda X: 0.0, lambda X: 1.0]])
     with pytest.raises(InputError, match=re.escape(f"{message} {bad}")):
         verify_equivalence(tensor_const(2), chart, backend="numeric", count=5)
 
 
-@pytest.mark.parametrize("t_sample,g_sample,raised", [
-    (1, 3, ZeroDivisionError), (3, 1, InputError), (2, 2, InputError)])
+@pytest.mark.parametrize("t_sample,g_sample,first", [(1, 3, "T"), (3, 1, "g"), (2, 2, "g")])
 def test_numeric_audit_raises_the_first_failure_of_the_per_point_walk(
-        t_sample, g_sample, raised):
+        t_sample, g_sample, first):
     # the walk reads g over a sample point's stencil and then T there, point
     # by point; the batch evaluates all of g first, and must still raise what
-    # that walk meets first
+    # that walk meets first, g where both fail at the same sample point
     points = flat_chart(2).sample_points(5)
     g_bad = list(points[g_sample])
     g_bad[1] -= emt.FD_STEP
-
-    def t(pt):
-        if pt == points[t_sample]:
-            raise ZeroDivisionError("T fails")
-        return 0.0
-
-    chart = MetricChart(2, [[lambda pt: 1.0, lambda pt: 0.0],
-                            [lambda pt: 0.0, lambda pt: -1.0 if pt == g_bad else 1.0]])
-    T = EnergyMomentum(2, [[const(1), const(0)], [t, const(1)]])
-    with pytest.raises(raised):
+    chart = MetricChart(2, [[lambda X: 1.0, lambda X: 0.0],
+                            [lambda X: 0.0, lambda X: np.where(_at(X, g_bad), -1.0, 1.0)]])
+    T = EnergyMomentum(2, [[const(1), const(0)],
+                           [lambda X: np.where(_at(X, points[t_sample]), NAN, 0.0), const(1)]])
+    with pytest.raises(InputError) as raised:
         verify_equivalence(T, chart, backend="numeric", count=5)
+    assert str(raised.value) == {
+        "T": f"tensor entry (2, 1) is not finite at sample point {points[t_sample]}",
+        "g": f"metric singular or indefinite at sample point {g_bad}"}[first]
 
 
 def test_power_overflow_at_a_late_sample_point_is_raised():
@@ -880,7 +940,8 @@ def _not_finite_audits():
                      "tensor entry (1, 1) is not finite at sample point {}", id="T"),
         pytest.param(flat_chart(2),
                      EnergyMomentum(2, [[const(1), const(0)],
-                                        [const(0), lambda pt: NAN if pt == later else 1.0]]),
+                                        [const(0),
+                                         lambda X: np.where(_at(X, later), NAN, 1.0)]]),
                      "tensor entry (2, 2) is not finite at sample point {}", id="T callable"),
         # g and T are finite, but sum_mu |T^{1 mu}| in the rounding floor is not
         pytest.param(flat_chart(2), EnergyMomentum(2, [[const(10 ** 308)] * 2, [const(0)] * 2]),
@@ -926,6 +987,22 @@ def test_conserved_does_not_flip_under_rescaling(k, backend):
     assert verify_equivalence(conserved, chart, backend=backend).conserved
     report = verify_equivalence(diverging, chart, backend=backend)
     assert report.identity_holds and not report.conserved
+
+
+@pytest.mark.parametrize("m,seed", [(m, seed) for m in (2, 3) for seed in range(3)] + [(4, 0)])
+def test_conserved_agrees_on_both_backends_on_curved_charts(m, seed):
+    # on a curved det-1 chart c adj g = c g^-1 is a polynomial T that is
+    # covariantly constant, hence conserved, and diag(x_1, ..., x_m) is not
+    chart = _seeded_chart(seed, m, curved=True)[0]
+    c = Fraction(7, 3) * (seed + 1)
+    conserved = EnergyMomentum(m, [[c * e for e in row]
+                                   for row in emt_reference.inverse_metric(chart)])
+    diverging = EnergyMomentum(m, [[Polynomial.variable(i, m) if i == j else const(0, m)
+                                    for j in range(m)] for i in range(m)])
+    for backend in ("exact", "numeric"):
+        assert verify_equivalence(conserved, chart, backend=backend).conserved, backend
+        report = verify_equivalence(diverging, chart, backend=backend)
+        assert report.identity_holds and not report.conserved, backend
 
 
 def test_numeric_audit_of_no_sample_points_holds_vacuously():
