@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InputError, VerificationError, json_int, json_matrix
-from .exterior import VectorValuedForm, _minor_det
+from .exterior import VectorValuedForm
 from .bundle import _covariant_d, poly_form
-from .poly import Polynomial, from_json_terms
+from .poly import (ExponentLimitError, Polynomial, from_json_terms, monomial,
+                   sum_of_products)
 
 EPS = sys.float_info.epsilon
 FD_STEP = 1e-5
@@ -40,7 +41,7 @@ def target_dimension(m):
     return m + (m - 1) ** 2
 
 
-def _grid_function(f):
+def _grid_function(f, canonical=False):
     """f as a function of a grid of points: (X, out, powers) writes f's
     values at the N points of the (N, m) float array X into the float array
     `out` of N entries; `powers` is a dict {(v, e): X[:, v] ** e} that the
@@ -50,22 +51,27 @@ def _grid_function(f):
     A callable is a chart function of the whole grid: f(X) returns the N
     values (one number stands for N equal ones), a value that is not finite
     where f has none; what it raises propagates.  A Polynomial is summed
-    term by term over the whole array from its coefficients converted to
+    term by term over the whole array, in its term order (in sorted sparse
+    monomial order when `canonical`), from its coefficients converted to
     floats once, which gives Polynomial.eval's finite floats bit for bit:
-    Fraction * float computes float(fraction) * float, both sums start
-    from 0, and np.float_power is the C pow that Python's float ** int
-    calls (np.power is not).  Each power is computed once per grid, into
-    `powers`; x ** 1 is x in C's pow, so a first power is the column of X
-    itself.  Where Python's pow raises OverflowError, or a coefficient is
-    beyond the floats, the value is not finite, which the caller refuses."""
+    numerator / den is float(Fraction), both correctly rounded, Fraction *
+    float computes float(fraction) * float, the factors go in ascending
+    variable order, both sums start from 0, and np.float_power is the C pow
+    that Python's float ** int calls (np.power is not).  Each power is
+    computed once per grid, into `powers`; x ** 1 is x in C's pow, so a
+    first power is the column of X itself.  Where Python's pow raises
+    OverflowError, or a coefficient is beyond the floats, the value is not
+    finite, which the caller refuses."""
     if not isinstance(f, Polynomial):
         def called(X, out, powers):
             out[:] = f(X)
         return called
     try:
-        terms = [(float(c), k) for k, c in f.terms.items()]
+        terms = [(c / f.den, monomial(k)) for k, c in f.nums.items()]
     except OverflowError:  # a coefficient beyond the floats: no value is finite
         terms = [(math.inf, ())]
+    if canonical:
+        terms.sort(key=itemgetter(1))
 
     def summed(X, out, powers):
         import numpy as np
@@ -287,64 +293,77 @@ def _require_exact(g: MetricChart, T: EnergyMomentum | None = None):
         raise InputError("exact backend needs polynomial tensor components")
 
 
+def _minor_det(rows, row_ids, col_ids, minors):
+    """Determinant of the minor of the polynomial matrix `rows` on the row
+    indices `row_ids` and the column indices `col_ids`, by expansion along
+    its first row, summed by `sum_of_products`.
+
+    Every sub-minor is kept in `minors` under (row indices, column
+    indices), so that the calls sharing one dict compute each sub-minor
+    once: the cofactors of a matrix and its determinant then expand the
+    same smaller minors only once between them."""
+    if len(row_ids) == 1:
+        return rows[row_ids[0]][col_ids[0]]
+    key = (row_ids, col_ids)
+    det = minors.get(key)
+    if det is None:
+        top, rest = rows[row_ids[0]], row_ids[1:]
+        det = minors[key] = sum_of_products(top[0].nvars, [
+            (-1 if j % 2 else 1, top[c], _minor_det(rows, rest, col_ids[:j] + col_ids[j + 1:],
+                                                     minors))
+            for j, c in enumerate(col_ids) if top[c]])
+    return det
+
+
 def _exact_connection(g: MetricChart):
-    """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials, computed in
-    integers.
+    """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials.
 
     Restricted to det g a positive constant; otherwise the inverse leaves
     the polynomial ring and the numeric backend must be used.
 
-    g is scaled by the lcm D of its coefficient denominators to the
-    int-coefficient G = D g, and everything up to the last division is
-    formed over the integers.  det G is expanded along row 0 first, and
-    its sub-minors are the cofactors of that row; every cofactor of the
-    symmetric adjugate shares them and the smaller sub-minors through one
-    dict, so each minor is expanded once, and the cofactors on and above
-    the diagonal are computed and mirrored.  Each partial derivative
-    d_mu G_{rho nu} is taken once, and so is each doubled bracket
-    2[rho, mu nu] = d_mu G_{rho nu} + d_nu G_{rho mu} - d_rho G_{mu nu};
-    the numerators N^lam_{mu nu} = adj(G)^{lam rho} 2[rho, mu nu] are
-    summed over the non-zero brackets for mu <= nu and mirrored, and
-    Gamma = N / (2 det G) takes one Fraction per term.  The scaling
-    cancels: adj(G) = D^(m-1) adj(g), the brackets scale by D and
-    det G = D^m det g."""
+    Every product and sum below adds and multiplies ints: each entry of g
+    is held as int numerators over its own denominator (see poly.py).
+    det g is expanded along row 0 first, and its sub-minors are the
+    cofactors of that row; every cofactor of the symmetric adjugate shares
+    them and the smaller sub-minors through one dict, so each minor is
+    expanded once, and the cofactors on and above the diagonal are computed
+    and mirrored.  Each partial derivative d_mu g_{rho nu} is taken once,
+    and so is each doubled bracket
+    2[rho, mu nu] = d_mu g_{rho nu} + d_nu g_{rho mu} - d_rho g_{mu nu};
+    Gamma^lam_{mu nu} = adj(g)^{lam rho} 2[rho, mu nu] / (2 det g) is one
+    sum of products over the non-zero brackets, for mu <= nu, and
+    mirrored."""
     m, nv = g.m, g.g[0][0].nvars
-    D = math.lcm(*(c.denominator for row in g.g for e in row for c in e.terms.values()))
-    G = [[Polynomial.from_sparse(nv, {k: c.numerator * (D // c.denominator)
-                                      for k, c in e.terms.items()}) for e in row]
-         for row in g.g]
+    ids = tuple(range(m))
     minors = {}
-    det = _minor_det(G, minors=minors)
-    if not (isinstance(det, Polynomial) and det.is_constant()) and not isinstance(det, Fraction):
+    det = _minor_det(g.g, ids, ids, minors)
+    if not det.is_constant():
         raise InputError(
             "exact backend requires constant metric determinant; use the "
             "numeric backend for this chart")
-    det = int(det.constant_value() if isinstance(det, Polynomial) else det)
+    det = det.constant_value()
     if det <= 0:
         raise InputError("metric determinant must be positive")
-    ids = tuple(range(m))
+    one = Polynomial.constant(1, nv)
     adj = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            cof = _minor_det(G, ids[:i] + ids[i + 1:], ids[:j] + ids[j + 1:], minors)
-            if not isinstance(cof, Polynomial):  # the empty minor at m = 1, or a zero one
-                cof = Polynomial.from_sparse(nv, {(): int(cof)} if cof else {})
+            # the empty minor at m = 1 is 1
+            cof = _minor_det(g.g, ids[:i] + ids[i + 1:], ids[:j] + ids[j + 1:],
+                             minors) if m > 1 else one
             adj[i][j] = adj[j][i] = -cof if (i + j) % 2 else cof
-    dG = [[[G[rho][nu].partial(mu) for nu in range(m)] for rho in range(m)]
+    dg = [[[g.g[rho][nu].partial(mu) for nu in range(m)] for rho in range(m)]
           for mu in range(m)]
-    den = 2 * det
+    half = 1 / (2 * det)
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
     for mu in range(m):
         for nu in range(mu, m):
-            brackets = [(rho, dG[mu][rho][nu] + dG[nu][rho][mu] - dG[rho][mu][nu])
+            brackets = [sum_of_products(nv, [(1, dg[mu][rho][nu], one), (1, dg[nu][rho][mu], one),
+                                             (-1, dg[rho][mu][nu], one)])
                         for rho in range(m)]
-            brackets = [(rho, b) for rho, b in brackets if b]
             for lam in range(m):
-                total = Polynomial(nv)
-                for rho, b in brackets:
-                    total = total + adj[lam][rho] * b
-                gamma[lam][mu][nu] = gamma[lam][nu][mu] = Polynomial.from_sparse(
-                    nv, {k: Fraction(c, den) for k, c in total.terms.items()})
+                gamma[lam][mu][nu] = gamma[lam][nu][mu] = sum_of_products(
+                    nv, [(half, adj[lam][rho], b) for rho, b in enumerate(brackets)])
     return gamma
 
 
@@ -395,20 +414,20 @@ def _tau(T: EnergyMomentum, g: MetricChart):
 
 def covariant_divergence(T: EnergyMomentum, gamma):
     """grad_mu T^{lam mu} = xi_mu(T^{lam mu}) + T^{lam mu} Gamma^nu_{nu mu}
-    + T^{mu nu} Gamma^lam_{nu mu}, one polynomial per lam (exact backend)."""
-    m = T.m
-    zero = Polynomial.constant(0, T.T[0][0].nvars)
+    + T^{mu nu} Gamma^lam_{nu mu}, one polynomial per lam, each one sum of
+    products (exact backend)."""
+    m, nv = T.m, T.T[0][0].nvars
+    one = Polynomial.constant(1, nv)
     # trace[mu] = Gamma^nu_{nu mu}, summed over nu once for every lam
-    trace = [sum((gamma[nu][nu][mu] for nu in range(m)), zero) for mu in range(m)]
+    trace = [sum_of_products(nv, [(1, gamma[nu][nu][mu], one) for nu in range(m)])
+             for mu in range(m)]
     out = []
     for lam in range(m):
-        total = zero
+        items = []
         for mu in range(m):
-            total = total + T.T[lam][mu].partial(mu)
-            total = total + T.T[lam][mu] * trace[mu]
-            for nu in range(m):
-                total = total + T.T[mu][nu] * gamma[lam][nu][mu]
-        out.append(total)
+            items += [(1, T.T[lam][mu].partial(mu), one), (1, T.T[lam][mu], trace[mu])]
+            items += [(1, T.T[mu][nu], gamma[lam][nu][mu]) for nu in range(m)]
+        out.append(sum_of_products(nv, items))
     return out
 
 
@@ -555,14 +574,16 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
 def _max_abs(fs, points, m):
     """max(0.0, |f(x)| for x in points for f in fs), fs the divergence's
     components, at points of m coordinates, each f evaluated over all the
-    points at once; the first failure in that order is raised."""
+    points at once and summed in sorted term order, so that the maximum
+    depends on the chart, not on the order its JSON lists terms; the first
+    failure in that order is raised."""
     import numpy as np
     P = len(points)
     X = np.array(points, dtype=float).reshape(P, m)
     values = np.empty((len(fs), P))
     powers = {}
     for f, out in zip(fs, values):
-        _grid_function(f)(X, out, powers)
+        _grid_function(f, canonical=True)(X, out, powers)
     found = _first_not_finite(values.T)
     if found is not None:
         p, lam = found
@@ -625,11 +646,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                     f"covariant derivative and divergence disagree as "
                     f"polynomials in component {lam + 1}")
         conserved = all(not d for d in div)
-        # each divergence summed in sorted term order, so that the float
-        # maximum depends on the chart, not on the order its JSON lists terms
-        canonical = [Polynomial.from_sparse(d.nvars, dict(sorted(d.terms.items())))
-                     for d in div]
-        max_div = _max_abs(canonical, g.sample_points(count), m)
+        max_div = _max_abs(div, g.sample_points(count), m)
         return EquivalenceReport(backend="exact", identity_holds=True,
                                  max_identity_residual=0.0,
                                  worst_point=None, max_divergence=max_div,
@@ -716,14 +733,28 @@ def inverse_metric_tensor(g: MetricChart) -> EnergyMomentum:
                               for i in range(m)])
 
 
+def _json_entries(doc, field, m, what):
+    """The m x m polynomials of doc[field], read in row-major order; an
+    exponent past the limit is refused naming its entry."""
+    out = []
+    for i, row in enumerate(json_matrix(doc, field, m, m)):
+        out.append([])
+        for j, e in enumerate(row):
+            try:
+                out[i].append(from_json_terms(e, m))
+            except ExponentLimitError as exc:
+                raise InputError(f"{what} entry ({i + 1}, {j + 1}): {exc}") from None
+    return out
+
+
 def load_chart(doc):
     """(MetricChart, EnergyMomentum) from the JSON schema
     {"m", "g", "T", "box", "margin"} with polynomial entries given as
     lists of {"exponents", "coefficient"}."""
     try:
         m = json_int(doc, "m")
-        g = [[from_json_terms(e, m) for e in row] for row in json_matrix(doc, "g", m, m)]
-        T = [[from_json_terms(e, m) for e in row] for row in json_matrix(doc, "T", m, m)]
+        g = _json_entries(doc, "g", m, "metric")
+        T = _json_entries(doc, "T", m, "tensor")
         box = doc.get("box")
         margin = doc.get("margin", DEFAULT_MARGIN)
     except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:

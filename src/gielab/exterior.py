@@ -194,42 +194,6 @@ def contract(v, a: ExteriorForm) -> ExteriorForm:
     return out
 
 
-def _minor_det(rows, row_ids=None, col_ids=None, minors=None):
-    """Determinant of the minor of `rows` on the row indices `row_ids` and
-    the column indices `col_ids` (the whole square matrix by default), by
-    expansion along its first row; entries are ring elements.
-
-    Every sub-minor is kept in `minors` under (row indices, column
-    indices), so that the calls sharing one dict compute each sub-minor
-    once: the cofactors of a matrix and its determinant then expand the
-    same smaller minors only once between them."""
-    if row_ids is None:
-        row_ids = col_ids = tuple(range(len(rows)))
-    n = len(row_ids)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[row_ids[0]][col_ids[0]]
-    if minors is None:
-        minors = {}
-    key = (row_ids, col_ids)
-    det = minors.get(key)
-    if det is not None:
-        return det
-    top, rest = rows[row_ids[0]], row_ids[1:]
-    total = None
-    for j, c in enumerate(col_ids):
-        head = top[c]
-        if not head:
-            continue
-        term = head * _minor_det(rows, rest, col_ids[:j] + col_ids[j + 1:], minors)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    det = minors[key] = total if total is not None else Fraction(0)
-    return det
-
-
 def evaluate(a: ExteriorForm, vectors):
     """a(v_1..v_p) = v_p -| ... v_1 -| a for p vectors given as {k: v_k}."""
     vectors = list(vectors)

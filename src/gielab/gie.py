@@ -720,6 +720,57 @@ def gie_cartan_report(psi: PsiData, H: SecondFundamental,
 # Grassmannian pullback (second-proof path)
 
 
+class PullbackFunction:
+    """A function of the Grassmannian chart coordinates, as
+    {sparse monomial: coefficient}: each monomial the sorted tuple of
+    (variable, exponent) pairs with exponent > 0, () for the constant.
+    These are not chart polynomials: they have hundreds of variables, are
+    never multiplied, and are only differentiated at a point, where a
+    product of a few variables costs a few pairs."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = terms
+
+    def gradient_at(self, point):
+        """{v: d/dx_{v+1} at `point`} over the non-zero entries, v 0-based,
+        in one pass over the terms.  At a rational point each value is the
+        partial derivative's exact value there.
+
+        Each factor's value is read once.  A term whose zero factors have
+        total multiplicity 2 or more has a zero derivative in every
+        variable and is skipped; with one simple zero factor, only the
+        derivative in that variable is formed."""
+        if len(point) != self.nvars:
+            raise InputError("evaluation point has wrong length")
+        grad = {}
+        for k, c in self.terms.items():
+            values = []
+            zero = None  # the position of the one simple zero factor
+            for q, (w, e) in enumerate(k):
+                x = point[w]
+                if not x:
+                    if zero is not None or e > 1:
+                        break
+                    zero = q
+                values.append(x)
+            else:
+                positions = enumerate(k) if zero is None else [(zero, k[zero])]
+                for pos, (var, e) in positions:
+                    d = c if e == 1 else c * e
+                    for q, (w, ew) in enumerate(k):
+                        if q == pos:
+                            ew -= 1
+                        if ew == 1:
+                            d = d * values[q]
+                        elif ew:
+                            d = d * values[q] ** ew
+                    grad[var] = grad.get(var, 0) + d
+        return {v: d for v, d in grad.items() if d}
+
+
 class GrassmannPullback:
     """Pulled-back generator coefficients as polynomial functions of the
     Grassmannian chart coordinates P^A_lam, the variable (A - 1) m + lam - 1.
@@ -730,7 +781,6 @@ class GrassmannPullback:
     R is not of psi's shape."""
 
     def __init__(self, psi: PsiData, R: CurvatureElement, kappa):
-        from .poly import Polynomial
         n, m = psi.n, psi.m
         _require_curvature_shape(R, n, m)
         self.psi = psi
@@ -741,11 +791,11 @@ class GrassmannPullback:
         # bases[i][a - 1] = (sigma(n + a, i) - 1) m, the variable of P^{(a, i)}_1
         bases = {i: [(c - 1) * m for c in self.sigma.normals(i)] for i in range(1, n + 1)}
         self._bases = bases
-        # every function is written in poly's sorted sparse monomials;
+        # every function is written in sorted sparse monomials;
         # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs
         # i < j, so P^{sigma(i, j)}_lam are the first n(n-1)m/2 variables
         nv = self.nvars
-        linear = [Polynomial.from_sparse(nv, {((v, 1),): 1}) for v in range(pairs * m)]
+        linear = [PullbackFunction(nv, {((v, 1),): 1}) for v in range(pairs * m)]
         quadratic = []
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -758,7 +808,7 @@ class GrassmannPullback:
                         for bi, bj in chart:
                             terms[(bi + lam, 1), (bj + mu, 1)] = 1
                             terms[(bi + mu, 1), (bj + lam, 1)] = -1
-                        quadratic.append(Polynomial.from_sparse(nv, terms))
+                        quadratic.append(PullbackFunction(nv, terms))
         # (lam - 1, Psi'_{i lam}) with Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}
         signed = [(bases[i], [(lam - 1, psi[i, lam] if lam % 2 else -psi[i, lam])
                               for lam in range(1, m + 1) if psi[i, lam]])
@@ -769,7 +819,7 @@ class GrassmannPullback:
             for base, row in signed:
                 for lam, c in row:
                     terms[((base[a] + lam, 1),)] = c
-            phi_type.append(Polynomial.from_sparse(nv, terms))
+            phi_type.append(PullbackFunction(nv, terms))
         self.linear = linear
         self.quadratic = quadratic
         self.phi_type = phi_type

@@ -4,21 +4,23 @@ Numeric: the library evaluates the metric and the tensor once over the
 whole grid of sample points and their stencil neighbours, as arrays.
 This module keeps the pointwise formulation, which evaluates each chart
 function and factorises the metric afresh for every value it needs, one
-point at a time: a polynomial through `Polynomial.eval`, and a callable,
-which the library calls on the whole grid, on a grid of the one point.
+point at a time: a polynomial through `poly_reference`'s
+`Polynomial.eval`, and a callable, which the library calls on the whole
+grid, on a grid of the one point.
 It performs the same floating-point operations in the same order, so the
 tests require its sides to equal the library's float for float.  It
 refuses a value that is not finite as the library does, with the same
 InputError: g over the stencil of every point and T there first, then
 point by point g where it cannot be inverted, and the sides.
 
-Exact: the library works on the integer G = D g (D the lcm of g's
-coefficient denominators), expands each minor of G once, forms each
-Christoffel bracket once and divides by the one denominator 2 det G.
-This module keeps the plain Fraction formulas: every cofactor of g as the
-determinant of its own minor matrix, over det g, and Gamma^lam_{mu nu}
-summed over rho for every index triple, with every partial derivative
-taken afresh.  The tests require equal polynomials.
+Exact: the library expands each minor of g once, over int numerators
+and one denominator per polynomial, forms each Christoffel bracket once
+and divides by the one denominator 2 det g.  This module keeps the plain
+Fraction formulas on the reference polynomials of `poly_reference`, not
+on the library's kernel: every cofactor of g as the determinant of its
+own minor matrix, over det g, and Gamma^lam_{mu nu} summed over rho for
+every index triple, with every partial derivative taken afresh.  The
+tests require equal polynomials.
 """
 
 import math
@@ -26,24 +28,31 @@ from fractions import Fraction
 
 import numpy as np
 
+from flag_reference import determinant
 from gielab import InputError
 from gielab.emt import EPS, FD_STEP, TOLERANCE, _fold
-from gielab.exterior import _minor_det
-from gielab.poly import Polynomial
+from gielab.poly import Polynomial as Library
+from poly_reference import Polynomial, reference
+
+
+def metric(g):
+    """The chart's g as reference polynomials."""
+    return [[reference(e) for e in row] for row in g.g]
 
 
 def inverse_metric(g):
-    """g^{-1} as polynomials: each cofactor from its own minor matrix,
-    over det g, which must be a nonzero constant."""
+    """g^{-1} as reference polynomials: each cofactor from its own minor
+    matrix, over det g, which must be a nonzero constant."""
     m, nv = g.m, g.g[0][0].nvars
-    det = _minor_det(g.g)
+    G = metric(g)
+    det = determinant(G)
     det = det.constant_value() if isinstance(det, Polynomial) else Fraction(det)
     inv = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            minor = [[g.g[r][c] for c in range(m) if c != j]
+            minor = [[G[r][c] for c in range(m) if c != j]
                      for r in range(m) if r != i]
-            cof = _minor_det(minor) if m > 1 else Polynomial.constant(1, nv)
+            cof = determinant(minor) if m > 1 else Polynomial.constant(1, nv)
             if not isinstance(cof, Polynomial):
                 cof = Polynomial.constant(cof, nv)
             sign = 1 if (i + j) % 2 == 0 else -1
@@ -54,7 +63,7 @@ def inverse_metric(g):
 def christoffel(g, ginv):
     """Gamma^lam_{mu nu} = 1/2 g^{lam rho} (d_mu g_{rho nu} + d_nu g_{rho mu}
     - d_rho g_{mu nu}) for every index triple."""
-    m = g.m
+    m, G = g.m, metric(g)
     half = Fraction(1, 2)
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
     for lam in range(m):
@@ -63,9 +72,9 @@ def christoffel(g, ginv):
                 total = Polynomial.constant(0, g.g[0][0].nvars)
                 for rho in range(m):
                     total = total + ginv[lam][rho] * (
-                        g.g[rho][nu].partial(mu)
-                        + g.g[rho][mu].partial(nu)
-                        - g.g[mu][nu].partial(rho))
+                        G[rho][nu].partial(mu)
+                        + G[rho][mu].partial(nu)
+                        - G[mu][nu].partial(rho))
                 gamma[lam][mu][nu] = half * total
     return gamma
 
@@ -73,11 +82,12 @@ def christoffel(g, ginv):
 def _value(f, point, what):
     """float(f at point), refused as the library refuses a value that is
     not finite; where Python's float pow overflows, the library's
-    np.float_power gives an infinity.  A callable is called on the grid of
-    the one point."""
-    if isinstance(f, Polynomial):
+    np.float_power gives an infinity.  A polynomial is evaluated as a
+    reference polynomial, and a callable is called on the grid of the one
+    point."""
+    if isinstance(f, Library):
         try:
-            value = float(f.eval(point))
+            value = float(reference(f).eval(point))
         except OverflowError:
             value = math.inf
     else:

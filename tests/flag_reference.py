@@ -10,6 +10,11 @@ on dense vectors, independent of contraction.  The tests require the
 library to agree with them exactly, including the order of the
 coefficient dicts, which fixes the first witness a failure report names.
 
+`determinant` is the cofactor expansion over any ring, with shared
+sub-minors; `emt_reference` takes its exact inverse metric from it too,
+while the library's own expansion (`emt._minor_det`) is over packed
+polynomials.
+
 The ideal in the coframe adapted to H exists only here (`adapted_ideal`,
 by substitution): the library writes its expansion rows straight from H
 (`gie.adapted_expansion_rows`), and the characters by expansion are kept
@@ -20,8 +25,44 @@ from fractions import Fraction
 from itertools import combinations
 
 from gielab.eds import AlgebraicIdeal, cartan_characters_by_expansion, expansion_rows
-from gielab.exterior import ExteriorForm, _minor_det, wedge
+from gielab.exterior import ExteriorForm, wedge
 from gielab.gie import SigmaIndexMap, gie_coframe
+
+
+def determinant(rows, row_ids=None, col_ids=None, minors=None):
+    """Determinant of the minor of `rows` on the row indices `row_ids` and
+    the column indices `col_ids` (the whole square matrix by default), by
+    expansion along its first row; entries are ring elements.
+
+    Every sub-minor is kept in `minors` under (row indices, column
+    indices), so that the calls sharing one dict compute each sub-minor
+    once: the cofactors of a matrix and its determinant then expand the
+    same smaller minors only once between them."""
+    if row_ids is None:
+        row_ids = col_ids = tuple(range(len(rows)))
+    n = len(row_ids)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return rows[row_ids[0]][col_ids[0]]
+    if minors is None:
+        minors = {}
+    key = (row_ids, col_ids)
+    det = minors.get(key)
+    if det is not None:
+        return det
+    top, rest = rows[row_ids[0]], row_ids[1:]
+    total = None
+    for j, c in enumerate(col_ids):
+        head = top[c]
+        if not head:
+            continue
+        term = head * determinant(rows, rest, col_ids[:j] + col_ids[j + 1:], minors)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    det = minors[key] = total if total is not None else Fraction(0)
+    return det
 
 
 def expansion_characters(ideal):
@@ -56,7 +97,7 @@ def evaluate(a, vectors):
     assert len(vectors) == a.degree and all(len(v) == a.dim for v in vectors)
     total = Fraction(0)
     for key, val in a.coefficients.items():
-        d = _minor_det([[v[k - 1] for k in key] for v in vectors])
+        d = determinant([[v[k - 1] for k in key] for v in vectors])
         if d:
             total = total + val * d
     return total

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gielab.cli import (EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES,
                         build_parser, main)
 from gielab.gie import closed_form_characters, dimension_ledger, flag_size_bound
+from gielab.poly import MAX_EXPONENT
 
 
 def _refuse_constant(name):
@@ -410,6 +411,24 @@ def test_emt_audit_boolean_exponent_is_invalid(tmp_path, capsys, entry, backend)
     assert code == EXIT_INVALID
     assert report["verdict"] == "invalid-input"
     assert "bad exponent tuple (True, 0) for 2 variables" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+@pytest.mark.parametrize("e", [MAX_EXPONENT - 1, MAX_EXPONENT, MAX_EXPONENT + 1, 70000])
+def test_emt_audit_refuses_an_exponent_past_the_limit(tmp_path, capsys, e, backend):
+    # T^11 = x_1^70000 once gave exit 0 on both backends: the exact report
+    # read conserved false with max_divergence 0.0, the numeric one conserved
+    doc = _flat_chart_doc()
+    doc["T"][0][0] = [{"exponents": [e, 0], "coefficient": "1"}]
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", backend], capsys)
+    if e <= MAX_EXPONENT:
+        assert (code, report["verdict"]) == (EXIT_PASS, "pass")
+        return
+    assert (code, report["verdict"]) == (EXIT_INVALID, "invalid-input")
+    assert report["results"]["error"].endswith(
+        f"tensor entry (1, 1): exponent {e} of x1 is past the limit {MAX_EXPONENT}")
 
 
 def _named_point(error, prefix):

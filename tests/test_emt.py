@@ -20,7 +20,8 @@ from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
                         covariant_exterior_derivative, flat_chart,
                         inverse_metric_tensor, load_chart, sphere_chart,
                         target_dimension, tensor_to_mform, verify_equivalence)
-from gielab.poly import Polynomial
+from gielab.poly import MAX_EXPONENT, Polynomial
+from poly_reference import Polynomial as ReferencePolynomial, reference, to_library
 
 
 def const(c, m=2):
@@ -299,12 +300,13 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
     for seed in range(2):
         chart, _ = _seeded_chart(seed, m, Fraction(det))
         gamma = emt._exact_connection(chart)
-        ginv = emt_reference.inverse_metric(chart)
+        g, ginv = emt_reference.metric(chart), emt_reference.inverse_metric(chart)
         for i in range(m):
             for j in range(m):
-                entry = sum((chart.g[i][k] * ginv[k][j] for k in range(m)), const(0, m))
-                assert entry == const(1 if i == j else 0, m)
-        assert gamma == emt_reference.christoffel(chart, ginv)
+                entry = sum((g[i][k] * ginv[k][j] for k in range(m)), 0)
+                assert entry == (1 if i == j else 0)
+        assert ([[[reference(e) for e in row] for row in plane] for plane in gamma]
+                == emt_reference.christoffel(chart, ginv))
         assert christoffel(chart) == gamma
 
 
@@ -340,9 +342,8 @@ def test_exact_max_divergence_is_the_pointwise_maximum(m, det):
     chart, T = _seeded_chart(3, m, det)
     report = verify_equivalence(T, chart, backend="exact")
     # each divergence is evaluated in sorted term order
-    div = [Polynomial(m) for _ in range(m)]
-    for d, exact in zip(div, covariant_divergence(T, christoffel(chart))):
-        d.terms = dict(sorted(exact.terms.items()))
+    div = [ReferencePolynomial.from_sparse(m, dict(sorted(d.terms.items())))
+           for d in covariant_divergence(T, christoffel(chart))]
     expected = 0.0
     for point in chart.sample_points(100):
         for d in div:
@@ -989,13 +990,27 @@ def test_conserved_does_not_flip_under_rescaling(k, backend):
     assert report.identity_holds and not report.conserved
 
 
-@pytest.mark.parametrize("m,seed", [(m, seed) for m in (2, 3) for seed in range(3)] + [(4, 0)])
+def test_exact_audit_refuses_a_product_past_the_exponent_limit():
+    # T^11 = x_1^MAX_EXPONENT is accepted, but T^11 Gamma^lam_{11} on the
+    # curved chart has x_1 to a higher power: the exact backend refuses it
+    # rather than let x_1's field wrap, and the numeric backend never
+    # multiplies polynomials
+    chart = _curved_chart()
+    T = EnergyMomentum(2, [[Polynomial(2, {(MAX_EXPONENT, 0): 1}), const(0)],
+                           [const(0), const(1)]])
+    with pytest.raises(InputError, match=f"a product has an exponent past the limit "
+                                         f"{MAX_EXPONENT}"):
+        verify_equivalence(T, chart, backend="exact")
+    assert verify_equivalence(T, chart, backend="numeric").identity_holds
+
+
+@pytest.mark.parametrize("m,seed", [(m, seed) for m in (2, 3, 4) for seed in range(3)])
 def test_conserved_agrees_on_both_backends_on_curved_charts(m, seed):
     # on a curved det-1 chart c adj g = c g^-1 is a polynomial T that is
     # covariantly constant, hence conserved, and diag(x_1, ..., x_m) is not
     chart = _seeded_chart(seed, m, curved=True)[0]
     c = Fraction(7, 3) * (seed + 1)
-    conserved = EnergyMomentum(m, [[c * e for e in row]
+    conserved = EnergyMomentum(m, [[to_library(c * e) for e in row]
                                    for row in emt_reference.inverse_metric(chart)])
     diverging = EnergyMomentum(m, [[Polynomial.variable(i, m) if i == j else const(0, m)
                                     for j in range(m)] for i in range(m)])

@@ -1,21 +1,24 @@
 """Polynomial ring: exact arithmetic, differentiation, evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import poly_reference
 from gielab import InputError
-from gielab.poly import Polynomial, from_json_terms
+from gielab.gie import PullbackFunction
+from gielab.poly import MAX_EXPONENT, Polynomial, from_json_terms
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
 
-def polys(nvars=2, max_terms=4):
+def polys(nvars=2, max_terms=4, ring=Polynomial):
     exps = st.tuples(*([st.integers(0, 3)] * nvars))
     return st.dictionaries(exps, fractions, max_size=max_terms).map(
-        lambda t: Polynomial(nvars, t))
+        lambda t: ring(nvars, t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,21 +222,25 @@ def test_variable_index_out_of_range(i):
         Polynomial.variable(0, 2).partial(i)
 
 
+# -- the Grassmann pullback's sparse functions, against the reference ------
+
+
 @settings(max_examples=150, deadline=None)
-@given(polys(nvars=3, max_terms=6),
+@given(polys(nvars=3, max_terms=6, ring=poly_reference.Polynomial),
        st.lists(st.one_of(st.just(Fraction(0)), fractions), min_size=3, max_size=3))
 # terms with two simple zero factors, one squared zero and one simple zero
-@example(Polynomial(3, {(1, 1, 0): 2, (2, 0, 1): 3, (1, 0, 3): 5, (0, 0, 2): -1}),
+@example(poly_reference.Polynomial(3, {(1, 1, 0): 2, (2, 0, 1): 3, (1, 0, 3): 5, (0, 0, 2): -1}),
          [Fraction(0), Fraction(0), Fraction(7, 2)])
 def test_gradient_is_each_partial_evaluated(p, point):
     # points with many zero coordinates reach the skipped terms
     expected = {v: p.partial(v).eval(point) for v in range(3)}
-    assert p.gradient_at(point) == {v: d for v, d in expected.items() if d}
+    gradient = PullbackFunction(3, p.terms).gradient_at(point)
+    assert gradient == {v: d for v, d in expected.items() if d}
 
 
 def test_gradient_at_known_polynomial():
     # f = 3 x1^2 x3 + x2: grad = (6 x1 x3, 1, 3 x1^2); x1 = 0 drops two entries
-    f = Polynomial(3, {(2, 0, 1): 3, (0, 1, 0): 1})
+    f = PullbackFunction(3, {((0, 2), (2, 1)): 3, ((1, 1),): 1})
     assert f.gradient_at([Fraction(2), Fraction(5), Fraction(1, 2)]) == {
         0: Fraction(6), 1: Fraction(1), 2: Fraction(12)}
     assert f.gradient_at([Fraction(0), Fraction(5), Fraction(1, 2)]) == {1: Fraction(1)}
@@ -242,4 +249,106 @@ def test_gradient_at_known_polynomial():
 @pytest.mark.parametrize("point", [[], [Fraction(1)], [Fraction(1)] * 3])
 def test_gradient_at_rejects_wrong_point_length(point):
     with pytest.raises(InputError, match="evaluation point has wrong length"):
-        Polynomial.variable(0, 2).gradient_at(point)
+        PullbackFunction(2, {((0, 1),): 1}).gradient_at(point)
+
+
+# -- the packed kernel against the sparse reference ------------------------
+
+KV = 3
+# exponents at the limit, and one below it, in one field in four
+_KERNEL_EXPONENTS = st.lists(st.one_of(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                                       st.sampled_from([MAX_EXPONENT - 1, MAX_EXPONENT])),
+                             min_size=KV, max_size=KV)
+# few distinct exponent lists, so that items repeat exponents and sums cancel
+_KERNEL_ITEMS = st.lists(st.tuples(_KERNEL_EXPONENTS, st.integers(-3, 3) | fractions),
+                         max_size=6)
+
+# mostly integers: a power at the limit of a proper fraction costs a gcd of
+# 50,000-bit ints at every Fraction addition
+_KERNEL_POINTS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2]))
+
+
+def _json(items):
+    return [{"exponents": list(exps), "coefficient": str(c)} for exps, c in items]
+
+
+def _evaluated(call):
+    """call()'s value, a float to the bit, or the type of what it raised."""
+    try:
+        value = call()
+    except (InputError, OverflowError) as exc:
+        return type(exc)
+    return value.hex() if isinstance(value, float) else (type(value), value)
+
+
+def _same(p, ref):
+    """p has the reference's variable count and terms, in its order."""
+    return p.nvars == ref.nvars and list(p.terms.items()) == list(ref.terms.items())
+
+
+@settings(max_examples=50, deadline=None)
+@given(_KERNEL_ITEMS, _KERNEL_ITEMS, st.lists(_KERNEL_POINTS, min_size=KV, max_size=KV),
+       st.lists(st.floats(-2, 2), min_size=KV, max_size=KV))
+# repeated exponents whose coefficients cancel, and a product past the limit
+@example([([1, 0, 0], 2), ([0, 1, 0], 1), ([1, 0, 0], -2), ([1, 0, 0], "1/3")],
+         [([MAX_EXPONENT, 0, 0], 1), ([0, 0, 0], "-1/3")],
+         [Fraction(1, 2)] * KV, [0.5] * KV)
+def test_packed_kernel_equals_the_reference(a, b, qpoint, fpoint):
+    p, q = (from_json_terms(_json(items), KV) for items in (a, b))
+    rp, rq = (poly_reference.from_json_terms(_json(items), KV) for items in (a, b))
+    assert _same(p, rp) and _same(q, rq)
+    dense = {tuple(exps): c for exps, c in a}
+    assert _same(Polynomial(KV, dense), poly_reference.Polynomial(KV, dense))
+    assert _same(p + q, rp + rq) and _same(p - q, rp - rq) and _same(-p, -rp)
+    assert _same(p - p, rp - rp) and not p - p
+    assert _same(p + q - q, rp + rq - rq)
+    product = rp * rq
+    if any(e > MAX_EXPONENT for k in product.terms for _, e in k):
+        with pytest.raises(InputError, match=f"past the limit {MAX_EXPONENT}"):
+            p * q
+    else:
+        assert _same(p * q, product)
+    assert _same(p * 3, rp * 3) and _same(Fraction(2, 3) * q, Fraction(2, 3) * rq)
+    for i in range(KV):
+        assert _same(p.partial(i), rp.partial(i))
+    assert p.eval(qpoint) == rp.eval(qpoint)
+    assert _evaluated(lambda: p.eval(fpoint)) == _evaluated(lambda: rp.eval(fpoint))
+    # equality and hash: the same polynomial from its items in reverse order
+    again = from_json_terms(_json(reversed(a)), KV)
+    assert again == p and hash(again) == hash(p)
+    assert (p == q) == (rp == rq)
+    assert (p == 3) == (rp == 3) and (p == Fraction(1, 3)) == (rp == Fraction(1, 3))
+
+
+@pytest.mark.parametrize("e", [MAX_EXPONENT + 1, 70000])
+def test_an_exponent_past_the_limit_is_refused_when_parsed(e):
+    message = f"exponent {e} of x2 is past the limit {MAX_EXPONENT}"
+    with pytest.raises(InputError, match=message):
+        from_json_terms([{"exponents": [1, 0], "coefficient": "1"},
+                         {"exponents": [0, e], "coefficient": "1"}], 2)
+    with pytest.raises(InputError, match=message):
+        Polynomial(2, {(0, e): 1})
+    at_limit = from_json_terms([{"exponents": [0, MAX_EXPONENT], "coefficient": "1"}], 2)
+    assert at_limit.terms == {((1, MAX_EXPONENT),): 1}
+
+
+def test_a_product_past_the_limit_is_refused():
+    # the sum of two keys would set the top bit of x1's field, which is kept
+    # clear; no field wraps into x2's
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    top = Polynomial(2, {(MAX_EXPONENT, 0): 1})
+    assert (top * x2).terms == {((0, MAX_EXPONENT), (1, 1)): 1}
+    assert ((top - 1) * (x2 + 1)).terms == (top * x2 + top - x2 - 1).terms
+    for factor in (x1, top, x1 + x2, top * x2):
+        with pytest.raises(InputError, match=f"a product has an exponent past the limit "
+                                             f"{MAX_EXPONENT}"):
+            top * factor
+
+
+def test_coefficients_share_one_denominator_in_lowest_terms():
+    x1 = Polynomial.variable(0, 2)
+    p = Fraction(1, 6) * x1 + Fraction(1, 4)
+    assert (p.den, sorted(p.nums.values())) == (12, [2, 3])
+    half = (Fraction(1, 2) * x1) * 2
+    assert (half.den, half.nums) == (1, x1.nums)
+    assert (p - p).den == 1 and math.gcd(p.den, *(p * p).nums.values()) == 1
