@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
 from .errors import InputError, VerificationError
-from .exterior import contract
+from .exterior import ExteriorForm, contract
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,13 @@ class AlgebraicIdeal:
 
 class IntegralElement:
     """A p-dimensional subspace given by an independent basis of vectors
-    {k: v_k}, their non-zero entries at 1-based coordinates k."""
+    {k: v_k}, their non-zero rational entries, kept as given, at 1-based
+    coordinates k."""
 
     def __init__(self, basis):
-        self.basis = [{k: Fraction(x) for k, x in v.items() if x} for v in basis]
+        self.basis = [{k: x for k, x in v.items() if x} for v in basis]
         echelon = linalg.SparseEchelon()
-        if not all(echelon.insert(v) for v in self.basis):
+        if not all(echelon.insert(linalg.integer_row(v)) for v in self.basis):
             raise InputError("integral-element basis is linearly dependent")
 
     @property
@@ -116,24 +116,27 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
     the basis, v -> g(v, S) is one polar equation; these span all of
     I_{p+1} evaluated against E.  Its row is read off the 1-form left by
     contracting g with s_1, then s_2, and so on:
-    g(e_k, s_1..s_r) = (-1)^r (s_r -| ... s_1 -| g)_k.  InputError for a
-    vector outside the ideal's space.
+    g(e_k, s_1..s_r) = (-1)^r (s_r -| ... s_1 -| g)_k, up to the sign and
+    the positive factors that make g and the basis int (`integer_row`).
+    InputError for a vector outside the ideal's space.
     """
     p = element.dimension
     dim = ideal.dim
     _require_within(element, dim)
+    basis = [linalg.integer_row(v) for v in element.basis]
     rows = []
     for g in ideal.generators:
         if g.degree > p + 1:
             continue
-        sign = -1 if (g.degree - 1) % 2 else 1
-        for subset in combinations(element.basis, g.degree - 1):
-            form = g
+        scaled = ExteriorForm.zero(g.dim, g.degree)
+        scaled.coefficients = linalg.integer_row(g.coefficients)
+        for subset in combinations(basis, g.degree - 1):
+            form = scaled
             for s in subset:
                 form = contract(s, form)
             if not form:
                 continue
-            rows.append({k: sign * v for (k,), v in form.coefficients.items()})
+            rows.append({k: v for (k,), v in form.coefficients.items()})
     return linalg.nullspace(rows, n_cols=dim)
 
 
@@ -159,7 +162,8 @@ def expansion_rows(ideal: AlgebraicIdeal):
     """Split every generator into its single-fiber-factor expansion.
 
     Returns (sup_J, row) pairs sorted by sup_J, where row maps fiber
-    coordinates to the coefficient of the pi covector in the 1-form pi_rho^J.
+    coordinates to the coefficient of the pi covector in the 1-form pi_rho^J,
+    as a primitive int row (`linalg.integer_row`).
     Raises VerificationError if a generator has a nonzero pure-base term
     (the expansion shape then fails at this point).  The flag pipeline
     writes the rows it needs straight from H (`gie.adapted_expansion_rows`);
@@ -183,13 +187,13 @@ def expansion_rows(ideal: AlgebraicIdeal):
             # indices flips the sign |J| times; (J, fiber) is one key of g,
             # so each row entry is written once
             row[key[split]] = -val if split % 2 else val
-    return sorted(merged.values(), key=lambda t: t[0])
+    return sorted(((j, linalg.integer_row(row)) for j, row in merged.values()), key=lambda t: t[0])
 
 
 def cartan_characters_by_expansion(rows, m) -> CartanReport:
     """Characters C_0..C_{m-1} by incremental ranks of the pi_rho^J
-    systems collected level by level (sup J <= p).  `rows` are (sup J, row)
-    pairs sorted by sup J, as `expansion_rows` gives them; rows above
+    systems collected level by level (sup J <= p).  `rows` are (sup J, int
+    row) pairs sorted by sup J, as `expansion_rows` gives them; rows above
     level m - 1 are never inserted."""
     ech = linalg.SparseEchelon()
     characters = []

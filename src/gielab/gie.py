@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
@@ -56,6 +57,12 @@ class PsiData:
     def __getitem__(self, ilam):
         i, lam = ilam
         return self.values[i - 1][lam - 1]
+
+    @cached_property
+    def numerators(self):
+        """(D, D*psi as rows of ints), D the lcm of psi's denominators."""
+        D = lcm(*(v.denominator for row in self.values for v in row))
+        return D, [[v.numerator * (D // v.denominator) for v in row] for row in self.values]
 
     def det2(self):
         """det psi for the n = m = 2 case."""
@@ -104,8 +111,9 @@ _ZERO = Fraction(0)
 
 class SecondFundamental:
     """Coefficients H^a_{i lam}; the columns H_{i lam} are vectors in the
-    kappa-dimensional normal space W.  Only the non-zero entries are
-    stored, as Fractions: columns[(i, lam)] = {a: H^a_{i lam}}."""
+    kappa-dimensional normal space W, stored as ints over one positive
+    common denominator `den`: columns[(i, lam)] = {a: den * H^a_{i lam}}
+    over the non-zero entries.  The accessors take and give rationals."""
 
     def __init__(self, n, m, kappa, entries=None):
         """The H with H^a_{i lam} = entries[a-1][i-1][lam-1], given as an
@@ -113,6 +121,7 @@ class SecondFundamental:
         self.n = n
         self.m = m
         self.kappa = kappa
+        self.den = 1
         self.columns = {(i, lam): {} for i in range(1, n + 1) for lam in range(1, m + 1)}
         if entries is None:
             return
@@ -122,10 +131,7 @@ class SecondFundamental:
         for a, block in enumerate(entries, 1):
             for i, row in enumerate(block, 1):
                 for lam, v in enumerate(row, 1):
-                    # a Fraction is immutable, so it is kept as given
-                    v = v if type(v) is Fraction else Fraction(v)
-                    if v:
-                        self.columns[i, lam][a] = v
+                    self.set(a, i, lam, v)
 
     def _column(self, a, i, lam):
         if not (0 < a <= self.kappa and 0 < i <= self.n and 0 < lam <= self.m):
@@ -136,13 +142,22 @@ class SecondFundamental:
 
     def __getitem__(self, ail):
         a, i, lam = ail
-        return self._column(a, i, lam).get(a, _ZERO)
+        v = self._column(a, i, lam).get(a)
+        return _ZERO if v is None else Fraction(v, self.den)
 
     def set(self, a, i, lam, value):
-        column = self._column(a, i, lam)
+        """H^a_{i lam} := value; a denominator that does not divide `den`
+        rescales every numerator once, to the lcm."""
+        self._column(a, i, lam)  # InputError before anything changes
         value = Fraction(value)
+        if self.den % value.denominator:
+            factor = lcm(self.den, value.denominator) // self.den
+            self.den *= factor
+            self.columns = {key: {b: v * factor for b, v in col.items()}
+                            for key, col in self.columns.items()}
+        column = self.columns[i, lam]
         if value:
-            column[a] = value
+            column[a] = value.numerator * (self.den // value.denominator)
         else:
             column.pop(a, None)
 
@@ -150,26 +165,16 @@ class SecondFundamental:
         """H_{i lam} as a vector of W (length kappa)."""
         out = [_ZERO] * self.kappa
         for a, v in self.columns[i, lam].items():
-            out[a - 1] = v
+            out[a - 1] = Fraction(v, self.den)
         return out
-
-    def integer_columns(self):
-        """(D, columns): D is the lcm of the denominators of H, and
-        columns[(i, lam)] = {a: D * H^a_{i lam}} holds the non-zero entries
-        of the column H_{i lam} as ints.
-
-        The Gauss map is homogeneous quadratic and ranks are unchanged by
-        scaling, so the exact kernels run on these columns and divide by D
-        only where a rational value is reported."""
-        D = lcm(*(v.denominator for col in self.columns.values() for v in col.values()))
-        return D, {key: {a: v.numerator * (D // v.denominator) for a, v in col.items()}
-                   for key, col in self.columns.items()}
 
     def scaled(self, rho):
         rho = Fraction(rho)
         out = SecondFundamental(self.n, self.m, self.kappa)
         if rho:
-            out.columns = {key: {a: rho * v for a, v in col.items()}
+            c = rho.numerator
+            out.den = self.den * rho.denominator
+            out.columns = {key: {a: c * v for a, v in col.items()}
                            for key, col in self.columns.items()}
         return out
 
@@ -224,26 +229,26 @@ def cartan_identity_residual(H: SecondFundamental, psi: PsiData):
     for each normal direction a; zero iff the identities hold."""
     if (H.n, H.m) != (psi.n, psi.m):
         raise InputError("H and psi shapes disagree")
-    residuals = [_ZERO] * H.kappa
+    D, P = psi.numerators
+    sums = [0] * H.kappa
     for (i, lam), column in H.columns.items():
-        c = psi[i, lam] if lam % 2 else -psi[i, lam]
+        c = P[i - 1][lam - 1] if lam % 2 else -P[i - 1][lam - 1]
         if c:
             for a, v in column.items():
-                residuals[a - 1] += c * v
-    return residuals
+                sums[a - 1] += c * v
+    return [Fraction(s, D * H.den) if s else _ZERO for s in sums]
 
 
 def gauss_map(H: SecondFundamental) -> CurvatureElement:
     """(G(H))^i_{j; lam mu} = H_{i lam}.H_{j mu} - H_{i mu}.H_{j lam}.
 
-    Summed one normal direction a at a time: each pair of non-zeros
-    x = D*H^a_{i lam}, y = D*H^a_{j mu} with i != j and lam != mu adds x*y
-    to the component (i, j; lam, mu), stored up to sign with i < j, lam < mu.
-    The cost is the sum over a of the squared non-zero count of a, not a
-    dot product per component."""
-    D, cols = H.integer_columns()
+    Summed one normal direction a at a time, in ints over den^2: each pair
+    of non-zeros x = den*H^a_{i lam}, y = den*H^a_{j mu} with i != j and
+    lam != mu adds x*y to the component (i, j; lam, mu), stored up to sign
+    with i < j, lam < mu.  The cost is the sum over a of the squared
+    non-zero count of a, not a dot product per component."""
     by_normal = {}
-    for (i, lam), column in cols.items():
+    for (i, lam), column in H.columns.items():
         for a, x in column.items():
             by_normal.setdefault(a, []).append((i, lam, x))
     sums = {}
@@ -254,7 +259,7 @@ def gauss_map(H: SecondFundamental) -> CurvatureElement:
                     key = (min(i, j), max(i, j), min(lam, mu), max(lam, mu))
                     xy = x * y if (i < j) == (lam < mu) else -x * y
                     sums[key] = sums.get(key, 0) + xy
-    scale = D * D
+    scale = H.den * H.den
     return CurvatureElement(H.n, H.m, {key: Fraction(v, scale)
                                        for key, v in sorted(sums.items()) if v})
 
@@ -270,8 +275,8 @@ def dependent_coefficient(H: SecondFundamental, psi: PsiData, a: int):
     """The H^a_{p m} (p the pivot, see `_pivot`) that closes the Cartan
     identity of a, other entries held fixed: the residual of a is linear
     in it with coefficient u_p.  InputError when psi has no pivot."""
-    p, u = _pivot(psi)
-    return H[a, p, H.m] - cartan_identity_residual(H, psi)[a - 1] / u[p - 1]
+    p, U = _pivot(psi)
+    return H[a, p, H.m] - cartan_identity_residual(H, psi)[a - 1] * psi.numerators[0] / U[p - 1]
 
 
 @dataclass
@@ -305,7 +310,7 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
     singular block, the first failing level is reported and the true
     rank is computed by sparse elimination.
 
-    Everything runs on the integer columns D*H, which have the same ranks
+    Everything runs on the int columns den*H, which have the same ranks
     and pivots as H.  The block of level (k, nu) is that of (k-1, nu) plus
     the rows H_{k-1, lam}, lam < nu, or that of (k, nu-1) plus the rows
     H_{i, nu-1}, i < k.  So one incremental echelon per nu (per k when
@@ -316,7 +321,7 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
     n, m, kappa = H.n, H.m, H.kappa
     expected = n * (n - 1) * m * (m - 1) // 4
     levels = _flag_levels(n, m)
-    _, cols = H.integer_columns()
+    cols = H.columns
     failed = None
     witness = []
     echelons = {}
@@ -332,7 +337,7 @@ def jacobian_rank_certificate(H: SecondFundamental, psi: PsiData) -> RankCertifi
         return RankCertificate(rank=expected, expected=expected,
                                witness_columns=witness)
     # honest fallback: exact rank of the whole restricted matrix, whose
-    # row (i,j;lam,mu) is dG's four column terms read off D*H
+    # row (i,j;lam,mu) is dG's four column terms read off den*H
     offset = {level: idx * kappa - 1 for idx, level in enumerate(levels)}
     ech = linalg.SparseEchelon()
     for (i, j, lam, mu) in curvature_rows(n, m):
@@ -357,17 +362,19 @@ def _require_kappa(n, m, kappa):
 
 
 def _pivot(psi: PsiData):
-    """(p, u): u_i = (-1)^(m+1) psi^i_{Lambda minus m} (i <= n-1) and the
-    pivot p, the first i with u_i != 0; InputError when there is none."""
+    """(p, U): U_i = D u_i (D of `PsiData.numerators`), u_i = (-1)^(m+1)
+    psi^i_{Lambda minus m} (i <= n-1), and the pivot p, the first i with
+    u_i != 0; InputError when there is none."""
     n, m = psi.n, psi.m
-    u = [psi[i, m] if m % 2 else -psi[i, m] for i in range(1, n)]
-    p = next((i for i, x in enumerate(u, 1) if x), None)
+    P = psi.numerators[1]
+    U = [P[i][m - 1] if m % 2 else -P[i][m - 1] for i in range(n - 1)]
+    p = next((i for i, x in enumerate(U, 1) if x), None)
     if p is None:
         raise InputError(
             "psi^i_{Lambda minus m} = 0 for every fiber index i <= n-1, so the "
             "pre-image has no pivot; reorder the fiber or the base so that one "
             "of them is non-zero")
-    return p, u
+    return p, U
 
 
 def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
@@ -387,7 +394,8 @@ def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
     makes G(H) = 0, and the rank certificate is full because it only
     reads the basis vectors.  Only row and column p of S are non-zero.
     For normalized psi (u = +-e_1) this is S_{1k} = (-1)^(m+lam+1)
-    psi^k_{Lambda minus lam}.
+    psi^k_{Lambda minus lam}.  In ints (P = D psi, U = D u), H's den is
+    |U_p|, or U_p^2 when a u_k != 0, k > p, brings in S_{pp}'s correction.
 
     InputError for kappa below (n-1)(m-1), for det psi = 0 at n = m = 2,
     and when there is no pivot.
@@ -396,27 +404,30 @@ def construct_preimage(psi: PsiData, kappa) -> SecondFundamental:
     _require_kappa(n, m, kappa)
     if n == 2 and m == 2 and not psi.det2():
         raise InputError("n = m = 2 requires det psi != 0")
-    p, u = _pivot(psi)
-    r = 1 / u[p - 1]
-    others = [k for k in range(p + 1, n) if u[k - 1]]
+    p, U = _pivot(psi)
+    P = psi.numerators[1]
+    others = [k for k in range(p + 1, n) if U[k - 1]]
+    # den * S_{pk} = (-1)^lam P_{k lam} t for k != p, over den = t U_p > 0
+    t = U[p - 1] if others else (1 if U[p - 1] > 0 else -1)
 
     def a_of(i, lam):  # the W coordinate of the basis vector H_{i lam}
         return (i - 1) * (m - 1) + lam
 
     H = SecondFundamental(n, m, kappa)
+    den = H.den = t * U[p - 1]
     for i in range(1, n):
         for lam in range(1, m):
-            H.columns[i, lam][a_of(i, lam)] = Fraction(1)
+            H.columns[i, lam][a_of(i, lam)] = den
 
     # Row p of S: S_{pk} = w_k / u_p for k != p, and S_{pp} = w_p / u_p -
-    # sum_{k != p} S_{pk} u_k / u_p (u_k = 0 for k < p).  H_{p m} collects
-    # S_{pk} at every a = (k, lam); H_{k m}, k != p, gets the symmetric
-    # partner S_{kp} = S_{pk} at a = (p, lam).  Every (a, column) below is
-    # written at most once.
+    # sum_{k != p} S_{pk} u_k / u_p (u_k = 0 for k < p), an exact quotient
+    # in ints.  H_{p m} collects S_{pk} at every a = (k, lam); H_{k m},
+    # k != p, gets the symmetric partner S_{kp} = S_{pk} at a = (p, lam).
+    # Every (a, column) below is written at most once.
     for lam in range(1, m):
-        r_lam = r if lam % 2 == 0 else -r  # w_k / u_p = psi^k_lam * r_lam
-        row = [psi[k, lam] * r_lam for k in range(1, n)]
-        row[p - 1] -= sum(row[k - 1] * u[k - 1] for k in others) * r
+        t_lam = t if lam % 2 == 0 else -t
+        row = [P[k][lam - 1] * t_lam for k in range(n - 1)]
+        row[p - 1] -= sum(row[k - 1] * U[k - 1] for k in others) // U[p - 1]
         for k, v in enumerate(row, 1):
             if v:
                 H.columns[p, m][a_of(k, lam)] = v
@@ -559,14 +570,13 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa) -> AlgebraicIdeal:
         out.coefficients = coefficients
         return out
 
-    one = Fraction(1)
     gens = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            gens.append(form(1, {(m + sigma.pair(i, j),): one}))
+            gens.append(form(1, {(m + sigma.pair(i, j),): 1}))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            g = {key: one for key in zip(coords[i], coords[j])}
+            g = {key: 1 for key in zip(coords[i], coords[j])}
             for lam in range(1, m + 1):
                 for mu in range(lam + 1, m + 1):
                     v = R.values.get((i, j, lam, mu))
@@ -625,15 +635,15 @@ def build_integral_flag(psi: PsiData, H: SecondFundamental,
     (e_lam, e_mu), the Cartan residual of a for the phi-type form of a
     (R = None means R = G(H)).  VerificationError names the first
     non-zero value, as `eds.first_nonvanishing` would."""
-    n, m, kappa = H.n, H.m, H.kappa
+    n, m, kappa, den = H.n, H.m, H.kappa, H.den
     sigma = SigmaIndexMap(n, kappa)
     basis = []
     for lam in range(1, m + 1):
-        v = {lam: Fraction(1)}
+        v = {lam: 1}
         for i in range(1, n + 1):
             normals = sigma.normals(i)
             for a, h in H.columns[i, lam].items():
-                v[m + normals[a - 1]] = h
+                v[m + normals[a - 1]] = Fraction(h, den)
         basis.append(v)
     element = IntegralElement(basis)
     for generator, _, value in _flag_values(psi, H, R):
@@ -660,11 +670,13 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
       at level m - 1,
 
     with sigma(a, i) standing for the coordinate m + sigma(n + a, i) and
-    empty rows left out.  The pure-base terms are checked first, as
-    `eds.expansion_rows` does: (G(H) - R)_{ij; lam mu} for the Gauss-type
-    forms, skipped when R = None since it is then 0, and the Cartan
-    residual of a for the phi-type form of a.  These are the generators'
-    values on the flag of H, so rows returned prove that flag integral.
+    empty rows left out, each as a positive int multiple: level mu's
+    numerators of H over their gcd, and psi's primitive int form.  The
+    pure-base terms are checked first, as `eds.expansion_rows` does:
+    (G(H) - R)_{ij; lam mu} for the Gauss-type forms, skipped when R =
+    None since it is then 0, and the Cartan residual of a for the
+    phi-type form of a.  These are the generators' values on the flag of
+    H, so rows returned prove that flag integral.
     VerificationError names the first generator with a non-zero one (the
     phi-type message is the oracle's byte for byte); InputError when the
     shapes disagree.
@@ -680,12 +692,12 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
     # filled by plain loops: lists of the kappa*n ints, or a comprehension
     # per row, measured slower at the (79, 79) frontier
     normals = [sigma.normals(i) for i in range(1, n + 1)]
-    one = Fraction(1)
     # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs i < j
-    rows = [(0, {m + c: one}) for c in range(1, n * (n - 1) // 2 + 1)]
+    rows = [(0, {m + c: 1}) for c in range(1, n * (n - 1) // 2 + 1)]
     for mu in range(1, m):
-        # (a - 1, H^a_{i mu}) per non-zero, and the same negated, per i
-        columns = [[(a - 1, h) for a, h in H.columns[i, mu].items()]
+        # (a - 1, den*H^a_{i mu} / g) per non-zero, and the same negated, per i
+        g = gcd(*(h for i in range(1, n + 1) for h in H.columns[i, mu].values()))
+        columns = [[(a - 1, h // g) for a, h in H.columns[i, mu].items()]
                    for i in range(1, n + 1)]
         negated = [[(a, -h) for a, h in column] for column in columns]
         for i in range(n):
@@ -699,7 +711,8 @@ def adapted_expansion_rows(psi: PsiData, H: SecondFundamental,
                     row[m + normals_j[a]] = h
                 if row:
                     rows.append((mu, row))
-    last = [(normals_i, psi[i, m]) for i, normals_i in enumerate(normals, 1) if psi[i, m]]
+    last = linalg.integer_row({i: psi[i + 1, m] for i in range(n)})
+    last = [(normals[i], v) for i, v in last.items()]
     if last:
         rows.extend((m - 1, {m + normals_i[a]: v for normals_i, v in last})
                     for a in range(H.kappa))
@@ -829,9 +842,9 @@ class GrassmannPullback:
         return self.linear + self.quadratic + self.phi_type
 
     def point_from(self, H: SecondFundamental):
-        """Chart coordinates of the plane spanned by the H-flag:
-        P^{sigma(a, i)}_lam = H^a_{i lam}, read off the non-zeros of H.
-        InputError when H is not of shape (n, m, kappa)."""
+        """Chart coordinates of the plane spanned by the H-flag times H's
+        den, which leaves the count unchanged: the ints P^{sigma(a, i)}_lam
+        = den*H^a_{i lam}.  InputError when H is not of shape (n, m, kappa)."""
         n, m = self.psi.n, self.psi.m
         if (H.n, H.m, H.kappa) != (n, m, self.kappa):
             raise InputError(f"H of shape (n, m, kappa) = {(H.n, H.m, H.kappa)} does not "
@@ -855,7 +868,9 @@ class GrassmannPullback:
         a non-zero factor, and the rank is that at P."""
         D = lcm(*(x.denominator for x in point))
         point = [x.numerator * (D // x.denominator) for x in point]
-        rows = [row for row in (f.gradient_at(point) for f in self.functions) if row]
+        rows = [g for g in (f.gradient_at(point) for f in self.linear + self.quadratic) if g]
+        # a phi-type gradient carries psi, and is never empty
+        rows += [linalg.integer_row(f.gradient_at(point)) for f in self.phi_type]
         # The rank does not depend on the order, but the fill-in does.  Rows
         # go in by decreasing leading column (ties last function first).
         # Reducing a row only moves its lead to a larger column, so in this

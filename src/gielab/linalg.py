@@ -4,8 +4,8 @@ Dense routines use fraction-free (Bareiss) elimination on integer
 matrices obtained by clearing denominators, so every intermediate value
 stays an exact integer.  For the large, very sparse systems that arise
 when counting Cartan characters and solving polar systems there is an
-incremental sparse echelon structure that accepts one row at a time; it
-is fraction-free too, and only its fully reduced form (the RREF), which
+incremental sparse echelon structure that accepts one int row at a time;
+it is fraction-free too, and only its fully reduced form (the RREF), which
 gives nullspace bases directly, divides by the leading entries.
 """
 
@@ -19,11 +19,9 @@ def _clear_denominators(rows):
     """Scale each row by the lcm of its denominators; returns int rows."""
     out = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            f = Fraction(x)
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        out.append([int(Fraction(x) * lcm) for x in row])
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
     return out
 
 
@@ -64,8 +62,8 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, n_cols):
-    """Basis of {x : A x = 0} for the rows {column: value} of A over the
-    columns 1..n_cols, one vector {column: value} per free column fc:
+    """Basis of {x : A x = 0} for the int rows {column: value} of A over
+    the columns 1..n_cols, one vector {column: value} per free column fc:
     x[fc] = 1 and x[pc] = -rref[pc][fc] at each pivot column pc.  The
     RREF is unique, so the basis does not depend on row order."""
     ech = SparseEchelon()
@@ -88,6 +86,14 @@ def _primitive(row):
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
+def integer_row(row):
+    """The row {key: rational} times the positive factor that makes it a
+    primitive int row, zero entries dropped."""
+    d = lcm(*(v.denominator for v in row.values()))
+    out = {c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
+    return _primitive(out) if out else out
+
+
 def _eliminate(row, piv, c):
     """The int row b*row - a*piv, with a/b = row[c]/piv[c] in lowest terms,
     so that column c vanishes.  `row` is changed in place when b = 1;
@@ -108,28 +114,33 @@ def _eliminate(row, piv, c):
 
 
 class SparseEchelon:
-    """Incremental exact rank over sparse rational rows, fraction-free.
+    """Incremental exact rank over sparse int rows, fraction-free.
 
-    Rows are dicts {column: int or Fraction}; an inserted row is never
-    changed.  Its denominators are cleared once, and it is reduced against
-    the stored pivots by integer cross-multiplication; a surviving row
-    becomes a new pivot, kept as a primitive int row.
+    Rows are dicts {column: int} without zeros (`integer_row` scales a
+    rational row); an inserted row is never changed.  A copy divided by its
+    gcd is reduced against the stored pivots by integer cross-multiplication;
+    a surviving row becomes a new pivot, kept as a primitive int row.
     """
 
     def __init__(self):
         self.pivots = {}  # column -> primitive int row leading at that column
 
     def insert(self, row) -> bool:
-        """Reduce `row` and keep it if independent; returns True if kept."""
-        d = lcm(*(v.denominator for v in row.values()))
-        work = {c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
+        """Reduce `row` and keep it if independent; returns True if kept.
+        TypeError for an entry that is not an int, ValueError for a zero."""
+        g = gcd(*row.values())  # TypeError unless every entry is an int
+        if 0 in row.values():
+            raise ValueError("SparseEchelon row has a zero entry")
+        work = dict(row) if g == 1 else {c: v // g for c, v in row.items()}
+        reduced = False  # until then, work is primitive
         while work:
             lead = min(work)
             piv = self.pivots.get(lead)
             if piv is None:
-                self.pivots[lead] = _primitive(work)
+                self.pivots[lead] = _primitive(work) if reduced else work
                 return True
             work = _eliminate(work, piv, lead)
+            reduced = True
         return False
 
     def reduced(self):

@@ -192,14 +192,17 @@ def test_H_rejects_indices_and_shapes_out_of_range():
     # create an entry
     psi = random_normalized_psi(3, 3, random.Random(2))
     H = construct_preimage(psi, 4)
-    before = H.integer_columns()
+
+    def stored():
+        return H.den, {key: dict(column) for key, column in H.columns.items()}
+    before = stored()
     for a, i, lam in [(0, 1, 1), (-1, 1, 1), (5, 1, 1), (1, 0, 3), (1, 4, 1),
                       (1, -1, 1), (1, 1, 0), (1, 1, 4)]:
         with pytest.raises(InputError, match="outside"):
             H[a, i, lam]
         with pytest.raises(InputError, match="outside"):
-            H.set(a, i, lam, 7)
-    assert H.integer_columns() == before
+            H.set(a, i, lam, Fraction(7, 11))
+    assert stored() == before
     zero_row = [Fraction(0)] * 2
     for entries in ([[zero_row] * 2] * 2,          # an extra block
                     [[zero_row + [1]] + [zero_row]],  # an extra row entry
@@ -207,6 +210,72 @@ def test_H_rejects_indices_and_shapes_out_of_range():
                     []):                            # no block
         with pytest.raises(InputError, match="1 x 2 x 2"):
             SecondFundamental(2, 2, 1, entries)
+
+
+def H_of(n, m, kappa, model):
+    """The SecondFundamental of the plain-Fraction model {(a, i, lam): value}."""
+    return SecondFundamental(n, m, kappa, [
+        [[model[a, i, lam] for lam in range(1, m + 1)] for i in range(1, n + 1)]
+        for a in range(1, kappa + 1)])
+
+
+def assert_H_is(H, model):
+    n, m, kappa = H.n, H.m, H.kappa
+    assert H.den > 0
+    assert all(type(v) is int and v for column in H.columns.values() for v in column.values())
+    for (a, i, lam), value in model.items():
+        assert H[a, i, lam] == value and type(H[a, i, lam]) is Fraction
+    for i in range(1, n + 1):
+        for lam in range(1, m + 1):
+            assert H.vector(i, lam) == [model[a, i, lam] for a in range(1, kappa + 1)]
+
+
+wide_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 4), st.data())
+def test_H_accessors_across_denominators(n, m, kappa, data):
+    # against a plain-Fraction model: the constructor from Fractions and
+    # from ints, `set` to values whose denominator does not divide den and
+    # to 0, `scaled` by a rational and by 0, and `vector`; a rescale of the
+    # numerators leaves the Gauss map and the residuals as they were
+    model = {(a, i, lam): data.draw(fractions) for a in range(1, kappa + 1)
+             for i in range(1, n + 1) for lam in range(1, m + 1)}
+    values = [[data.draw(fractions) for _ in range(m)] for _ in range(n)]
+    values[0][0] = values[0][0] or Fraction(1)
+    psi = PsiData(n, m, values)
+    H = H_of(n, m, kappa, model)
+    assert_H_is(H, model)
+    numerators = {key: int(v * H.den) for key, v in model.items()}
+    from_ints = H_of(n, m, kappa, numerators)
+    assert from_ints.den == 1
+    assert_H_is(from_ints, {key: Fraction(v) for key, v in numerators.items()})
+    assert_H_is(from_ints.scaled(Fraction(1, H.den)), model)
+    for _ in range(data.draw(st.integers(1, 6))):
+        key = data.draw(st.sampled_from(sorted(model)))
+        value = data.draw(st.one_of(wide_fractions, st.just(0), st.integers(-3, 3)))
+        den = H.den
+        H.set(*key, value)
+        model[key] = Fraction(value)
+        assert H.den == (den if den % model[key].denominator == 0
+                         else math.lcm(den, model[key].denominator))
+        assert_H_is(H, model)
+        oracle = H_of(n, m, kappa, model)
+        assert gauss_map(H) == gauss_map(oracle)
+        assert cartan_identity_residual(H, psi) == cartan_identity_residual(oracle, psi)
+    # a rescale alone: a new denominator written and the old value put back
+    gauss, residuals = gauss_map(H), cartan_identity_residual(H, psi)
+    key = (1, 1, 1)
+    old = H[key]
+    H.set(*key, Fraction(1, 7919))
+    H.set(*key, old)
+    assert H.den % 7919 == 0
+    assert_H_is(H, model)
+    assert gauss_map(H) == gauss and cartan_identity_residual(H, psi) == residuals
+    for rho in (data.draw(fractions), Fraction(0)):
+        assert_H_is(H.scaled(rho), {key: rho * v for key, v in model.items()})
+    assert_H_is(H, model)
 
 
 def test_preimage_rejects_small_kappa():
@@ -241,16 +310,21 @@ def normalized_preimage(psi, kappa):
     H = SecondFundamental(n, m, kappa)
     for i in range(1, n):
         for lam in range(1, m):
-            H.columns[i, lam][(i - 1) * (m - 1) + lam] = Fraction(1)
+            H.set((i - 1) * (m - 1) + lam, i, lam, 1)
     for lam in range(1, m):
         s = 1 if (m + lam + 1) % 2 == 0 else -1
         for i in range(1, n):
             if psi[i, lam]:
-                H.columns[1, m][(i - 1) * (m - 1) + lam] = s * psi[i, lam]
+                H.set((i - 1) * (m - 1) + lam, 1, m, s * psi[i, lam])
         for j in range(2, n):
             if psi[j, lam]:
-                H.columns[j, m][lam] = s * psi[j, lam]
+                H.set(lam, j, m, s * psi[j, lam])
     return H
+
+
+def entries_in_order(H):
+    """{(i, lam): [(a, H^a_{i lam})]} over the non-zeros, in insertion order."""
+    return {key: [(a, H[(a,) + key]) for a in column] for key, column in H.columns.items()}
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 8) for m in range(2, 8)])
@@ -260,10 +334,8 @@ def test_preimage_of_normalized_psi_is_the_written_out_formula(n, m):
     for kappa in ((n - 1) * (m - 1), (n - 1) * (m - 1) + 2):
         for _ in range(3):
             psi = random_normalized_psi(n, m, rng)
-            got = construct_preimage(psi, kappa).columns
-            want = normalized_preimage(psi, kappa).columns
-            assert {key: list(col.items()) for key, col in got.items()} == \
-                {key: list(col.items()) for key, col in want.items()}
+            got = construct_preimage(psi, kappa)
+            assert entries_in_order(got) == entries_in_order(normalized_preimage(psi, kappa))
 
 
 @st.composite
@@ -292,6 +364,73 @@ def test_preimage_of_psi_as_given(psi, extra):
         report = gie_cartan_report(psi, H)
         assert report.verdict == "ordinary"
         assert report.characters == closed_form_characters(n, m, kappa)
+
+
+@st.composite
+def psi_with_late_pivot(draw):
+    """Rational psi over n in 4..6, m in 2..5 whose pivot is p >= 2 (every
+    psi^i_{Lambda minus m} with i < p is 0), with u_k != 0 at some k > p
+    too, so that S_pp has its correction."""
+    n, m = draw(st.integers(4, 6)), draw(st.integers(2, 5))
+    values = [[draw(fractions) for _ in range(m)] for _ in range(n)]
+    p = draw(st.integers(2, n - 2))
+    for i in range(p - 1):
+        values[i][m - 1] = Fraction(0)
+    values[p - 1][m - 1] = draw(fractions.filter(bool))
+    values[draw(st.integers(p, n - 2))][m - 1] = draw(fractions.filter(bool))
+    return PsiData(n, m, values)
+
+
+def preimage_from_the_formula(psi, kappa):
+    """{(a, i, lam): H^a_{i lam}} over every index, from the dense Fraction
+    matrix S = (e_p w^T + w e_p^T) / u_p - (w.u) / u_p^2 e_p e_p^T of
+    `construct_preimage`'s docstring, one S per lam <= m - 1: H_{i lam} =
+    e_{(i, lam)} for i < n, lam < m, H^{(k, lam)}_{i m} = S_{ik}, and the
+    last fiber row zero."""
+    n, m = psi.n, psi.m
+    signed = [[(-1) ** (lam + 1) * psi[i, lam] for lam in range(1, m + 1)]
+              for i in range(1, n + 1)]  # Psi'_{i lam}
+    u = [signed[i][m - 1] for i in range(n - 1)]
+    p = next(i for i in range(n - 1) if u[i])  # 0-based
+    H = {(a, i, lam): Fraction(0) for a in range(1, kappa + 1)
+         for i in range(1, n + 1) for lam in range(1, m + 1)}
+    for i in range(1, n):
+        for lam in range(1, m):
+            H[(i - 1) * (m - 1) + lam, i, lam] = Fraction(1)
+    for lam in range(1, m):
+        w = [-signed[k][lam - 1] for k in range(n - 1)]
+        wu = sum(x * y for x, y in zip(w, u))
+        S = [[((i == p) * w[k] + (k == p) * w[i]) / u[p]
+              - (i == p) * (k == p) * wu / u[p] ** 2 for k in range(n - 1)]
+             for i in range(n - 1)]
+        for i in range(n - 1):
+            for k in range(n - 1):
+                H[k * (m - 1) + lam, i + 1, m] = S[i][k]
+    return H
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(psi_with_pivot(), psi_with_late_pivot()), st.integers(0, 2))
+def test_preimage_of_psi_as_given_is_the_formula(psi, extra):
+    # entry for entry, through H[a, i, lam], for the pivot p = 1 and for
+    # p >= 2 with other u_k != 0, at the least kappa and above it
+    kappa = (psi.n - 1) * (psi.m - 1) + extra
+    H = construct_preimage(psi, kappa)
+    assert {key: H[key] for key in preimage_from_the_formula(psi, kappa)} == \
+        preimage_from_the_formula(psi, kappa)
+
+
+def test_preimage_of_psi_as_given_is_the_formula_past_the_first_pivot():
+    # psi^1_{Lambda minus m} = 0 puts the pivot at p = 2, and u_3, u_4 != 0
+    # bring in the S_pp correction
+    psi = PsiData(5, 3, [[1, Fraction(2, 3), 0], [3, -1, Fraction(2, 5)],
+                         [Fraction(-1, 7), 1, 5], [2, 0, Fraction(-3, 4)], [1, 1, 1]])
+    H = construct_preimage(psi, 8)
+    assert H.den > 1
+    assert {key: H[key] for key in preimage_from_the_formula(psi, 8)} == \
+        preimage_from_the_formula(psi, 8)
+    assert all(not r for r in cartan_identity_residual(H, psi))
+    assert gauss_map(H).is_zero()
 
 
 def test_preimage_off_by_one_at_the_pivot_is_caught():
@@ -613,7 +752,9 @@ PSI_8 = PsiData(8, 8, [[(i * lam + 2) % 7 - 3 for lam in range(1, 9)] for i in r
 
 
 def row_multiset(rows):
-    return sorted((level, sorted(row.items())) for level, row in rows)
+    """The (level, row) pairs with each row in its primitive int form, so
+    that rows equal up to a positive factor compare equal."""
+    return sorted((level, sorted(linalg.integer_row(row).items())) for level, row in rows)
 
 
 def test_adapted_expansion_rows_equal_the_ideals_rows():
@@ -846,7 +987,7 @@ def test_grassmann_point_from_refuses_an_H_of_another_shape():
         pullback.point_from(SecondFundamental(3, 4, 4))
     point = pullback.point_from(H)
     assert {v: x for v, x in enumerate(point) if x} == {
-        (SigmaIndexMap(3, 4).normal(3 + a, i) - 1) * 3 + lam - 1: H[a, i, lam]
+        (SigmaIndexMap(3, 4).normal(3 + a, i) - 1) * 3 + lam - 1: H.den * H[a, i, lam]
         for a in range(1, 5) for i in range(1, 4) for lam in range(1, 4) if H[a, i, lam]}
 
 
@@ -895,5 +1036,5 @@ def test_grassmann_gradient_scales_at_the_integer_point(n, m):
         gradient = f.gradient_at(point)
         factor = D ** (_reference(f).degree() - 1)
         assert f.gradient_at(scaled) == {v: factor * d for v, d in gradient.items()}
-        ech.insert(gradient)
+        ech.insert(linalg.integer_row(gradient))
     assert pullback.independent_differential_count(point) == ech.rank
