@@ -7,12 +7,10 @@ from .errors import InputError, VerificationError
 from .exterior import (ExteriorForm, VectorValuedForm, contract, evaluate,
                        sort_with_sign, substitute, wedge)
 from .poly import Polynomial
-from .bundle import (ConnectionForm, Curvature2Form, bianchi_residual,
-                     curvature_from_connection, exterior_derivative,
-                     generalized_torsion, poly_form)
+from .bundle import exterior_derivative, poly_form
 from .eds import (AlgebraicIdeal, CartanReport, IntegralElement, SigmaCoframe,
                   cartan_characters_by_expansion, cartan_test, expansion_rows,
-                  extension_rank, is_integral_element, polar_space)
+                  is_integral_element, polar_space)
 from .gie import (CurvatureElement, DimensionLedger, PsiData,
                   RankCertificate, SecondFundamental, SigmaIndexMap,
                   adapted_expansion_rows, build_integral_flag, cartan_identity_residual,

@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import emt, gie
 from .errors import InputError, VerificationError
@@ -32,6 +31,10 @@ EXIT_INVALID = 2
 # stores instead of an ideal (the (79, 79) cell with kappa = 6,084 has
 # 982,684).
 MAX_H_ENTRIES = 10 ** 6
+
+# Largest number of cells a `sweep` report may hold, the corrupted control
+# included: each cell is a verdict and about 130 bytes of report.
+MAX_SWEEP_CELLS = 10 ** 5
 
 
 def _report(command, inputs, results, verdict, started):
@@ -212,6 +215,11 @@ def cmd_sweep(args, inputs, started):
     else:  # the last cell is the largest valid one
         n, m = n_range[-1], m_range[-1]
         _check_size(n, m, (n - 1) * (m - 1))
+    # stop - start is a range's length without len()'s bound at sys.maxsize
+    total = ((n_range.stop - n_range.start) * (m_range.stop - m_range.start) * args.seeds
+             + args.inject_corrupt)
+    if total > MAX_SWEEP_CELLS:
+        raise InputError(f"a sweep of {total} cells exceeds the limit {MAX_SWEEP_CELLS}")
     cells = []
     violations = 0
     for n in n_range:

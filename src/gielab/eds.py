@@ -3,10 +3,10 @@
 Everything here works at a single point: ideals have constant rational
 coefficients in an ambient coframe split into base covectors (the first
 `n_base` coordinates) and fiber covectors.  Integral elements, polar
-spaces, the extension rank, Cartan characters by the expansion method
-(the split of an ideal into (sup J, row) pairs, and the one elimination
-that counts the characters from such pairs, however they were written),
-and the one-sided Cartan test.
+spaces, Cartan characters by the expansion method (the split of an
+ideal into (sup J, row) pairs, and the one elimination that counts the
+characters from such pairs, however they were written), and the
+one-sided Cartan test.
 """
 
 from __future__ import annotations
@@ -138,12 +138,6 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
                 continue
             rows.append({k: v for (k,), v in form.coefficients.items()})
     return linalg.nullspace(rows, n_cols=dim)
-
-
-def extension_rank(element: IntegralElement, ideal: AlgebraicIdeal) -> int:
-    """r(E) = dim H(E) - (p + 1); r = -1 means no extension exists."""
-    h = polar_space(element, ideal)
-    return len(h) - (element.dimension + 1)
 
 
 @dataclass

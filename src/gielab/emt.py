@@ -315,11 +315,13 @@ def _minor_det(rows, row_ids, col_ids, minors):
     return det
 
 
-def _exact_connection(g: MetricChart):
-    """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials.
+def christoffel(g: MetricChart):
+    """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials (exact
+    backend), symmetric in the lower indices by construction.
 
-    Restricted to det g a positive constant; otherwise the inverse leaves
-    the polynomial ring and the numeric backend must be used.
+    Restricted to a polynomial g whose det g is a positive constant;
+    otherwise the inverse leaves the polynomial ring and the numeric
+    backend must be used.
 
     Every product and sum below adds and multiplies ints: each entry of g
     is held as int numerators over its own denominator (see poly.py).
@@ -333,6 +335,7 @@ def _exact_connection(g: MetricChart):
     Gamma^lam_{mu nu} = adj(g)^{lam rho} 2[rho, mu nu] / (2 det g) is one
     sum of products over the non-zero brackets, for mu <= nu, and
     mirrored."""
+    _require_exact(g)
     m, nv = g.m, g.g[0][0].nvars
     ids = tuple(range(m))
     minors = {}
@@ -367,13 +370,6 @@ def _exact_connection(g: MetricChart):
     return gamma
 
 
-def christoffel(g: MetricChart):
-    """Levi-Civita symbols Gamma^lam_{mu nu} as polynomials (exact
-    backend).  Symmetric in the lower indices by construction."""
-    _require_exact(g)
-    return _exact_connection(g)
-
-
 def christoffel_at(g: MetricChart, point):
     """Numeric Levi-Civita symbols at a point (central differences), the
     one-point case of the numeric backend's grid."""
@@ -395,7 +391,7 @@ def tensor_to_mform(T: EnergyMomentum, g: MetricChart) -> VectorValuedForm:
     a positive constant c; then tau = sqrt(c) tau~, and tau~ = tau on a
     det-1 chart."""
     _require_exact(g, T)
-    _exact_connection(g)  # refuses a chart whose det g is not a positive constant
+    christoffel(g)  # refuses a chart whose det g is not a positive constant
     return _tau(T, g)
 
 
@@ -635,7 +631,7 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
         _require_exact(g, T)
         # d_grad tau~ = div eta^Lambda; both sides of the identity for tau
         # are these times the constant sqrt(det g)
-        gamma = _exact_connection(g)
+        gamma = christoffel(g)
         lhs = covariant_exterior_derivative(_tau(T, g), gamma)
         div = covariant_divergence(T, gamma)
         vol_key = tuple(range(1, m + 1))

@@ -269,9 +269,9 @@ def _accumulate(coeffs, key, val):
 
 
 class VectorValuedForm:
-    """A rank-n vector of exterior forms sharing (dim, degree)."""
+    """A vector of n exterior forms sharing (dim, degree)."""
 
-    __slots__ = ("rank", "components")
+    __slots__ = ("components",)
 
     def __init__(self, components):
         components = list(components)
@@ -281,22 +281,14 @@ class VectorValuedForm:
         for c in components:
             if c.dim != dim or c.degree != degree:
                 raise InputError("vector-valued form components disagree in shape")
-        self.rank = len(components)
         self.components = components
 
     @property
     def dim(self):
         return self.components[0].dim
 
-    @property
-    def degree(self):
-        return self.components[0].degree
-
     def __iter__(self):
         return iter(self.components)
 
     def __getitem__(self, i):
         return self.components[i]
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)

@@ -788,10 +788,11 @@ class GrassmannPullback:
     """Pulled-back generator coefficients as polynomial functions of the
     Grassmannian chart coordinates P^A_lam, the variable (A - 1) m + lam - 1.
 
-    The linear and quadratic functions have coefficients +-1, stored as
-    ints; the constant of a quadratic function is -R, and the phi-type
-    functions keep psi's coefficients, both as Fractions.  InputError when
-    R is not of psi's shape."""
+    The linear and quadratic functions have coefficients +-1, and the
+    constant of a quadratic function is -R.  The phi-type functions carry
+    D*psi, psi's numerators over the lcm D of its denominators: a row
+    scaling, so the rank is that of psi's functions.  Every non-constant
+    coefficient is an int.  InputError when R is not of psi's shape."""
 
     def __init__(self, psi: PsiData, R: CurvatureElement, kappa):
         n, m = psi.n, psi.m
@@ -822,9 +823,10 @@ class GrassmannPullback:
                             terms[(bi + lam, 1), (bj + mu, 1)] = 1
                             terms[(bi + mu, 1), (bj + lam, 1)] = -1
                         quadratic.append(PullbackFunction(nv, terms))
-        # (lam - 1, Psi'_{i lam}) with Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}
-        signed = [(bases[i], [(lam - 1, psi[i, lam] if lam % 2 else -psi[i, lam])
-                              for lam in range(1, m + 1) if psi[i, lam]])
+        # (lam - 1, D Psi'_{i lam}) with Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}
+        _, numerators = psi.numerators
+        signed = [(bases[i], [(lam, c if lam % 2 == 0 else -c)
+                              for lam, c in enumerate(numerators[i - 1]) if c])
                   for i in range(1, n + 1)]
         phi_type = []
         for a in range(kappa):
@@ -865,12 +867,11 @@ class GrassmannPullback:
         denominators of P (1 when P has none).  Each function is a constant
         plus a form of degree d = 1 or 2, so its gradient at D*P is D^(d-1)
         times its gradient at P: every row of the Jacobian is only scaled by
-        a non-zero factor, and the rank is that at P."""
+        a non-zero factor, and the rank is that at P.  Every coefficient a
+        gradient reads is an int, so every row is an int row."""
         D = lcm(*(x.denominator for x in point))
         point = [x.numerator * (D // x.denominator) for x in point]
-        rows = [g for g in (f.gradient_at(point) for f in self.linear + self.quadratic) if g]
-        # a phi-type gradient carries psi, and is never empty
-        rows += [linalg.integer_row(f.gradient_at(point)) for f in self.phi_type]
+        rows = [g for g in (f.gradient_at(point) for f in self.functions) if g]
         # The rank does not depend on the order, but the fill-in does.  Rows
         # go in by decreasing leading column (ties last function first).
         # Reducing a row only moves its lead to a larger column, so in this

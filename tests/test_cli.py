@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gielab import cli
 from gielab.cli import (EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES,
-                        build_parser, main)
+                        MAX_SWEEP_CELLS, build_parser, main)
 from gielab.gie import closed_form_characters, dimension_ledger, flag_size_bound
 from gielab.poly import MAX_EXPONENT
 
@@ -320,6 +322,29 @@ def test_sweep_corrupt_injection(capsys):
     assert corrupt[0]["failed_block_level"] == [3, 2]
 
 
+def test_sweep_past_the_cell_limit_is_refused_before_any_cell_runs(capsys):
+    # both the run and its report grow with the cells, about 130 bytes each:
+    # --seeds 10^8 would run for hours and write about 13 GB
+    build_parser()  # built once per process; not part of the refusal
+    started = time.perf_counter()
+    code, report = run(["sweep", "--n-range", "2", "--m-range", "2",
+                        "--seeds", str(MAX_SWEEP_CELLS + 1)], capsys)
+    assert time.perf_counter() - started < 0.01
+    assert code == EXIT_INVALID
+    assert report["results"]["error"] == (
+        f"a sweep of {MAX_SWEEP_CELLS + 1} cells exceeds the limit {MAX_SWEEP_CELLS}")
+
+
+def test_sweep_cell_limit_counts_the_corrupted_control(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_CELLS", 2)
+    argv = ["sweep", "--n-range", "2", "--m-range", "2", "--seeds", "2"]
+    code, report = run(argv, capsys)
+    assert code == EXIT_PASS and report["results"]["total"] == 2
+    code, report = run(argv + ["--inject-corrupt"], capsys)
+    assert code == EXIT_INVALID
+    assert report["results"]["error"] == "a sweep of 3 cells exceeds the limit 2"
+
+
 def test_sweep_empty_range_warns(capsys):
     code, report = run(["sweep", "--n-range", "4..3", "--m-range", "2..2",
                         "--seeds", "1"], capsys)
@@ -569,14 +594,14 @@ def test_emt_audit_perturbed_christoffel_symbol_is_a_violation(tmp_path, capsys,
     path.write_text(json.dumps(doc))
     argv = ["emt-audit", "--input", str(path), "--backend", "exact"]
     assert run(argv, capsys)[0] == EXIT_PASS
-    exact_connection = emt._exact_connection
+    unperturbed = emt.christoffel
 
     def perturbed(*args):
-        gamma = exact_connection(*args)
+        gamma = unperturbed(*args)
         gamma[1][0][2] = gamma[1][0][2] + 1
         return gamma
 
-    monkeypatch.setattr(emt, "_exact_connection", perturbed)
+    monkeypatch.setattr(emt, "christoffel", perturbed)
     code, report = run(argv, capsys)
     assert code == EXIT_VIOLATION
     assert report["verdict"] == "violation"

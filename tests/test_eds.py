@@ -11,8 +11,7 @@ from dense_vectors import dense, sparse
 from gielab import InputError, VerificationError, linalg
 from gielab.eds import (AlgebraicIdeal, CartanReport, IntegralElement,
                         SigmaCoframe, cartan_characters_by_expansion,
-                        cartan_test, expansion_rows, extension_rank,
-                        first_nonvanishing,
+                        cartan_test, expansion_rows, first_nonvanishing,
                         is_integral_element, polar_space)
 from gielab.exterior import ExteriorForm
 
@@ -64,7 +63,7 @@ def test_vectors_outside_the_space_are_rejected():
     ideal = AlgebraicIdeal(simple_coframe(), [ExteriorForm.covector(4, 3)])
     for basis in ([{0: 1}, {5: 1}], [{0: 1}], [{1: 1, 5: 2}], [{-1: 1}]):
         element = IntegralElement(basis)
-        for check in (is_integral_element, polar_space, extension_rank):
+        for check in (is_integral_element, polar_space):
             with pytest.raises(InputError, match="outside 1..4"):
                 check(element, ideal)
 
@@ -97,8 +96,9 @@ def test_polar_space_shrinks_along_flag():
 def test_extension_rank():
     ideal = contact_like_ideal()
     e1 = IntegralElement([sparse_unit(1)])
-    # dim H(E_1) = 2 and p + 1 = 2: exactly one extension, a rank-0 family
-    assert extension_rank(e1, ideal) == 0
+    # the extension rank r(E_1) = dim H(E_1) - (p + 1) is 0: dim H(E_1) = 2
+    # and p + 1 = 2, so E_1 has exactly one extension, a rank-0 family
+    assert len(polar_space(e1, ideal)) == 2
 
 
 def test_expansion_characters_on_contact_ideal():

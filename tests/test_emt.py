@@ -299,7 +299,7 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
     # det g = 2 and 8/9 it is not a rational square
     for seed in range(2):
         chart, _ = _seeded_chart(seed, m, Fraction(det))
-        gamma = emt._exact_connection(chart)
+        gamma = christoffel(chart)
         g, ginv = emt_reference.metric(chart), emt_reference.inverse_metric(chart)
         for i in range(m):
             for j in range(m):
@@ -307,7 +307,6 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
                 assert entry == (1 if i == j else 0)
         assert ([[[reference(e) for e in row] for row in plane] for plane in gamma]
                 == emt_reference.christoffel(chart, ginv))
-        assert christoffel(chart) == gamma
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -323,14 +322,14 @@ def test_exact_audit_of_a_non_square_determinant_catches_a_perturbed_christoffel
     path.write_text(json.dumps(_chart_json(chart, T)))
     argv = ["--output", str(out), "emt-audit", "--input", str(path), "--backend", "exact"]
     assert cli.main(argv) == 0
-    exact_connection = emt._exact_connection
+    unperturbed = emt.christoffel
 
     def perturbed(*args):
-        gamma = exact_connection(*args)
+        gamma = unperturbed(*args)
         gamma[1][0][2] = gamma[1][0][2] + const(1, 3)
         return gamma
 
-    monkeypatch.setattr(emt, "_exact_connection", perturbed)
+    monkeypatch.setattr(emt, "christoffel", perturbed)
     assert cli.main(argv) == 1
     report = json.loads(out.read_text())
     assert report["verdict"] == "violation"
@@ -394,14 +393,14 @@ def test_exact_audit_catches_a_perturbed_christoffel_symbol(lam, mu, nu, monkeyp
     # is not a trace Gamma^nu_{nu mu}, so only component lam changes
     chart, T = _seeded_chart(1, 3)[0], _asymmetric_tensor(3)
     assert verify_equivalence(T, chart, backend="exact").identity_holds
-    exact_connection = emt._exact_connection
+    unperturbed = emt.christoffel
 
     def perturbed(*args):
-        gamma = exact_connection(*args)
+        gamma = unperturbed(*args)
         gamma[lam][mu][nu] = gamma[lam][mu][nu] + const(1, 3)
         return gamma
 
-    monkeypatch.setattr(emt, "_exact_connection", perturbed)
+    monkeypatch.setattr(emt, "christoffel", perturbed)
     with pytest.raises(VerificationError,
                        match=f"disagree as polynomials in component {lam + 1}$"):
         verify_equivalence(T, chart, backend="exact")
@@ -419,12 +418,12 @@ def test_tau_interior_product_signs():
 
 def test_tau_of_zero_tensor():
     tau = tensor_to_mform(tensor_const(2, diag=0), flat_chart(2))
-    assert tau.is_zero()
+    assert all(c.is_zero() for c in tau)
 
 
 def test_tau_component_count_m4():
     tau = tensor_to_mform(tensor_const(4), flat_chart(4))
-    assert tau.rank == 4
+    assert len(tau.components) == 4
     assert all(c.degree == 3 for c in tau)
     assert target_dimension(4) == 13
 

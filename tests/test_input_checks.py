@@ -5,19 +5,12 @@ import re
 import pytest
 
 from gielab import InputError
-from gielab.bundle import (ConnectionForm, Curvature2Form, bianchi_residual,
-                           generalized_torsion, poly_form)
 from gielab.eds import AlgebraicIdeal, SigmaCoframe
 from gielab.emt import (EnergyMomentum, MetricChart, flat_chart, sphere_chart,
                         verify_equivalence)
 from gielab.exterior import ExteriorForm, VectorValuedForm, wedge
 from gielab.gie import CurvatureElement, PsiData, SigmaIndexMap
 from gielab.poly import Polynomial
-
-
-def _one_forms(n, dim):
-    """An n-vector of zero 1-forms on `dim` coordinates."""
-    return VectorValuedForm([poly_form(dim, 1) for _ in range(n)])
 
 
 _CASES = {
@@ -49,17 +42,6 @@ _CASES = {
                           "det psi is only defined for n = m = 2"),
     "ideal dimension": (lambda: AlgebraicIdeal(SigmaCoframe(2, 1), [ExteriorForm.covector(2, 1)]),
                         "generator dimension does not match the coframe"),
-    "connection square": (lambda: ConnectionForm([[poly_form(2, 1)] * 2, [poly_form(2, 1)]]),
-                          "connection matrix is not square"),
-    "connection 1-forms": (lambda: ConnectionForm([[poly_form(2, 2)]]),
-                           "connection entries must be 1-forms on a shared chart"),
-    "connection o(n)": (lambda: ConnectionForm([[poly_form(2, 1, {(1,): 1})]]),
-                        "connection form is not o(n)-valued (antisymmetry fails)"),
-    "torsion shapes": (lambda: generalized_torsion(_one_forms(3, 2), ConnectionForm.zero(2, 2)),
-                       "connection and form shapes disagree"),
-    "bianchi shapes": (lambda: bianchi_residual(Curvature2Form([[poly_form(3, 2)] * 2] * 2),
-                                                _one_forms(2, 2)),
-                       "curvature and form shapes disagree"),
     "exact metric": (lambda: verify_equivalence(EnergyMomentum(2, [[Polynomial(2)] * 2] * 2),
                                                 sphere_chart(), backend="exact"),
                      "exact backend needs polynomial metric components"),

@@ -9,7 +9,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from gielab import cli, eds, exterior, gie, linalg
+from gielab import cli, eds, emt, exterior, gie, linalg
 from gielab.eds import IntegralElement
 from gielab.poly import Polynomial
 
@@ -43,10 +43,20 @@ def test_tracer_targets_resolve_and_record(tmp_path):
         flag = gie.build_integral_flag(psi, H, R)
         ideal = gie.gie_ideal(psi, R, 2)
         eds.polar_space(IntegralElement(flag.basis[:1]), ideal)
+        # one exact EMT verdict on a curved det-1 chart: christoffel is the
+        # one exact connection, so a connection forked off it shows here,
+        # not as a 0 in a traced benchmark run
+        x1, one = Polynomial.variable(0, 2), Polynomial.constant(1, 2)
+        chart = emt.MetricChart(2, [[one, x1], [x1, one + x1 * x1]], box=[[0, 1], [0, 1]])
+        T = emt.EnergyMomentum(2, [[one, Polynomial(2)], [Polynomial(2), one]])
+        assert emt.verify_equivalence(T, chart, backend="exact").identity_holds
         # no pipeline reaches Bareiss elimination, the generic integrality
-        # walk, evaluate, substitute or Polynomial products any more (only
-        # the adapted ideal's expansion rows are written, and the Grassmann
-        # functions are written directly); they are still traced targets
+        # walk, evaluate, substitute or Polynomial.__mul__ any more (only the
+        # adapted ideal's expansion rows are written, the Grassmann functions
+        # are written directly, and the exact EMT products go through
+        # poly.sum_of_products); they are still traced targets, so they are
+        # called here.  No pipeline reaches emt.christoffel_at or
+        # MetricChart.cholesky_at either; those only have to resolve
         linalg.rank([H.vector(1, 1), H.vector(2, 1)])
         assert eds.is_integral_element(flag, ideal)
         assert exterior.evaluate(ideal.generators[-1], flag.basis) == 0
@@ -57,9 +67,9 @@ def test_tracer_targets_resolve_and_record(tmp_path):
         assert getattr(owner, attr) is originals[name], name
     stats, _ = tracer.summary()
     reached = {name for name, st in stats.items() if st["calls"]}
-    # exterior.wedge and Polynomial.partial/eval are off the flag path (the
-    # ideal is written directly and the Grassmann route takes gradient_at);
-    # bundle and emt still call them
+    # exterior.wedge and Polynomial.partial are off the flag path (the ideal
+    # is written directly and the Grassmann route takes gradient_at); the
+    # exact EMT verdict reaches them through bundle
     assert {"cli.main", "gie.construct_preimage", "gie.gauss_map", "gie.gie_ideal",
             "gie.build_integral_flag", "gie.gie_cartan_report",
             "gie.grassmann_pullback",
@@ -67,7 +77,10 @@ def test_tracer_targets_resolve_and_record(tmp_path):
             "eds.is_integral_element", "eds.cartan_characters_by_expansion",
             "eds.polar_space", "linalg.bareiss_echelon", "linalg.nullspace",
             "linalg.SparseEchelon.insert", "exterior.evaluate",
-            "exterior.substitute", "poly.Polynomial.mul"} <= reached
+            "exterior.substitute", "poly.Polynomial.mul", "emt.verify_equivalence:exact",
+            "emt.christoffel", "emt.covariant_exterior_derivative",
+            "bundle.exterior_derivative", "exterior.wedge",
+            "poly.Polynomial.partial"} <= reached
     # each counter hook ran at its call site
     for key in ("cli.report_bytes", "gie.gie_ideal.terms", "gie.grassmann_pullback.terms",
                 "eds.expansion_rows", "eds.polar_space.rows",
