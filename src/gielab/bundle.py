@@ -43,9 +43,7 @@ def exterior_derivative(form: ExteriorForm) -> ExteriorForm:
             dc = coeff.partial(l)
             if dc:
                 _accumulate(coeffs, target, dc if sign > 0 else -dc)
-    out = ExteriorForm.zero(form.dim, form.degree + 1)
-    out.coefficients = coeffs
-    return out
+    return ExteriorForm._of(form.dim, form.degree + 1, coeffs)
 
 
 def _covariant_d(phi: VectorValuedForm, omega) -> VectorValuedForm:

@@ -29,7 +29,7 @@ EXIT_INVALID = 2
 # kappa = 961 has 984,064).  `flag` measures it by `gie.flag_size_bound`,
 # H's columns and non-zeros plus the expansion rows it inserts, which it
 # stores instead of an ideal (the (79, 79) cell with kappa = 6,084 has
-# 982,684).
+# 982,684).  `ledger` stores m characters, so it measures a cell by m.
 MAX_H_ENTRIES = 10 ** 6
 
 # Largest number of cells a `sweep` report may hold, the corrupted control
@@ -151,6 +151,8 @@ def cmd_verify_lemma(args, inputs, started):
 
 
 def cmd_ledger(args, inputs, started):
+    if args.m > MAX_H_ENTRIES:
+        raise InputError(f"m = {args.m} characters exceed the limit {MAX_H_ENTRIES}")
     ledger = gie.dimension_ledger(args.n, args.m, args.kappa)
     results = {
         "dim_sigma": ledger.dim_sigma,

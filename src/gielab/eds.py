@@ -128,8 +128,7 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
     for g in ideal.generators:
         if g.degree > p + 1:
             continue
-        scaled = ExteriorForm.zero(g.dim, g.degree)
-        scaled.coefficients = linalg.integer_row(g.coefficients)
+        scaled = ExteriorForm._of(g.dim, g.degree, linalg.integer_row(g.coefficients))
         for subset in combinations(basis, g.degree - 1):
             form = scaled
             for s in subset:

@@ -72,6 +72,15 @@ class ExteriorForm:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, dim, degree, coefficients):
+        """The form with `coefficients` as its own dict, trusted to be
+        canonical: sorted keys of length `degree` in 1..dim, no zero value.
+        Every computed form is built here."""
+        out = cls.__new__(cls)
+        out.dim, out.degree, out.coefficients = dim, degree, coefficients
+        return out
+
+    @classmethod
     def zero(cls, dim, degree):
         return cls(dim, degree, {})
 
@@ -110,30 +119,19 @@ class ExteriorForm:
             raise InputError("form shape mismatch in addition")
         coeffs = dict(self.coefficients)
         for key, val in other.coefficients.items():
-            acc = coeffs.get(key)
-            new = val if acc is None else acc + val
-            if new:
-                coeffs[key] = new
-            else:
-                coeffs.pop(key, None)
-        out = ExteriorForm.zero(self.dim, self.degree)
-        out.coefficients = coeffs
-        return out
+            _accumulate(coeffs, key, val)
+        return ExteriorForm._of(self.dim, self.degree, coeffs)
 
     def __neg__(self):
-        out = ExteriorForm.zero(self.dim, self.degree)
-        out.coefficients = {k: -v for k, v in self.coefficients.items()}
-        return out
+        return ExteriorForm._of(self.dim, self.degree,
+                                {k: -v for k, v in self.coefficients.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        if not c:
-            return ExteriorForm.zero(self.dim, self.degree)
-        out = ExteriorForm.zero(self.dim, self.degree)
-        out.coefficients = {k: c * v for k, v in self.coefficients.items()}
-        return out
+        return ExteriorForm._of(self.dim, self.degree,
+                                {k: c * v for k, v in self.coefficients.items()} if c else {})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -150,24 +148,14 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Exterior product; bilinear and graded-anticommutative."""
     if a.dim != b.dim:
         raise InputError(f"wedge of forms on different spaces ({a.dim} vs {b.dim})")
-    out = ExteriorForm.zero(a.dim, a.degree + b.degree)
-    if a.degree + b.degree > a.dim:
-        return out
     coeffs = {}
-    for ka, va in a.coefficients.items():
-        for kb, vb in b.coefficients.items():
-            key, sign = sort_with_sign(ka + kb)
-            if sign == 0:
-                continue
-            val = va * vb if sign > 0 else -(va * vb)
-            acc = coeffs.get(key)
-            new = val if acc is None else acc + val
-            if new:
-                coeffs[key] = new
-            else:
-                coeffs.pop(key, None)
-    out.coefficients = coeffs
-    return out
+    if a.degree + b.degree <= a.dim:
+        for ka, va in a.coefficients.items():
+            for kb, vb in b.coefficients.items():
+                key, sign = sort_with_sign(ka + kb)
+                if sign:
+                    _accumulate(coeffs, key, va * vb if sign > 0 else -(va * vb))
+    return ExteriorForm._of(a.dim, a.degree + b.degree, coeffs)
 
 
 def contract(v, a: ExteriorForm) -> ExteriorForm:
@@ -175,23 +163,14 @@ def contract(v, a: ExteriorForm) -> ExteriorForm:
     given by its non-zero entries {k: v_k}, k 1-based."""
     if a.degree == 0:
         raise InputError("interior product of a 0-form")
-    out = ExteriorForm.zero(a.dim, a.degree - 1)
     coeffs = {}
     for key, val in a.coefficients.items():
         for pos, k in enumerate(key):
             vk = v.get(k)
-            if vk is None:
-                continue
-            rest = key[:pos] + key[pos + 1:]
-            term = vk * val if pos % 2 == 0 else -(vk * val)
-            acc = coeffs.get(rest)
-            new = term if acc is None else acc + term
-            if new:
-                coeffs[rest] = new
-            else:
-                coeffs.pop(rest, None)
-    out.coefficients = coeffs
-    return out
+            if vk is not None:
+                _accumulate(coeffs, key[:pos] + key[pos + 1:],
+                            vk * val if pos % 2 == 0 else -(vk * val))
+    return ExteriorForm._of(a.dim, a.degree - 1, coeffs)
 
 
 def evaluate(a: ExteriorForm, vectors):
@@ -241,9 +220,7 @@ def substitute(a: ExteriorForm, images, new_dim=None) -> ExteriorForm:
             terms = nxt
         for t, c in terms.items():
             _accumulate(coeffs, t, c)
-    out = ExteriorForm.zero(new_dim, a.degree)
-    out.coefficients = coeffs
-    return out
+    return ExteriorForm._of(new_dim, a.degree, coeffs)
 
 
 def _image_factors(k, image, dim):

@@ -566,9 +566,7 @@ def gie_ideal(psi: PsiData, R: CurvatureElement, kappa) -> AlgebraicIdeal:
     def form(degree, coefficients):
         # keys are written sorted: base indices 1..m precede fiber ones,
         # and sigma(a, i) < sigma(a, j) for i < j
-        out = ExteriorForm.zero(N, degree)
-        out.coefficients = coefficients
-        return out
+        return ExteriorForm._of(N, degree, coefficients)
 
     gens = []
     for i in range(1, n + 1):

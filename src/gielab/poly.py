@@ -44,24 +44,6 @@ class ExponentLimitError(InputError):
     """An exponent past MAX_EXPONENT in a polynomial being parsed."""
 
 
-def _bad_exponent(e):
-    """True unless e is a non-negative int; a bool is refused, as JSON's
-    true would otherwise be read as the exponent 1."""
-    return isinstance(e, bool) or not isinstance(e, int) or e < 0
-
-
-def _pack(exps):
-    """The packed monomial of the dense exponents `exps`, non-negative
-    ints; InputError for the first exponent past MAX_EXPONENT."""
-    if max(exps, default=0) > MAX_EXPONENT:
-        v, e = next((v, e) for v, e in enumerate(exps) if e > MAX_EXPONENT)
-        raise ExponentLimitError(f"exponent {e} of x{v + 1} is past the limit {MAX_EXPONENT}")
-    key = 0
-    for e in reversed(exps):
-        key = key << FIELD_BITS | e
-    return key
-
-
 def monomial(key):
     """The sparse monomial ((variable, exponent), ...) of a packed key."""
     out = []
@@ -154,10 +136,7 @@ class Polynomial:
     def __init__(self, nvars, terms=None):
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != nvars or any(map(_bad_exponent, exps)):
-                raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
-            key = _pack(exps)
+            key = _key(exps, nvars)
             coeff = Fraction(coeff)
             if coeff:
                 nv = clean.get(key, 0) + coeff
@@ -296,25 +275,26 @@ class Polynomial:
 def from_json_terms(items, nvars):
     """Build a polynomial from [{"exponents": [...], "coefficient": "p/q"}].
 
-    Items are read in order, each item's exponents before its coefficient;
-    the first whose exponents are not a list of `nvars` non-negative ints
-    (a bool is refused, as JSON's true would otherwise be read as the
-    exponent 1), or hold one past MAX_EXPONENT, raises InputError.  The
+    Items are read in order, each item's exponents (by `_key`) before its
+    coefficient, so the first bad item raises InputError.  The
     coefficients of items with equal exponents are summed and zero sums
     dropped, in the order the exponents first appear."""
     terms = {}
     for item in items:
-        key = _json_key(item["exponents"], nvars)
+        key = _key(item["exponents"], nvars)
         coeff = json_rational(item["coefficient"])
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
     return _over_common_denominator(nvars, terms)
 
 
-def _json_key(exps, nvars):
-    """The packed monomial of one item's exponents, checked and packed in
-    one pass; InputError as `from_json_terms` says."""
-    if type(exps) is list and len(exps) == nvars:
+def _key(exps, nvars):
+    """The packed monomial of the dense exponents `exps`, a list or tuple of
+    `nvars` non-negative ints, checked and packed in one pass.  InputError
+    otherwise (a bool is refused, as JSON's true would otherwise be read as
+    the exponent 1), and ExponentLimitError for the first exponent past
+    MAX_EXPONENT."""
+    if type(exps) in (list, tuple) and len(exps) == nvars:
         key = 0
         for e in reversed(exps):
             if type(e) is not int or not 0 <= e <= MAX_EXPONENT:
@@ -323,6 +303,7 @@ def _json_key(exps, nvars):
         else:
             return key
         if all(type(e) is int and e >= 0 for e in exps):
-            return _pack(exps)  # refuses the first exponent past the limit
-    shown = tuple(exps) if type(exps) is list else repr(exps)
+            v, e = next((v, e) for v, e in enumerate(exps) if e > MAX_EXPONENT)
+            raise ExponentLimitError(f"exponent {e} of x{v + 1} is past the limit {MAX_EXPONENT}")
+    shown = tuple(exps) if type(exps) in (list, tuple) else repr(exps)
     raise InputError(f"bad exponent tuple {shown} for {nvars} variables")

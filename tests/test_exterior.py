@@ -4,14 +4,17 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flag_reference
 from dense_vectors import sparse
 from gielab import InputError
+from gielab.bundle import exterior_derivative, poly_form
 from gielab.exterior import (ExteriorForm, contract, evaluate, sort_with_sign,
                              substitute, wedge)
+from gielab.gie import CurvatureElement, PsiData, gie_ideal
+from gielab.poly import Polynomial
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
@@ -237,3 +240,85 @@ def test_substitute_rejects_mismatched_images():
 def test_monomial_sorts_and_signs():
     assert ExteriorForm.monomial(3, (2, 1)) == -ExteriorForm.monomial(3, (1, 2))
     assert ExteriorForm.monomial(3, (1, 1)).is_zero()
+
+
+# -- every computed form is canonical -------------------------------------
+
+
+def canonical(form):
+    """True iff the checking constructor gives the form back from its own
+    coefficients and none of them is zero: the invariant that
+    ExteriorForm._of trusts."""
+    try:
+        rebuilt = ExteriorForm(form.dim, form.degree, form.coefficients)
+    except InputError:
+        return False
+    return rebuilt == form and all(form.coefficients.values())
+
+
+@st.composite
+def operands(draw):
+    """Two forms of one shape, a form of any degree, a scalar and a vector
+    whose entries may be zero, on one small space."""
+    dim = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, dim))
+    a, b = draw(sparse_form(dim, degree)), draw(sparse_form(dim, degree))
+    c = draw(sparse_form(dim, draw(st.integers(0, dim))))
+    v = draw(st.dictionaries(st.integers(1, dim), small, max_size=dim))
+    return a, b, c, draw(small), v
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), substitutions())
+def test_computed_forms_are_canonical(ops, case):
+    a, b, c, s, v = ops
+    form, images, new_dim = case
+    results = [a + b, a - b, a - a, -a, a.scale(s), wedge(a, b), wedge(a, c),
+               substitute(form, images, new_dim=new_dim)]
+    if a.degree:
+        results.append(contract(v, a))
+    assert all(canonical(r) for r in results)
+
+
+@st.composite
+def poly_forms(draw):
+    dim = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, dim))
+    keys = st.tuples(*[st.integers(1, dim)] * degree).filter(
+        lambda k: all(i < j for i, j in zip(k, k[1:])))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), small, max_size=3).map(
+        lambda t: Polynomial(dim, t))
+    return poly_form(dim, degree, draw(st.dictionaries(keys, polys | small, max_size=4)))
+
+
+# d(x2 eta^1 + x1 eta^2) = -eta^12 + eta^12: the sum vanishes and is dropped
+@settings(max_examples=200, deadline=None)
+@given(poly_forms())
+@example(poly_form(2, 1, {(1,): Polynomial.variable(1, 2), (2,): Polynomial.variable(0, 2)}))
+def test_exterior_derivatives_are_canonical(form):
+    assert canonical(exterior_derivative(form))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 4), st.data())
+def test_ideal_generators_are_canonical(n, m, kappa, data):
+    values = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                                min_size=n, max_size=n))
+    values[0][m - 1] = values[0][m - 1] or 1
+    pairs = [(i, j, lam, mu) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             for lam in range(1, m + 1) for mu in range(lam + 1, m + 1)]
+    R = data.draw(st.dictionaries(st.sampled_from(pairs), st.integers(-2, 2)))
+    ideal = gie_ideal(PsiData(n, m, values), CurvatureElement(n, m, R), kappa)
+    assert all(canonical(g) for g in ideal.generators)
+
+
+@pytest.mark.parametrize("dim,degree,coefficients", [
+    (3, 1, {(1,): Fraction(0)}),      # a zero value
+    (3, 2, {(2, 1): Fraction(1)}),    # a key out of order
+    (3, 2, {(1, 1): Fraction(1)}),    # a repeated index
+    (3, 1, {(4,): Fraction(1)}),      # an index past dim
+    (3, 2, {(1,): Fraction(1)}),      # a key of the wrong length
+])
+def test_a_non_canonical_dict_fails_the_check(dim, degree, coefficients):
+    assert not canonical(ExteriorForm._of(dim, degree, coefficients))
+    assert canonical(ExteriorForm._of(dim, degree, {}))

@@ -129,15 +129,20 @@ def test_from_json_terms_is_the_constructor(items):
 
 
 @pytest.mark.parametrize("exponents", [[[True, 0]], [[0, False]], [[1, 0], [True, 0]],
-                                       [[1, 0], [1.0, 0]]])
+                                       [[1, 0], [1.0, 0]], [[1, 0], [-1, 0]], [[0]],
+                                       [[1, 0, 0]], [[1, 0], 10], [[1, 0], "10"]])
 def test_boolean_and_float_exponents_are_refused(exponents):
     # JSON's true equals 1 and hashes like it, so [true, 0] after [1, 0] would
-    # be summed into x_1 unseen
+    # be summed into x_1 unseen; the last item is refused by both readers
+    # with one message, whether it holds a negative, has the wrong length or
+    # is not a list at all
     doc = [{"exponents": exps, "coefficient": "1"} for exps in exponents]
-    with pytest.raises(InputError, match="bad exponent tuple"):
+    with pytest.raises(InputError, match="bad exponent tuple") as parsed:
         from_json_terms(doc, 2)
-    with pytest.raises(InputError, match="bad exponent tuple"):
-        Polynomial(2, {tuple(exponents[-1]): 1})
+    bad = exponents[-1]
+    with pytest.raises(InputError, match="bad exponent tuple") as built:
+        Polynomial(2, {tuple(bad) if type(bad) is list else bad: 1})
+    assert str(parsed.value) == str(built.value)
 
 
 # -- sparse monomials against a dense-tuple reference ----------------------
@@ -323,11 +328,12 @@ def test_packed_kernel_equals_the_reference(a, b, qpoint, fpoint):
 @pytest.mark.parametrize("e", [MAX_EXPONENT + 1, 70000])
 def test_an_exponent_past_the_limit_is_refused_when_parsed(e):
     message = f"exponent {e} of x2 is past the limit {MAX_EXPONENT}"
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=message) as parsed:
         from_json_terms([{"exponents": [1, 0], "coefficient": "1"},
                          {"exponents": [0, e], "coefficient": "1"}], 2)
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=message) as built:
         Polynomial(2, {(0, e): 1})
+    assert str(parsed.value) == str(built.value) == message
     at_limit = from_json_terms([{"exponents": [0, MAX_EXPONENT], "coefficient": "1"}], 2)
     assert at_limit.terms == {((1, MAX_EXPONENT),): 1}
 
