@@ -165,7 +165,6 @@ def cmd_ledger(args, inputs, started):
         "min_kappa": ledger.min_kappa,
         "value_kind": "exact",
     }
-    # dimension_ledger raises VerificationError unless the sum is codim V
     return _report("ledger", inputs, results, "pass", started)
 
 

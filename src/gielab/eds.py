@@ -12,7 +12,6 @@ one-sided Cartan test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
@@ -20,11 +19,12 @@ from .errors import InputError, VerificationError
 from .exterior import ExteriorForm, contract
 
 
-@dataclass(frozen=True)
 class SigmaCoframe:
     """A split coframe: n_base base covectors, then n_fiber fiber ones."""
-    n_base: int
-    n_fiber: int
+
+    def __init__(self, n_base: int, n_fiber: int):
+        self.n_base = n_base
+        self.n_fiber = n_fiber
 
     @property
     def dim(self):
@@ -139,12 +139,14 @@ def polar_space(element: IntegralElement, ideal: AlgebraicIdeal):
     return linalg.nullspace(rows, n_cols=dim)
 
 
-@dataclass
 class CartanReport:
     """Cartan characters plus the test outcome."""
-    characters: list
-    observed_codimension: int | None = None
-    verdict: str = "unevaluated"
+
+    def __init__(self, characters: list, observed_codimension: int | None = None,
+                 verdict: str = "unevaluated"):
+        self.characters = characters
+        self.observed_codimension = observed_codimension
+        self.verdict = verdict
 
     @property
     def character_sum(self):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 from .errors import InputError, VerificationError, json_int, json_matrix
@@ -592,15 +591,19 @@ def _max_abs(fs, points, m):
 # verification report
 
 
-@dataclass
 class EquivalenceReport:
-    backend: str                     # "exact" | "numeric"
-    identity_holds: bool             # d_grad tau == divergence * vol
-    max_identity_residual: float
-    worst_point: list | None
-    max_divergence: float            # conservation-law residual
-    conserved: bool
-    target_dimension: int
+    """Outcome of `verify_equivalence`."""
+
+    def __init__(self, backend: str, identity_holds: bool,
+                 max_identity_residual: float, worst_point: list | None,
+                 max_divergence: float, conserved: bool, target_dimension: int):
+        self.backend = backend                # "exact" | "numeric"
+        self.identity_holds = identity_holds  # d_grad tau == divergence * vol
+        self.max_identity_residual = max_identity_residual
+        self.worst_point = worst_point
+        self.max_divergence = max_divergence  # conservation-law residual
+        self.conserved = conserved
+        self.target_dimension = target_dimension
 
     @property
     def exact(self):
@@ -609,7 +612,7 @@ class EquivalenceReport:
 
     def as_dict(self):
         """The fields in order, then "value_kind"."""
-        return dict(asdict(self), value_kind="exact" if self.exact else "numeric")
+        return dict(vars(self), value_kind="exact" if self.exact else "numeric")
 
 
 def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",

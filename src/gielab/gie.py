@@ -19,7 +19,6 @@ coefficient of eta^{Lambda minus lam} in phi^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -279,13 +278,15 @@ def dependent_coefficient(H: SecondFundamental, psi: PsiData, a: int):
     return H[a, p, H.m] - cartan_identity_residual(H, psi)[a - 1] * psi.numerators[0] / U[p - 1]
 
 
-@dataclass
 class RankCertificate:
     """Outcome of the Jacobian maximal-rank check."""
-    rank: int
-    expected: int
-    witness_columns: list
-    failed_level: tuple | None = None
+
+    def __init__(self, rank: int, expected: int, witness_columns: list,
+                 failed_level: tuple | None = None):
+        self.rank = rank
+        self.expected = expected
+        self.witness_columns = witness_columns
+        self.failed_level = failed_level
 
     @property
     def full(self):
@@ -497,18 +498,20 @@ class SigmaIndexMap:
         return seen == set(range(1, self.size + 1))
 
 
-@dataclass
 class DimensionLedger:
-    n: int
-    m: int
-    kappa: int
-    dim_sigma: int
-    dim_hset: int
-    dim_z: int
-    dim_k: int
-    codim_v: int
-    characters: list
-    min_kappa: int
+    """The dimension count of the construction at (n, m, kappa).  InputError
+    below the least kappa (n-1)(m-1) or off the shape n, m >= 2."""
+
+    def __init__(self, n, m, kappa):
+        _require_shape(n, m)
+        self.min_kappa = _require_kappa(n, m, kappa)
+        self.n, self.m, self.kappa = n, m, kappa
+        self.dim_k = n * (n - 1) * m * (m - 1) // 4
+        self.dim_sigma = m + n * (n - 1) // 2 + n * kappa
+        self.dim_hset = (n * m - 1) * kappa - self.dim_k
+        self.dim_z = self.dim_sigma + self.dim_hset
+        self.codim_v = m * n * (n - 1) // 2 + self.dim_k + kappa
+        self.characters = closed_form_characters(n, m, kappa)
 
     @property
     def character_sum(self):
@@ -516,28 +519,16 @@ class DimensionLedger:
 
 
 def closed_form_characters(n, m, kappa):
-    """C_lam = n(n-1)(lam+1)/2 for lam <= m-2; C_{m-1} = n(n-1)m/2 + kappa."""
+    """C_lam = n(n-1)(lam+1)/2 for lam <= m-2; C_{m-1} = n(n-1)m/2 + kappa.
+    They sum to n(n-1)m/2 + dim K + kappa, the codimension of V, for
+    every shape: sum_{lam <= m-2} n(n-1)(lam+1)/2 = n(n-1)m(m-1)/4 = dim K."""
     chars = [n * (n - 1) * (lam + 1) // 2 for lam in range(m - 1)]
     chars.append(n * (n - 1) * m // 2 + kappa)
     return chars
 
 
 def dimension_ledger(n, m, kappa) -> DimensionLedger:
-    _require_shape(n, m)
-    min_kappa = _require_kappa(n, m, kappa)
-    dim_k = n * (n - 1) * m * (m - 1) // 4
-    dim_sigma = m + n * (n - 1) // 2 + n * kappa
-    dim_hset = (n * m - 1) * kappa - dim_k
-    codim_v = m * n * (n - 1) // 2 + dim_k + kappa
-    characters = closed_form_characters(n, m, kappa)
-    ledger = DimensionLedger(n=n, m=m, kappa=kappa, dim_sigma=dim_sigma,
-                             dim_hset=dim_hset, dim_z=dim_sigma + dim_hset,
-                             dim_k=dim_k, codim_v=codim_v,
-                             characters=characters, min_kappa=min_kappa)
-    if ledger.character_sum != codim_v:
-        raise VerificationError(
-            f"character sum {ledger.character_sum} != codimension {codim_v}")
-    return ledger
+    return DimensionLedger(n, m, kappa)
 
 
 # ---------------------------------------------------------------------------

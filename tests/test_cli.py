@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gielab import cli
+from gielab import cli, emt
 from gielab.cli import (EXIT_INVALID, EXIT_PASS, EXIT_VIOLATION, MAX_H_ENTRIES,
                         MAX_SWEEP_CELLS, build_parser, main)
 from gielab.gie import closed_form_characters, dimension_ledger, flag_size_bound
@@ -416,6 +416,45 @@ def test_emt_audit_numeric_report_holds_json_booleans(tmp_path):
     assert results["conserved"] is False
 
 
+def _curved_chart_doc():
+    # det-1 metric g = [[1, y], [y, 1 + y^2]] and T = diag(1, 3x), not conserved
+    def term(c, e):
+        return {"exponents": e, "coefficient": c}
+    one, y = term("1", [0, 0]), term("1", [0, 1])
+    doc = _flat_chart_doc()
+    doc["g"] = [[[one], [y]], [[y], [one, term("1", [0, 2])]]]
+    doc["T"] = [[[one], []], [[], [term("3", [1, 0])]]]
+    return doc
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_emt_report_keys_keep_their_order(backend):
+    chart, tensor = emt.load_chart(_curved_chart_doc())
+    report = emt.verify_equivalence(tensor, chart, backend=backend)
+    assert list(report.as_dict()) == [
+        "backend", "identity_holds", "max_identity_residual", "worst_point",
+        "max_divergence", "conserved", "target_dimension", "value_kind"]
+
+
+def test_emt_numeric_report_text_is_pinned():
+    # the report's bytes as the CLI writes them (json.dumps, indent 2)
+    chart, tensor = emt.load_chart(_curved_chart_doc())
+    report = emt.verify_equivalence(tensor, chart, backend="numeric")
+    assert json.dumps(report.as_dict(), indent=2, default=str) == """{
+  "backend": "numeric",
+  "identity_holds": true,
+  "max_identity_residual": 1.7704257047912575e-11,
+  "worst_point": [
+    0.8595454429504987,
+    0.1619200876839267
+  ],
+  "max_divergence": 2.8363632885173584,
+  "conserved": false,
+  "target_dimension": 3,
+  "value_kind": "numeric"
+}"""
+
+
 def test_emt_audit_singular_metric(tmp_path, capsys):
     doc = _flat_chart_doc()
     doc["g"][1][1] = []  # second diagonal entry identically zero
@@ -700,16 +739,21 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
 
 
 def test_import_does_not_load_numpy():
-    # only the numeric EMT backend needs numpy; a CLI start that never
-    # reaches it should not pay for importing it
+    # only the numeric EMT backend needs numpy, and nothing needs the
+    # dataclasses machinery (which brings inspect, ast, dis and tokenize):
+    # every CLI start would pay for importing them.  The diff against the
+    # interpreter's own start-up keeps a module that site loads out of it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gielab, gielab.cli; print('numpy' in sys.modules)"],
+         "import sys; before = set(sys.modules); import gielab, gielab.cli; "
+         "print(' '.join(sorted(set(sys.modules) - before)))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    loaded = set(done.stdout.split())
+    assert "gielab.cli" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
 
 
 def test_help_still_exits_zero(capsys):

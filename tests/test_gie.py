@@ -579,6 +579,21 @@ def test_closed_form_characters():
     assert closed_form_characters(2, 3, 2) == [1, 2, 5]
 
 
+def test_closed_form_characters_sum_to_codim_v_identically():
+    # sum_{lam <= m-2} n(n-1)(lam+1)/2 = n(n-1)m(m-1)/4 = dim K, so the
+    # characters sum to codim V at every shape and kappa; the ledger
+    # needs no check of it
+    for n in range(2, 31):
+        for m in range(2, 31):
+            min_kappa = (n - 1) * (m - 1)
+            for kappa in (min_kappa, min_kappa + 1, 2 * min_kappa + 7, 10 ** 12):
+                chars = closed_form_characters(n, m, kappa)
+                led = dimension_ledger(n, m, kappa)
+                assert sum(chars[:-1]) == led.dim_k, (n, m, kappa)
+                assert sum(chars) == led.codim_v == led.character_sum, (n, m, kappa)
+                assert led.characters == chars and led.min_kappa == min_kappa
+
+
 # -- ideal, integral flag, characters ------------------------------------
 
 
