@@ -105,13 +105,21 @@ def _check_flag_size(n, m, kappa):
             f"kappa = {kappa}) exceeds the limit {MAX_H_ENTRIES}")
 
 
+def _read_json(path):
+    """The JSON document in the file `path`; InputError for one nested
+    deeper than the parser can follow."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path} nests its JSON too deeply to read") from None
+
+
 def _load_psi_arg(args):
     if args.psi and args.random_psi is not None:
         raise InputError("give only one of --psi FILE and --random-psi SEED")
     if args.psi:
-        with open(args.psi) as fh:
-            doc = json.load(fh)
-        psi = gie.load_psi(doc)
+        psi = gie.load_psi(_read_json(args.psi))
         if (args.n, args.m) != (psi.n, psi.m):
             raise InputError(
                 f"--n {args.n} --m {args.m} disagree with the {psi.n} x {psi.m} "
@@ -190,9 +198,7 @@ def cmd_flag(args, inputs, started):
 
 
 def cmd_emt_audit(args, inputs, started):
-    with open(args.input) as fh:
-        doc = json.load(fh)
-    chart, tensor = emt.load_chart(doc)
+    chart, tensor = emt.load_chart(_read_json(args.input))
     inputs["m"] = chart.m  # known once the chart loads; failures after it echo m
     # verify_equivalence raises VerificationError on a breach of the identity
     report = emt.verify_equivalence(tensor, chart, backend=args.backend)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import itemgetter
 
 from .errors import InputError, VerificationError, json_int, json_matrix
 from .exterior import VectorValuedForm
@@ -40,7 +39,7 @@ def target_dimension(m):
     return m + (m - 1) ** 2
 
 
-def _grid_function(f, canonical=False):
+def _grid_function(f):
     """f as a function of a grid of points: (X, out, powers) writes f's
     values at the N points of the (N, m) float array X into the float array
     `out` of N entries; `powers` is a dict {(v, e): X[:, v] ** e} that the
@@ -50,17 +49,16 @@ def _grid_function(f, canonical=False):
     A callable is a chart function of the whole grid: f(X) returns the N
     values (one number stands for N equal ones), a value that is not finite
     where f has none; what it raises propagates.  A Polynomial is summed
-    term by term over the whole array, in its term order (in sorted sparse
-    monomial order when `canonical`), from its coefficients converted to
-    floats once, which gives Polynomial.eval's finite floats bit for bit:
-    numerator / den is float(Fraction), both correctly rounded, Fraction *
-    float computes float(fraction) * float, the factors go in ascending
-    variable order, both sums start from 0, and np.float_power is the C pow
-    that Python's float ** int calls (np.power is not).  Each power is
-    computed once per grid, into `powers`; x ** 1 is x in C's pow, so a
-    first power is the column of X itself.  Where Python's pow raises
-    OverflowError, or a coefficient is beyond the floats, the value is not
-    finite, which the caller refuses."""
+    term by term over the whole array, in its term order, from its
+    coefficients converted to floats once, which gives Polynomial.eval's
+    finite floats bit for bit: numerator / den is float(Fraction), both
+    correctly rounded, Fraction * float computes float(fraction) * float,
+    the factors go in ascending variable order, both sums start from 0, and
+    np.float_power is the C pow that Python's float ** int calls (np.power
+    is not).  Each power is computed once per grid, into `powers`; x ** 1
+    is x in C's pow, so a first power is the column of X itself.  Where
+    Python's pow raises OverflowError, or a coefficient is beyond the
+    floats, the value is not finite, which the caller refuses."""
     if not isinstance(f, Polynomial):
         def called(X, out, powers):
             out[:] = f(X)
@@ -69,8 +67,6 @@ def _grid_function(f, canonical=False):
         terms = [(c / f.den, monomial(k)) for k, c in f.nums.items()]
     except OverflowError:  # a coefficient beyond the floats: no value is finite
         terms = [(math.inf, ())]
-    if canonical:
-        terms.sort(key=itemgetter(1))
 
     def summed(X, out, powers):
         import numpy as np
@@ -566,27 +562,6 @@ def _numeric_sides(T: EnergyMomentum, g: MetricChart, points):
     return a.T.tolist(), rhs.T.tolist(), size.T.tolist(), sqrtg.tolist()
 
 
-def _max_abs(fs, points, m):
-    """max(0.0, |f(x)| for x in points for f in fs), fs the divergence's
-    components, at points of m coordinates, each f evaluated over all the
-    points at once and summed in sorted term order, so that the maximum
-    depends on the chart, not on the order its JSON lists terms; the first
-    failure in that order is raised."""
-    import numpy as np
-    P = len(points)
-    X = np.array(points, dtype=float).reshape(P, m)
-    values = np.empty((len(fs), P))
-    powers = {}
-    for f, out in zip(fs, values):
-        _grid_function(f, canonical=True)(X, out, powers)
-    found = _first_not_finite(values.T)
-    if found is not None:
-        p, lam = found
-        raise InputError(f"the divergence in component {lam + 1} is not finite "
-                         f"at sample point {points[p]}")
-    return float(np.abs(values).max(initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # verification report
 
@@ -596,12 +571,12 @@ class EquivalenceReport:
 
     def __init__(self, backend: str, identity_holds: bool,
                  max_identity_residual: float, worst_point: list | None,
-                 max_divergence: float, conserved: bool, target_dimension: int):
+                 max_divergence: float | None, conserved: bool, target_dimension: int):
         self.backend = backend                # "exact" | "numeric"
         self.identity_holds = identity_holds  # d_grad tau == divergence * vol
         self.max_identity_residual = max_identity_residual
         self.worst_point = worst_point
-        self.max_divergence = max_divergence  # conservation-law residual
+        self.max_divergence = max_divergence  # numeric conservation-law residual
         self.conserved = conserved
         self.target_dimension = target_dimension
 
@@ -619,8 +594,9 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                        count=100) -> EquivalenceReport:
     """Verify d_grad tau = (grad_mu T^{lam mu}) * vol componentwise.
 
-    The exact backend proves the identity in the polynomial ring and
-    reports exact residuals; the numeric backend checks it at `count`
+    The exact backend proves the identity in the polynomial ring, samples
+    nothing, and decides `conserved` by the divergence polynomials being
+    zero (its max_divergence is None); the numeric backend checks it at `count`
     deterministic sample points, raising VerificationError with the worst
     point when a residual exceeds TOLERANCE * size, where size is the
     magnitude of the terms that make up the two sides there, floored at
@@ -644,12 +620,10 @@ def verify_equivalence(T: EnergyMomentum, g: MetricChart, backend="exact",
                 raise VerificationError(
                     f"covariant derivative and divergence disagree as "
                     f"polynomials in component {lam + 1}")
-        conserved = all(not d for d in div)
-        max_div = _max_abs(div, g.sample_points(count), m)
         return EquivalenceReport(backend="exact", identity_holds=True,
-                                 max_identity_residual=0.0,
-                                 worst_point=None, max_divergence=max_div,
-                                 conserved=conserved, target_dimension=tdim)
+                                 max_identity_residual=0.0, worst_point=None,
+                                 max_divergence=None, conserved=all(not d for d in div),
+                                 target_dimension=tdim)
     if backend != "numeric":
         raise InputError(f"unknown backend {backend!r}")
     worst_val, worst_point, max_div = 0.0, None, 0.0

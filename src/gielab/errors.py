@@ -4,6 +4,7 @@ The CLI maps InputError to exit code 2 (invalid input) and
 VerificationError to exit code 1 (violation).
 """
 
+import sys
 from fractions import Fraction
 
 
@@ -40,7 +41,9 @@ def json_rational(c):
     """A JSON rational as Fraction(str(c)) reads it, with its errors: a
     JSON int and a plain ASCII "n", "-n", "p/q" or "-p/q" (q not zero) are
     read by int(), which skips Fraction's regex; every other spelling goes
-    through Fraction(str(c))."""
+    through Fraction(str(c)), but an exponent beyond the digits int() reads
+    (sys.get_int_max_str_digits()) is refused first: Fraction would compute
+    10 ** exponent."""
     if type(c) is int:
         return Fraction(c)
     if type(c) is str and c.isascii():
@@ -50,4 +53,13 @@ def json_rational(c):
         if digits.isdigit() and (not slash or den.isdigit() and den.strip("0")):
             p = sign * int(digits)
             return Fraction(p, int(den)) if slash else Fraction(p)
-    return Fraction(str(c))
+    text = str(c)
+    _, e, exponent = text.upper().rpartition("E")
+    limit = sys.get_int_max_str_digits()  # 0 when int() reads any length
+    try:
+        past = e and limit and abs(int(exponent)) > limit
+    except ValueError:  # not an exponent: Fraction refuses the spelling
+        past = False
+    if past:
+        raise InputError(f"exponent of {text!r} is past the limit {limit}")
+    return Fraction(text)

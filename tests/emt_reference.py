@@ -20,7 +20,8 @@ Fraction formulas on the reference polynomials of `poly_reference`, not
 on the library's kernel: every cofactor of g as the determinant of its
 own minor matrix, over det g, and Gamma^lam_{mu nu} summed over rho for
 every index triple, with every partial derivative taken afresh.  The
-tests require equal polynomials.
+tests require equal polynomials.  The Riemann tensor, which the library
+does not compute, is built from these symbols one component at a time.
 """
 
 import math
@@ -77,6 +78,18 @@ def christoffel(g, ginv):
                         - G[mu][nu].partial(rho))
                 gamma[lam][mu][nu] = half * total
     return gamma
+
+
+def riemann(gamma, rho, sigma, mu, nu):
+    """R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
+    + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
+    - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}, one component from the
+    reference Christoffel symbols `gamma`."""
+    total = gamma[rho][nu][sigma].partial(mu) - gamma[rho][mu][sigma].partial(nu)
+    for lam in range(len(gamma)):
+        total = (total + gamma[rho][mu][lam] * gamma[lam][nu][sigma]
+                 - gamma[rho][nu][lam] * gamma[lam][mu][sigma])
+    return total
 
 
 def _value(f, point, what):

@@ -258,6 +258,30 @@ def test_psi_file_and_random_psi_together_are_invalid(tmp_path, capsys, command)
                                 "random_psi_seed": 3}
 
 
+def _deep_json(tmp_path):
+    """A file of 100,000 nested "[", deeper than json.load can follow."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "flag", "emt-audit"])
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, command):
+    # json.load raised RecursionError, which ended in a traceback and no report
+    path = _deep_json(tmp_path)
+    if command == "emt-audit":
+        argv, echo = ["--input", path], {"input": path, "backend": "exact"}
+    else:
+        argv = ["--n", "2", "--m", "2", "--kappa", "1", "--psi", path]
+        echo = {"n": 2, "m": 2, "kappa": 1, "psi_file": path}
+    out = tmp_path / "report.json"
+    code = main(["--output", str(out), command, *argv])
+    report = strict_json(out.read_text())
+    assert (code, report["verdict"]) == (EXIT_INVALID, "invalid-input")
+    assert report["inputs"] == echo
+    assert report["results"]["error"] == f"{path} nests its JSON too deeply to read"
+
+
 @pytest.mark.parametrize("field,value", [("n", 2.0), ("m", 2.5), ("m", True),
                                          ("n", "2")])
 def test_psi_shape_must_be_a_json_integer(tmp_path, capsys, field, value):
@@ -531,22 +555,36 @@ def test_emt_audit_power_overflow_at_a_late_sample_is_invalid(tmp_path, capsys):
     assert math.isinf(x1 * x1)
 
 
-@pytest.mark.parametrize("backend,prefix", [("exact", "the divergence in component 1"),
-                                            ("numeric", "tensor entry (1, 1)")])
-def test_emt_audit_overflow_through_a_product_is_invalid(tmp_path, capsys, backend, prefix):
-    # T^11 = 10^300 x_1^2 on [0, 10^10] x [0, 1]: T and its divergence
-    # 2 10^300 x_1 are beyond the floats through `*`, not through pow; the
-    # numeric audit once passed with conserved true, and the exact one
-    # reported "max_divergence": Infinity
+def _product_beyond_the_floats():
+    """T^11 = 10^300 x_1^2 on [0, 10^10] x [0, 1]: T and its divergence
+    2 10^300 x_1 are beyond the floats through `*`, not through pow."""
     doc = _flat_chart_doc()
     doc["T"][0][0] = [{"exponents": [2, 0], "coefficient": str(10 ** 300)}]
     doc["box"] = [[0, 1e10], [0, 1]]
+    return doc
+
+
+@pytest.mark.parametrize("backend,prefix", [("numeric", "tensor entry (1, 1)")])
+def test_emt_audit_overflow_through_a_product_is_invalid(tmp_path, capsys, backend, prefix):
+    # the numeric audit once passed with conserved true
     path = tmp_path / "chart.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_product_beyond_the_floats()))
     code, report = run(["emt-audit", "--input", str(path), "--backend", backend], capsys)
     assert (code, report["verdict"]) == (EXIT_INVALID, "invalid-input")
     x1, _ = _named_point(report["results"]["error"], prefix)
     assert 0 < x1 < 1e10
+
+
+def test_exact_emt_audit_proves_a_product_beyond_the_floats(tmp_path, capsys):
+    # the exact audit once reported "max_divergence": Infinity, and then
+    # refused the chart for its float sample although it had proved it
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_product_beyond_the_floats()))
+    code, report = run(["emt-audit", "--input", str(path), "--backend", "exact"], capsys)
+    assert (code, report["verdict"]) == (EXIT_PASS, "pass")
+    results = report["results"]
+    assert (results["identity_holds"], results["conserved"]) == (True, False)
+    assert (results["max_identity_residual"], results["max_divergence"]) == (0.0, None)
 
 
 @pytest.mark.parametrize("backend", ["exact", "numeric"])
@@ -738,19 +776,46 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert [code for code, _ in shared] == [EXIT_INVALID, EXIT_PASS, EXIT_INVALID, EXIT_PASS]
 
 
+def _child(args):
+    """A child interpreter run with `args`, gielab importable, killed after
+    60 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("where", ["psi", "chart"])
+@pytest.mark.parametrize("spelling", ["1e999999999", "1e-999999999"])
+def test_a_huge_exponent_is_refused_at_once(tmp_path, where, spelling):
+    # Fraction reads the spelling by computing 10 ** 999999999, so the run
+    # did not finish; it runs in a child, which the timeout can stop
+    if where == "psi":
+        argv = ["verify-lemma", "--n", "2", "--m", "2", "--kappa", "1",
+                "--psi", _psi_file(tmp_path, [[spelling, "1"], ["1", "0"]])]
+    else:
+        doc = _flat_chart_doc()
+        doc["T"][0][0] = [{"exponents": [1, 0], "coefficient": spelling}]
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(doc))
+        argv = ["emt-audit", "--input", str(path)]
+    done = _child(["-m", "gielab.cli", *argv])
+    report = strict_json(done.stdout)
+    assert (done.returncode, report["verdict"]) == (EXIT_INVALID, "invalid-input")
+    assert report["wall_time_s"] < 1
+    assert report["results"]["error"].endswith(
+        f"exponent of {spelling!r} is past the limit {sys.get_int_max_str_digits()}")
+
+
 def test_import_does_not_load_numpy():
     # only the numeric EMT backend needs numpy, and nothing needs the
     # dataclasses machinery (which brings inspect, ast, dis and tokenize):
     # every CLI start would pay for importing them.  The diff against the
     # interpreter's own start-up keeps a module that site loads out of it.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; before = set(sys.modules); import gielab, gielab.cli; "
-         "print(' '.join(sorted(set(sys.modules) - before)))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+    done = _child(["-c", "import sys; before = set(sys.modules); import gielab, gielab.cli; "
+                         "print(' '.join(sorted(set(sys.modules) - before)))"])
+    assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "gielab.cli" in loaded
     assert not loaded & {"numpy", "dataclasses", "inspect"}

@@ -21,7 +21,7 @@ from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
                         inverse_metric_tensor, load_chart, sphere_chart,
                         target_dimension, tensor_to_mform, verify_equivalence)
 from gielab.poly import MAX_EXPONENT, Polynomial
-from poly_reference import Polynomial as ReferencePolynomial, reference, to_library
+from poly_reference import reference, to_library
 
 
 def const(c, m=2):
@@ -236,10 +236,20 @@ def test_exact_backend_refuses_a_determinant_that_is_not_positive(tmp_path):
         assert message in report["results"]["error"]
 
 
+def _sampled_divergence(chart, T):
+    """max |div^lam(x)| over the numeric audit's 100 sample points x, each
+    exact divergence polynomial evaluated at each point in rationals and
+    rounded once."""
+    div = [reference(d) for d in covariant_divergence(T, christoffel(chart))]
+    return max(abs(float(d.eval([Fraction(x) for x in point])))
+               for point in chart.sample_points(100) for d in div)
+
+
 def _audited_by_both_backends(chart, T, tmp_path):
     """emt-audit of (chart, T) through the CLI with each backend: both pass,
-    the exact one with residual 0.0, and the two max_divergence agree to
-    1e-8 relative."""
+    the exact one with residual 0.0 and no sampled divergence, and the
+    numeric max_divergence agrees to 1e-8 relative with the exact
+    divergence at the same sample points."""
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(_chart_json(chart, T)))
     results = {}
@@ -251,7 +261,8 @@ def _audited_by_both_backends(chart, T, tmp_path):
         assert (code, report["verdict"]) == (0, "pass"), report["results"]
         results[backend] = report["results"]
     assert results["exact"]["max_identity_residual"] == 0.0
-    assert math.isclose(results["exact"]["max_divergence"],
+    assert results["exact"]["max_divergence"] is None
+    assert math.isclose(_sampled_divergence(chart, T),
                         results["numeric"]["max_divergence"], rel_tol=1e-8)
     return results
 
@@ -262,7 +273,8 @@ def test_exact_backend_proves_a_non_square_determinant(tmp_path):
     g = [[const(2), const(0)], [const(0), const(1)]]
     T = EnergyMomentum(2, [[x1, x1 * x2], [const(3), x2 * x2]])
     results = _audited_by_both_backends(MetricChart(2, g, box=[[0, 1], [0, 1]]), T, tmp_path)
-    assert results["exact"]["max_divergence"] > 0
+    assert results["exact"]["conserved"] is False
+    assert results["numeric"]["max_divergence"] > 0
 
 
 # -- the exact backend against its reference --------------------------------
@@ -297,8 +309,9 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
     # the integer kernel's Gamma against the Fraction formulas; at det g =
     # 9/4 and 8/9 the denominators of det g = det G / D^m sit in D^m, and at
     # det g = 2 and 8/9 it is not a rational square
-    for seed in range(2):
-        chart, _ = _seeded_chart(seed, m, Fraction(det))
+    for seed, curved in [(seed, curved) for seed in range(2)
+                         for curved in ((False, True) if m <= 4 else (False,))]:
+        chart, _ = _seeded_chart(seed, m, Fraction(det), curved)
         gamma = christoffel(chart)
         g, ginv = emt_reference.metric(chart), emt_reference.inverse_metric(chart)
         for i in range(m):
@@ -307,6 +320,28 @@ def test_exact_inverse_and_christoffel_equal_the_reference(m, det):
                 assert entry == (1 if i == j else 0)
         assert ([[[reference(e) for e in row] for row in plane] for plane in gamma]
                 == emt_reference.christoffel(chart, ginv))
+
+
+def _curvature(chart):
+    """The components R^rho_{sigma mu nu} of the chart's Riemann tensor,
+    built by `emt_reference.riemann` one at a time as they are asked for."""
+    gamma = emt_reference.christoffel(chart, emt_reference.inverse_metric(chart))
+    m = chart.m
+    return (emt_reference.riemann(gamma, rho, sigma, mu, nu) for rho in range(m)
+            for sigma in range(m) for mu in range(m) for nu in range(m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_curved_seeded_charts_are_curved_and_the_others_flat(m):
+    # with A_ij = a + b x_j each row of A is a closed 1-form, so g = A^T D A
+    # is a constant metric in other coordinates, and R = 0 although Gamma is
+    # not; A_ij = a + b x_i x_j is not closed, and R has a non-zero component
+    for seed in range(2):
+        assert any(_curvature(_seeded_chart(seed, m, curved=True)[0])), seed
+        flat = _seeded_chart(seed, m)[0]
+        assert any(christoffel(flat)[lam][mu][nu] for lam in range(m)
+                   for mu in range(m) for nu in range(m)), seed
+        assert not any(_curvature(flat)), seed
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -337,38 +372,38 @@ def test_exact_audit_of_a_non_square_determinant_catches_a_perturbed_christoffel
 
 
 @pytest.mark.parametrize("m,det", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 4)])
-def test_exact_max_divergence_is_the_pointwise_maximum(m, det):
+def test_exact_audit_decides_conserved_by_the_divergence_polynomials(m, det):
+    # the exact report samples nothing: conserved is whether every
+    # divergence polynomial is zero, false for the seeded T and true for
+    # T = 3 adj g = 3 det g g^-1, which is covariantly constant
     chart, T = _seeded_chart(3, m, det)
-    report = verify_equivalence(T, chart, backend="exact")
-    # each divergence is evaluated in sorted term order
-    div = [ReferencePolynomial.from_sparse(m, dict(sorted(d.terms.items())))
-           for d in covariant_divergence(T, christoffel(chart))]
-    expected = 0.0
-    for point in chart.sample_points(100):
-        for d in div:
-            expected = max(expected, abs(float(d.eval(point))))
-    assert report.max_divergence.hex() == expected.hex()
-    assert report.identity_holds and not report.conserved
+    adj = EnergyMomentum(m, [[to_library(3 * det * e) for e in row]
+                             for row in emt_reference.inverse_metric(chart)])
+    for tensor, conserved in ((T, False), (adj, True)):
+        report = verify_equivalence(tensor, chart, backend="exact")
+        div = covariant_divergence(tensor, christoffel(chart))
+        assert report.max_divergence is None
+        assert report.conserved == all(not d for d in div) == conserved
+        assert report.identity_holds
 
 
-def test_exact_divergence_overflow_at_a_late_sample_point_is_raised():
+def test_exact_audit_of_a_divergence_beyond_the_floats_samples_nothing():
     # div^2 = x_2^3 overflows in Python's float pow at the fourth sample
-    # point only (x_2 is 0.93 of the box there, at most 0.73 before): it is
-    # the first value that is not finite, refused with its point
+    # point (x_2 is 0.93 of the box there, at most 0.73 before); the exact
+    # audit, which once sampled it and refused the chart, proves the
+    # identity and that T is not conserved
     chart = flat_chart(2, box=[[0, 1], [0, 7e102]])
     x2 = Polynomial.variable(1, 2)
     T = EnergyMomentum(2, [[const(0), const(0)],
                            [const(0), const(Fraction(1, 4)) * x2 * x2 * x2 * x2]])
     points = chart.sample_points(100)
     div = covariant_divergence(T, christoffel(chart))
-    for point in points[:3]:
-        assert math.isfinite(div[1].eval(point))
+    assert div[1] == x2 * x2 * x2
     with pytest.raises(OverflowError):
         div[1].eval(points[3])
-    with pytest.raises(InputError) as raised:
-        verify_equivalence(T, chart, backend="exact")
-    assert str(raised.value) == (f"the divergence in component 2 is not finite "
-                                 f"at sample point {points[3]}")
+    report = verify_equivalence(T, chart, backend="exact")
+    assert report.identity_holds and not report.conserved
+    assert (report.max_identity_residual, report.max_divergence) == (0.0, None)
 
 
 def test_exact_backend_refuses_a_scaled_nonconstant_determinant():
@@ -537,7 +572,7 @@ def test_backends_agree_on_polynomial_input():
     exact = verify_equivalence(T, chart, backend="exact")
     numeric = verify_equivalence(T, chart, backend="numeric")
     assert exact.identity_holds and numeric.identity_holds
-    assert abs(exact.max_divergence - numeric.max_divergence) < 1e-6
+    assert abs(_sampled_divergence(chart, T) - numeric.max_divergence) < 1e-6
 
 
 def test_unknown_backend_rejected():

@@ -1,6 +1,8 @@
 """Polynomial ring: exact arithmetic, differentiation, evaluation."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import poly_reference
 from gielab import InputError
+from gielab.errors import json_rational
 from gielab.gie import PullbackFunction
 from gielab.poly import MAX_EXPONENT, Polynomial, from_json_terms
 
@@ -126,6 +129,22 @@ def test_from_json_terms_is_the_constructor(items):
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + Fraction(str(c))
         return Polynomial(2, terms)
     assert _outcome(lambda: from_json_terms(doc, 2)) == _outcome(reference)
+
+
+@pytest.mark.parametrize("spelling", ["2.5e3", "1e-5", "1E+2", "1e4300", "-1e-4300",
+                                      "1_0e1_0", " 10000 ", 1e300])
+def test_an_exponent_within_the_int_digit_limit_reads_as_fraction_reads_it(spelling):
+    assert json_rational(spelling) == Fraction(str(spelling))
+
+
+@pytest.mark.parametrize("spelling", ["1E+4301", "-1e-4301", " 3e99999 "])
+def test_an_exponent_past_the_int_digit_limit_is_refused(spelling):
+    # Fraction reads "1e999999999" by computing 10 ** 999999999, which does
+    # not finish; int() reads no more digits than this limit either
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InputError, match=f"^exponent of {re.escape(repr(spelling))} "
+                                         f"is past the limit {limit}$"):
+        json_rational(spelling)
 
 
 @pytest.mark.parametrize("exponents", [[[True, 0]], [[0, False]], [[1, 0], [True, 0]],
