@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 from .errors import InputError, VerificationError, json_int, json_matrix
 from .exterior import VectorValuedForm
@@ -143,6 +144,27 @@ def _symmetric(mats):
         return (np.abs(mats - b) <= 1e-12 + 1e-5 * np.abs(b)).all(axis=(1, 2))
 
 
+def _positive_definite(lower):
+    """True when the symmetric rational matrix whose lower triangle is
+    `lower` (row i holding the entries 0..i) is positive definite: every
+    pivot of its LDL^T factorization over Q, eliminated in order without
+    exchanges, is positive.  The k-th pivot is the ratio of the k-th and
+    (k-1)-th leading principal minors, so this is Sylvester's criterion;
+    elimination stops at the first pivot that is not positive."""
+    a = [list(row) for row in lower]
+    for k, row_k in enumerate(a):
+        d = row_k[k]
+        if d <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / d
+            if f:
+                row_i = a[i]
+                for j in range(k + 1, i + 1):
+                    row_i[j] -= f * a[j][k]
+    return True
+
+
 class MetricChart:
     """Metric components on a single chart.
 
@@ -151,7 +173,9 @@ class MetricChart:
     grid, which take the (N, m) float array of N points and return the N
     values, NaN where there is none.  The box bounds the chart domain for
     sampling; the margin keeps sample points away from its boundary (and
-    hence from declared coordinate singularities)."""
+    hence from declared coordinate singularities).  g is checked positive
+    definite at one point, the base point or else the first sample point:
+    exactly over Q when every entry is a Polynomial, in floats otherwise."""
 
     def __init__(self, m, g, base_point=None, box=None, margin=DEFAULT_MARGIN):
         if len(g) != m or any(len(row) != m for row in g):
@@ -182,7 +206,16 @@ class MetricChart:
         if m < 1:  # no matrix to check
             raise InputError(f"chart dimension m must be at least 1, got {m}")
         pt = self.base_point if self.base_point is not None else self.sample_points(1)[0]
-        self.matrix_at(pt)  # positive-definiteness check
+        if self.is_polynomial():
+            # at the point read as a rational: a metric beyond the floats
+            # there is no reason to refuse an exact audit
+            q = [Fraction(x) for x in pt]
+            if not _positive_definite([[e.eval(q) for e in row[:i + 1]]
+                                       for i, row in enumerate(self.g)]):
+                raise InputError(f"metric singular or indefinite at sample point "
+                                 f"{[float(x) for x in pt]}")
+        else:
+            self.matrix_at(pt)
 
     def is_polynomial(self):
         return all(isinstance(e, Polynomial) for row in self.g for e in row)

@@ -106,6 +106,7 @@ def load_psi(doc) -> PsiData:
 
 
 _ZERO = Fraction(0)
+_RATIONAL_TYPES = {int, Fraction}
 
 
 class SecondFundamental:
@@ -726,51 +727,15 @@ class PullbackFunction:
     """A function of the Grassmannian chart coordinates, as
     {sparse monomial: coefficient}: each monomial the sorted tuple of
     (variable, exponent) pairs with exponent > 0, () for the constant.
-    These are not chart polynomials: they have hundreds of variables, are
-    never multiplied, and are only differentiated at a point, where a
-    product of a few variables costs a few pairs."""
+    These are not chart polynomials: they have hundreds of variables and
+    are never multiplied or differentiated; `GrassmannPullback` writes
+    their Jacobian rows at a point from the point's non-zeros."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms):
         self.nvars = nvars
         self.terms = terms
-
-    def gradient_at(self, point):
-        """{v: d/dx_{v+1} at `point`} over the non-zero entries, v 0-based,
-        in one pass over the terms.  At a rational point each value is the
-        partial derivative's exact value there.
-
-        Each factor's value is read once.  A term whose zero factors have
-        total multiplicity 2 or more has a zero derivative in every
-        variable and is skipped; with one simple zero factor, only the
-        derivative in that variable is formed."""
-        if len(point) != self.nvars:
-            raise InputError("evaluation point has wrong length")
-        grad = {}
-        for k, c in self.terms.items():
-            values = []
-            zero = None  # the position of the one simple zero factor
-            for q, (w, e) in enumerate(k):
-                x = point[w]
-                if not x:
-                    if zero is not None or e > 1:
-                        break
-                    zero = q
-                values.append(x)
-            else:
-                positions = enumerate(k) if zero is None else [(zero, k[zero])]
-                for pos, (var, e) in positions:
-                    d = c if e == 1 else c * e
-                    for q, (w, ew) in enumerate(k):
-                        if q == pos:
-                            ew -= 1
-                        if ew == 1:
-                            d = d * values[q]
-                        elif ew:
-                            d = d * values[q] ** ew
-                    grad[var] = grad.get(var, 0) + d
-        return {v: d for v, d in grad.items() if d}
 
 
 class GrassmannPullback:
@@ -791,42 +756,42 @@ class GrassmannPullback:
         self.sigma = SigmaIndexMap(n, kappa)
         self.nvars = self.sigma.size * m
         pairs = n * (n - 1) // 2
-        # bases[i][a - 1] = (sigma(n + a, i) - 1) m, the variable of P^{(a, i)}_1
-        bases = {i: [(c - 1) * m for c in self.sigma.normals(i)] for i in range(1, n + 1)}
+        # bases[i - 1][a - 1] = (sigma(n + a, i) - 1) m, the variable of P^{(a, i)}_1
+        bases = [[(c - 1) * m for c in self.sigma.normals(i)] for i in range(1, n + 1)]
         self._bases = bases
-        # every function is written in sorted sparse monomials;
-        # sigma(i, j) runs through 1..n(n-1)/2 in the order of the pairs
-        # i < j, so P^{sigma(i, j)}_lam are the first n(n-1)m/2 variables
+        # every function is written in sorted sparse monomials, from one
+        # shared factor (v, 1) per variable; sigma(i, j) runs through
+        # 1..n(n-1)/2 in the order of the pairs i < j, so P^{sigma(i, j)}_lam
+        # are the first n(n-1)m/2 variables
         nv = self.nvars
-        linear = [PullbackFunction(nv, {((v, 1),): 1}) for v in range(pairs * m)]
+        factors = [(v, 1) for v in range(nv)]
+        linear = [PullbackFunction(nv, {(factors[v],): 1}) for v in range(pairs * m)]
         quadratic = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
+        for i in range(n):
+            for j in range(i + 1, n):
                 # sigma(a, i) < sigma(a, j), so P^{Ai} precedes P^{Aj}
                 chart = list(zip(bases[i], bases[j]))
                 for lam in range(m):
                     for mu in range(lam + 1, m):
-                        r = R.values.get((i, j, lam + 1, mu + 1))
+                        r = R.values.get((i + 1, j + 1, lam + 1, mu + 1))
                         terms = {(): -r} if r else {}
                         for bi, bj in chart:
-                            terms[(bi + lam, 1), (bj + mu, 1)] = 1
-                            terms[(bi + mu, 1), (bj + lam, 1)] = -1
+                            terms[factors[bi + lam], factors[bj + mu]] = 1
+                            terms[factors[bi + mu], factors[bj + lam]] = -1
                         quadratic.append(PullbackFunction(nv, terms))
         # (lam - 1, D Psi'_{i lam}) with Psi'_{i lam} = (-1)^(lam+1) psi^i_{Lambda minus lam}
         _, numerators = psi.numerators
         signed = [(bases[i], [(lam, c if lam % 2 == 0 else -c)
-                              for lam, c in enumerate(numerators[i - 1]) if c])
-                  for i in range(1, n + 1)]
-        phi_type = []
-        for a in range(kappa):
-            terms = {}
-            for base, row in signed:
-                for lam, c in row:
-                    terms[((base[a] + lam, 1),)] = c
-            phi_type.append(PullbackFunction(nv, terms))
+                              for lam, c in enumerate(numerators[i]) if c])
+                  for i in range(n)]
+        # the phi-type function of a is sum_i sum_lam D Psi'_{i lam} P^{(a, i)}_lam,
+        # its own gradient everywhere
+        self._phi_rows = [{base[a] + lam: c for base, row in signed for lam, c in row}
+                          for a in range(kappa)]
         self.linear = linear
         self.quadratic = quadratic
-        self.phi_type = phi_type
+        self.phi_type = [PullbackFunction(nv, {(factors[v],): c for v, c in row.items()})
+                         for row in self._phi_rows]
 
     @property
     def functions(self):
@@ -842,25 +807,80 @@ class GrassmannPullback:
                              f"fit the pullback's {(n, m, self.kappa)}")
         point = [0] * self.nvars
         for (i, lam), column in H.columns.items():
-            base = self._bases[i]
+            base = self._bases[i - 1]
             for a, v in column.items():
                 point[base[a - 1] + lam - 1] = v
         return point
+
+    def jacobian_rows(self, point):
+        """The gradient of each function of `functions`, in that order, at
+        the int point D*P, D the lcm of the denominators of the rational
+        point P (1 when it has none): {v: d/dx_{v+1}} over the non-zero
+        entries, v 0-based, written from the non-zeros of D*P.
+
+        - A linear function P_v has the unit row {v: 1}.
+        - The quadratic function of (i, j, lam, mu) is -R plus the sum over
+          a of P^{ai}_lam P^{aj}_mu - P^{ai}_mu P^{aj}_lam.  Its row has,
+          for each a, P^{aj}_mu at P^{ai}_lam, P^{ai}_lam at P^{aj}_mu,
+          -P^{aj}_lam at P^{ai}_mu and -P^{ai}_mu at P^{aj}_lam: four
+          distinct variables, read from the point's columns (j, mu),
+          (i, lam), (j, lam) and (i, mu).
+        - The phi-type function of a is linear, with D*psi's signed
+          numerators as its row.
+
+        InputError when the point has not `nvars` coordinates or one of
+        them is not an int or a Fraction."""
+        if len(point) != self.nvars:
+            raise InputError(f"the chart point has {len(point)} coordinates, "
+                             f"not the {self.nvars} chart variables")
+        if not {type(x) for x in point} <= _RATIONAL_TYPES:
+            v = next(v for v, x in enumerate(point) if type(x) not in _RATIONAL_TYPES)
+            raise InputError(f"chart coordinate {v} is {point[v]!r}, not an int or a Fraction")
+        n, m, bases = self.psi.n, self.psi.m, self._bases
+        pairs = n * (n - 1) // 2
+        nonzero = [(v, x) for v, x in enumerate(point) if x]
+        D = lcm(*(x.denominator for _, x in nonzero))
+        # columns[i][lam] = {a: D P^{(a, i)}_lam} over the non-zeros, 0-based;
+        # P^{sigma(i, j)}_lam enters no gradient but its own unit row
+        columns = [[{} for _ in range(m)] for _ in range(n)]
+        for v, x in nonzero:
+            q, lam = divmod(v, m)
+            if q >= pairs:
+                a, i = divmod(q - pairs, n)
+                columns[i][lam][a] = x.numerator * (D // x.denominator)
+        rows = [{v: 1} for v in range(pairs * m)]
+        for i in range(n):
+            bi, ci = bases[i], columns[i]
+            for j in range(i + 1, n):
+                bj, cj = bases[j], columns[j]
+                for lam in range(m):
+                    for mu in range(lam + 1, m):
+                        row = {}
+                        for a, x in cj[mu].items():
+                            row[bi[a] + lam] = x
+                        for a, x in ci[lam].items():
+                            row[bj[a] + mu] = x
+                        for a, x in cj[lam].items():
+                            row[bi[a] + mu] = -x
+                        for a, x in ci[mu].items():
+                            row[bj[a] + lam] = -x
+                        rows.append(row)
+        rows += [dict(row) for row in self._phi_rows]
+        return rows
 
     def independent_differential_count(self, point) -> int:
         """Rank of the Jacobian of all pulled-back functions at the rational
         `point`; this is the observed codimension of the integral-element
         variety.
 
-        The gradients are taken at the integer point D*P, D the lcm of the
-        denominators of P (1 when P has none).  Each function is a constant
-        plus a form of degree d = 1 or 2, so its gradient at D*P is D^(d-1)
-        times its gradient at P: every row of the Jacobian is only scaled by
-        a non-zero factor, and the rank is that at P.  Every coefficient a
-        gradient reads is an int, so every row is an int row."""
-        D = lcm(*(x.denominator for x in point))
-        point = [x.numerator * (D // x.denominator) for x in point]
-        rows = [g for g in (f.gradient_at(point) for f in self.functions) if g]
+        The rows are `jacobian_rows`, the gradients at the integer point
+        D*P, D the lcm of the denominators of P (1 when P has none).  Each
+        function is a constant plus a form of degree d = 1 or 2, so its
+        gradient at D*P is D^(d-1) times its gradient at P: every row of the
+        Jacobian is only scaled by a non-zero factor, and the rank is that
+        at P.  Every coefficient a row reads is an int, so every row is an
+        int row.  InputError as `jacobian_rows` gives it."""
+        rows = [row for row in self.jacobian_rows(point) if row]
         # The rank does not depend on the order, but the fill-in does.  Rows
         # go in by decreasing leading column (ties last function first).
         # Reducing a row only moves its lead to a larger column, so in this

@@ -98,7 +98,7 @@ def random_psi_frontier(work):
 
 def grassmann_counts(work):
     """The rank of the pulled-back Jacobian at the pre-image is codim V."""
-    for n in (9, 10):
+    for n in (9, 10, 12):
         kappa = (n - 1) ** 2
         psi = gie.random_normalized_psi(n, n, random.Random(1))
         H = gie.construct_preimage(psi, kappa)

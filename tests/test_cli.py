@@ -821,6 +821,21 @@ def test_import_does_not_load_numpy():
     assert not loaded & {"numpy", "dataclasses", "inspect"}
 
 
+def test_exact_audit_does_not_load_numpy(tmp_path):
+    # the exact backend proves everything over Q, its chart check at one
+    # point included; only the numeric backend needs numpy
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_curved_chart_doc()))
+    script = ("import sys; from gielab import cli; "
+              f"code = cli.main(['--output', {str(tmp_path / 'report.json')!r}, 'emt-audit', "
+              f"'--input', {str(path)!r}, '--backend', 'exact']); "
+              "print(code, 'numpy' in sys.modules)")
+    done = _child(["-c", script])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(EXIT_PASS), "False"]
+    assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "pass"
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emt_reference
+import flag_reference
 from emt_reference import numeric_sides as reference_sides
 from gielab import InputError, VerificationError, cli, emt
 from gielab.emt import (EnergyMomentum, MetricChart, christoffel,
@@ -218,22 +220,96 @@ def test_exact_backend_rejects_nonconstant_determinant():
 
 def test_exact_backend_refuses_a_determinant_that_is_not_positive(tmp_path):
     # det g = (1/2)(2 x1^2) - x1^2 = 0 everywhere, yet g passes the float
-    # check at the first sample point; the numeric backend refuses g at a
-    # later one
+    # check at the first sample point.  A polynomial chart is checked over Q:
+    # its second LDL^T pivot there is exactly 0, so it is refused where it
+    # is built, naming that point, and neither backend runs
     x1 = Polynomial.variable(0, 2)
     half = const(Fraction(1, 2))
-    chart = MetricChart(2, [[half, x1], [x1, const(2) * x1 * x1]], box=[[-1, 1], [-1, 1]])
-    _rejected_by_every_exact_entry_point(chart, "metric determinant must be positive")
+    g = [[half, x1], [x1, const(2) * x1 * x1]]
+    box = [[-1, 1], [-1, 1]]
+    point = flat_chart(2, box=box).sample_points(1)[0]
+    np.linalg.cholesky(np.array([[float(e.eval(point)) for e in row] for row in g]))
+    message = f"metric singular or indefinite at sample point {point}"
+    with pytest.raises(InputError) as raised:
+        MetricChart(2, g, box=box)
+    assert str(raised.value) == message
     path = tmp_path / "chart.json"
+    chart = SimpleNamespace(m=2, g=g, box=box)  # what _chart_json reads
     path.write_text(json.dumps(_chart_json(chart, tensor_const(2))))
-    for backend, message in (("exact", "metric determinant must be positive"),
-                             ("numeric", "singular or indefinite at sample point")):
+    for backend in ("exact", "numeric"):
         out = tmp_path / f"{backend}.report.json"
         code = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
                          "--backend", backend])
         report = json.loads(out.read_text())
         assert (code, report["verdict"]) == (2, "invalid-input")
-        assert message in report["results"]["error"]
+        assert report["results"]["error"] == message
+
+
+def _det_one_chart_beyond_the_floats():
+    """The det-1 chart g = [[1, 10^200 x_1], [10^200 x_1, 1 + 10^400 x_1^2]]
+    on [0, 1]^2: g_22 is beyond the floats at every sample point."""
+    x1 = Polynomial.variable(0, 2)
+    big = const(10 ** 200) * x1
+    return MetricChart(2, [[const(1), big], [big, const(1) + big * big]],
+                       box=[[0, 1], [0, 1]])
+
+
+def test_exact_audit_of_a_metric_beyond_the_floats(tmp_path):
+    # the float check at the first sample point refused this chart for
+    # either backend; only the numeric one needs its floats
+    chart = _det_one_chart_beyond_the_floats()
+    T = EnergyMomentum(2, [[const(1), const(0)], [const(0), const(1)]])
+    report = verify_equivalence(T, chart, backend="exact")
+    assert report.identity_holds and report.max_identity_residual == 0.0
+    assert report.conserved is False  # T = I is not g^-1
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_chart_json(chart, T)))
+    codes = {}
+    for backend in ("exact", "numeric"):
+        out = tmp_path / f"{backend}.report.json"
+        code = cli.main(["--output", str(out), "emt-audit", "--input", str(path),
+                         "--backend", backend])
+        codes[backend] = code, json.loads(out.read_text())
+    assert codes["exact"][0] == 0 and codes["exact"][1]["verdict"] == "pass"
+    assert codes["exact"][1]["results"]["identity_holds"] is True
+    code, report = codes["numeric"]
+    assert (code, report["verdict"]) == (2, "invalid-input")
+    assert report["results"]["error"] == (
+        f"metric entry (2, 2) is not finite at sample point {chart.sample_points(1)[0]}")
+
+
+@pytest.mark.parametrize("entries", [[[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[1, 2], [2, 1]],
+                                     [[0, 0], [0, 1]], [[1, 1], [1, 1]]],
+                         ids=["diag(-1,1)", "diag(1,-1)", "indefinite", "zero pivot", "singular"])
+def test_a_polynomial_metric_that_is_not_positive_definite_is_refused(entries):
+    g = [[const(v) for v in row] for row in entries]
+    message = f"metric singular or indefinite at sample point {flat_chart(2).sample_points(1)[0]}"
+    with pytest.raises(InputError) as raised:
+        MetricChart(2, g)
+    assert str(raised.value) == message
+    with pytest.raises(InputError, match="singular or indefinite at sample point"):
+        MetricChart(2, [[lambda X, v=v: float(v) for v in row] for row in entries])
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(_rationals, min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_positive_definite_is_sylvesters_criterion(rows):
+    # A A^T + shift is often positive definite, A + A^T often not; both
+    # against every leading principal minor, by the reference expansion
+    m = len(rows)
+    for shift in (0, 1):
+        gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) + shift * (i == j)
+                 for j in range(m)] for i in range(m)]
+        symmetric = [[rows[i][j] + rows[j][i] for j in range(m)] for i in range(m)]
+        for mat in (gram, symmetric):
+            minors = [flag_reference.determinant([row[:k] for row in mat[:k]])
+                      for k in range(1, m + 1)]
+            lower = [row[:i + 1] for i, row in enumerate(mat)]
+            assert emt._positive_definite(lower) == all(d > 0 for d in minors), mat
 
 
 def _sampled_divergence(chart, T):

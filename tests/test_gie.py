@@ -23,6 +23,7 @@ from gielab.gie import (CurvatureElement, PsiData, SecondFundamental,
                         gie_cartan_report, gie_ideal, grassmann_pullback,
                         jacobian_rank_certificate, load_psi,
                         random_normalized_psi)
+from grassmann_reference import gradient_at
 from poly_reference import Polynomial as ReferencePolynomial
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -976,15 +977,96 @@ def test_an_R_of_another_shape_is_refused():
 
 def test_grassmann_count_uses_the_symbolic_gradient():
     # every pulled-back function's gradient at the flag's chart point is
-    # the list of its partial derivatives evaluated there
+    # the list of its partial derivatives evaluated there, and the row the
+    # count writes for it
     psi = random_normalized_psi(3, 3, random.Random(7))
     H = construct_preimage(psi, 4)
     pullback = grassmann_pullback(psi, gauss_map(H), 4)
     point = pullback.point_from(H)
-    for f in pullback.functions:
+    rows = pullback.jacobian_rows(point)
+    assert len(rows) == len(pullback.functions)
+    for f, row in zip(pullback.functions, rows):
         ref = _reference(f)
         expected = {v: ref.partial(v).eval(point) for v in range(pullback.nvars)}
-        assert f.gradient_at(point) == {v: d for v, d in expected.items() if d}
+        expected = {v: d for v, d in expected.items() if d}
+        assert gradient_at(f, point) == expected
+        assert row == expected
+
+
+def _reference_rows(pullback, point):
+    """Each function's partial derivatives at `point`, from the reference
+    ring, in the variables its terms contain (every other partial is 0)."""
+    rows = []
+    for f in pullback.functions:
+        ref = _reference(f)
+        variables = sorted({v for k in f.terms for v, _ in k})
+        row = {v: ref.partial(v).eval(point) for v in variables}
+        rows.append({v: d for v, d in row.items() if d})
+    return rows
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 7) for m in range(2, 7)])
+def test_jacobian_rows_are_the_reference_partials_at_the_preimage(n, m):
+    # at the flag's int chart point, with R = G(H) and with an R off it
+    # (the rows do not read R), and at the origin, where only the linear
+    # and phi-type rows are left
+    rng = random.Random(10 * n + m)
+    kappa = (n - 1) * (m - 1)
+    psi = random_normalized_psi(n, m, rng)
+    H = construct_preimage(psi, kappa)
+    for R in (gauss_map(H), gauss_map(random_H(n, m, kappa, rng))):
+        pullback = grassmann_pullback(psi, R, kappa)
+        for point in (pullback.point_from(H), [0] * pullback.nvars):
+            assert pullback.jacobian_rows(point) == _reference_rows(pullback, point), (n, m)
+
+
+def test_jacobian_rows_equal_the_generic_gradient():
+    # the writer against the generic walk over the terms, over seeds, at
+    # the flag's point and at a random sparse rational point (rows at D*P)
+    for n, m in [(2, 2), (2, 5), (3, 3), (3, 4), (4, 3), (5, 2), (5, 5)]:
+        for seed in range(3):
+            rng = random.Random(1000 * seed + 10 * n + m)
+            kappa = (n - 1) * (m - 1) + seed
+            psi = random_normalized_psi(n, m, rng)
+            H = construct_preimage(psi, kappa)
+            for R in (gauss_map(H), gauss_map(random_H(n, m, kappa, rng))):
+                pullback = grassmann_pullback(psi, R, kappa)
+                sparse = [Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                          if rng.random() < 0.3 else 0 for _ in range(pullback.nvars)]
+                for point in (pullback.point_from(H), sparse):
+                    D = math.lcm(*(x.denominator for x in point))
+                    scaled = [x * D for x in point]
+                    assert pullback.jacobian_rows(point) == [
+                        gradient_at(f, scaled) for f in pullback.functions], (n, m, seed)
+
+
+@pytest.mark.parametrize("bad,at", [(0.5, 17), (0.0, 17), (True, 17), ("1", 17), (None, 17),
+                                    (0.5, None)])
+def test_grassmann_count_refuses_a_coordinate_that_is_not_rational(bad, at):
+    # at = None puts `bad` at every coordinate; the first is named.  A float
+    # used to end in AttributeError
+    psi = random_normalized_psi(3, 3, random.Random(7))
+    H = construct_preimage(psi, 4)
+    pullback = grassmann_pullback(psi, gauss_map(H), 4)
+    point = pullback.point_from(H)
+    if at is None:
+        point, at = [bad] * pullback.nvars, 0
+    point[at] = bad
+    with pytest.raises(InputError, match=f"chart coordinate {at} is {re.escape(repr(bad))}, "
+                                         "not an int or a Fraction"):
+        pullback.independent_differential_count(point)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_grassmann_count_refuses_a_point_of_another_length(delta):
+    psi = random_normalized_psi(3, 3, random.Random(7))
+    H = construct_preimage(psi, 4)
+    pullback = grassmann_pullback(psi, gauss_map(H), 4)
+    point = pullback.point_from(H)
+    point = point[:-1] if delta < 0 else point + [0]
+    with pytest.raises(InputError, match=f"the chart point has {pullback.nvars + delta} "
+                                         f"coordinates, not the {pullback.nvars}"):
+        pullback.independent_differential_count(point)
 
 
 def test_grassmann_point_from_refuses_an_H_of_another_shape():
@@ -1020,7 +1102,7 @@ def test_grassmann_count_falls_short_at_the_chart_origin(n, m):
     for R in (gauss_map(H), gauss_map(random_H(n, m, kappa, random.Random(m)))):
         pullback = grassmann_pullback(psi, R, kappa)
         origin = [0] * pullback.nvars
-        assert all(not f.gradient_at(origin) for f in pullback.quadratic)
+        assert all(not gradient_at(f, origin) for f in pullback.quadratic)
         count = pullback.independent_differential_count(origin)
         assert count == n * (n - 1) * m // 2 + kappa < codim_v
     for a in range(1, kappa + 1):
@@ -1048,8 +1130,10 @@ def test_grassmann_gradient_scales_at_the_integer_point(n, m):
     scaled = [x * D for x in point]
     ech = linalg.SparseEchelon()
     for f in pullback.functions:
-        gradient = f.gradient_at(point)
+        gradient = gradient_at(f, point)
         factor = D ** (_reference(f).degree() - 1)
-        assert f.gradient_at(scaled) == {v: factor * d for v, d in gradient.items()}
+        assert gradient_at(f, scaled) == {v: factor * d for v, d in gradient.items()}
         ech.insert(linalg.integer_row(gradient))
+    # the rows the count writes are the reference partials at D*P
+    assert pullback.jacobian_rows(point) == _reference_rows(pullback, scaled)
     assert pullback.independent_differential_count(point) == ech.rank

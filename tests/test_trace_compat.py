@@ -68,8 +68,8 @@ def test_tracer_targets_resolve_and_record(tmp_path):
     stats, _ = tracer.summary()
     reached = {name for name, st in stats.items() if st["calls"]}
     # exterior.wedge and Polynomial.partial are off the flag path (the ideal
-    # is written directly and the Grassmann route takes gradient_at); the
-    # exact EMT verdict reaches them through bundle
+    # and the Grassmann Jacobian rows are written directly); the exact EMT
+    # verdict reaches them through bundle
     assert {"cli.main", "gie.construct_preimage", "gie.gauss_map", "gie.gie_ideal",
             "gie.build_integral_flag", "gie.gie_cartan_report",
             "gie.grassmann_pullback",
